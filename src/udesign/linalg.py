@@ -210,24 +210,21 @@ def subspace_projectors(d: int) -> dict[str, np.ndarray]:
     (j,k > 0), and the general-channel-image projector ``pi_gc`` spanned by
     b_0⊗b_0 and b_j⊗b_k (j > 0, all k), for the Hermitian basis {b_k}.
     Ranks are D² - 1, (d²-1)² + 1 and d²(d²-1) + 1 respectively.
+    With p0 = |b_0>><<b_0| and q = I - p0, the basis sums close to p0⊗p0 + q⊗q
+    and p0⊗p0 + q⊗I on vec(A)⊗vec(B), reshuffled to vec(A⊗B).
     """
     if d < 2:
         raise InvalidInputError(f"dimension must be >= 2, got {d}")
-    basis = herm_basis(d)
     bigd = d * d
     ident = vec(np.eye(bigd, dtype=complex))
     pi0 = np.eye(bigd * bigd, dtype=complex) - np.outer(ident, ident.conj()) / bigd
 
-    v00 = vec(np.kron(basis[0], basis[0]))
-    pi_uc = np.outer(v00, v00.conj())
-    pi_gc = np.outer(v00, v00.conj())
-    for j in range(1, bigd):
-        for k in range(bigd):
-            v = vec(np.kron(basis[j], basis[k]))
-            proj = np.outer(v, v.conj())
-            pi_gc += proj
-            if k > 0:
-                pi_uc += proj
+    b0 = vec(np.eye(d, dtype=complex)) / np.sqrt(d)
+    p0 = np.outer(b0, b0.conj())
+    q = np.eye(bigd) - p0
+    sums = np.kron(p0, p0) + np.array([np.kron(q, q), np.kron(q, np.eye(bigd))])
+    # row and column axes (a1, a2, b1, b2) of vec(A)⊗vec(B) -> (a1, b1, a2, b2) of vec(A⊗B)
+    pi_uc, pi_gc = sums.reshape((2,) + (d,) * 8).transpose(0, 1, 3, 2, 4, 5, 7, 6, 8).reshape(2, bigd ** 2, -1)
     return {'pi0': pi0, 'pi_uc': pi_uc, 'pi_gc': pi_gc}
 
 

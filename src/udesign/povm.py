@@ -26,7 +26,7 @@ from .linalg import (
     ATOL_ALG,
     EIG_CUTOFF,
     class_projector,
-    max_entangled_ket,
+    dag,
     span_dimension,
     vec,
 )
@@ -55,9 +55,9 @@ class DiscretePovm:
                 raise NotAPovmError(completeness)
             if np.any(tau <= 0):
                 raise InvalidInputError("every element must have positive trace")
-            for i, f in enumerate(elements):
-                if np.linalg.eigvalsh((f + f.conj().T) / 2).min() < -atol:
-                    raise InvalidInputError(f"element {i} is not positive semidefinite")
+            bad = np.flatnonzero(np.linalg.eigvalsh((elements + dag(elements)) / 2)[:, 0] < -atol)
+            if bad.size:
+                raise InvalidInputError(f"element {bad[0]} is not positive semidefinite")
         povd = elements / tau[:, None, None]
         for arr in (elements, tau, povd):
             arr.setflags(write=False)
@@ -74,13 +74,9 @@ def povm_from_design(s: WeightedUnitarySet, atol: float = ATOL_ALG) -> DiscreteP
     1-design; otherwise the normalization defect is raised as an error.
     """
     d = s.dim
-    kets = np.array([max_entangled_ket(u) for u in s.unitaries])
-    povd = np.einsum('xi,xj->xij', kets, kets.conj())
+    kets = s.unitaries.reshape(len(s), -1) / np.sqrt(d)    # |U> = vec(U)/sqrt(d)
     tau = d * d * s.weights
-    elements = tau[:, None, None] * povd
-    completeness = np.linalg.norm(elements.sum(axis=0) - np.eye(d * d))
-    if completeness > max(atol, 1e-8):
-        raise NotAPovmError(completeness)
+    elements = (tau[:, None] * kets)[:, :, None] * kets[:, None, :].conj()
     return DiscretePovm.from_elements(elements, atol=max(atol, 1e-8))
 
 
@@ -91,7 +87,7 @@ def frame_superop(povm: DiscretePovm) -> np.ndarray:
     equality only for rank-one POVMs.
     """
     flat = povm.povd.reshape(len(povm), -1)
-    return np.einsum('x,xi,xj->ij', povm.trace_measure, flat, flat.conj())
+    return (flat.T * povm.trace_measure) @ flat.conj()
 
 
 @dataclass(frozen=True)
@@ -209,17 +205,18 @@ def outcome_probabilities(povm: DiscretePovm, state: np.ndarray,
     return p / p.sum()
 
 
-def sample_counts(probabilities: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Multinomial counts by an inverse-CDF walk over outcomes in stored order."""
-    cdf = np.cumsum(probabilities)
-    cdf[-1] = 1.0
-    draws = np.searchsorted(cdf, rng.random(shots), side='right')
-    return np.bincount(draws, minlength=len(probabilities))
+def sample_counts(probabilities: np.ndarray, shots: int, rng: np.random.Generator,
+                  size: int | tuple[int, ...] | None = None) -> np.ndarray:
+    """Multinomial counts of ``shots`` outcomes; ``size`` stacks independent
+    draws as in ``rng.multinomial``, giving shape ``size + (n,)``."""
+    return rng.multinomial(shots, probabilities, size=size)
 
 
 def reconstruct(duals: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
-    """Linear estimate sum_x p(x) R(x)."""
-    return np.einsum('x,xij->ij', np.asarray(probabilities, dtype=float), duals)
+    """Linear estimate sum_x p(x) R(x), one per row of a (..., n) stack."""
+    n, dim = duals.shape[:2]
+    p = np.asarray(probabilities, dtype=float)
+    return (p @ duals.reshape(n, -1)).reshape(p.shape[:-1] + (dim, dim))
 
 
 def predicted_error(d: int, purity: float, shots: int, state_class: str) -> float:
@@ -270,11 +267,11 @@ def simulate(povm: DiscretePovm, channel: QuantumChannel, shots: int, trials: in
              rng: np.random.Generator, state_class: str | None = None) -> TomographyReport:
     """Simulate repeated tomography of a channel's bipartite output state.
 
-    Each trial draws ``shots`` outcomes from the Born distribution with its
-    own child generator, reconstructs through the canonical dual restricted
-    to the class span, and records the squared Frobenius error against the
-    exact output state.  The report carries the class prediction evaluated at
-    the exact purity.
+    All trials come from one multinomial draw on ``rng`` of ``trials`` count
+    vectors of ``shots`` outcomes; each is reconstructed through the canonical
+    dual restricted to the class span, and its squared Frobenius error against
+    the exact output state is recorded.  The report carries the class
+    prediction evaluated at the exact purity.
     """
     if shots < 1 or trials < 1:
         raise InvalidInputError("shots and trials must both be >= 1")
@@ -285,11 +282,8 @@ def simulate(povm: DiscretePovm, channel: QuantumChannel, shots: int, trials: in
     sigma = jamiolkowski(channel)
     duals = canonical_dual(povm, require=state_class)
     probs = outcome_probabilities(povm, sigma)
-    errors = np.empty(trials)
-    for trial, child in enumerate(rng.spawn(trials)):
-        counts = sample_counts(probs, shots, child)
-        rho_hat = reconstruct(duals, counts / shots)
-        errors[trial] = np.linalg.norm(sigma - rho_hat) ** 2
+    counts = sample_counts(probs, shots, rng, size=trials)
+    errors = np.linalg.norm(reconstruct(duals, counts / shots) - sigma, axis=(1, 2)) ** 2
     purity = float(np.real(np.trace(sigma @ sigma)))
     return TomographyReport(
         state_class=state_class,

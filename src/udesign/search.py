@@ -16,12 +16,11 @@ defect, to float precision.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.sparse.linalg import LinearOperator, lsmr
 
 from .designs import WeightedUnitarySet, frame_potential, gamma, merge_phase_duplicates
 from .errors import InvalidInputError
@@ -69,9 +68,12 @@ class SearchTrace:
     best_restart: int
 
 
+@functools.lru_cache(maxsize=None)
 def _generators(d: int) -> np.ndarray:
-    # sqrt(d) * Hermitian basis: orthogonal generators with <A_j, A_k> = d delta
-    return np.sqrt(d) * herm_basis(d)
+    # sqrt(d) * Hermitian basis: orthogonal generators with <A_j, A_k> = d delta (shared, read-only)
+    gens = np.sqrt(d) * herm_basis(d)
+    gens.setflags(write=False)
+    return gens
 
 
 def _weights_from_logits(logits: np.ndarray, mode: str, d: int) -> np.ndarray:
@@ -180,6 +182,8 @@ def _initial_theta(config: SearchConfig, rng: np.random.Generator) -> np.ndarray
 
 
 def _minimize_from(theta0: np.ndarray, config: SearchConfig, history: list[float]) -> tuple[float, np.ndarray]:
+    from scipy.optimize import minimize
+
     best_in_run = [np.inf]
 
     def fun(theta):
@@ -223,6 +227,8 @@ def _polish(s: WeightedUnitarySet, free_weights: bool) -> WeightedUnitarySet:
     |R| <= 8 eps d², an absolute test (before SciPy 1.16, scipy's
     least_squares offers only relative ones).
     """
+    from scipy.sparse.linalg import LinearOperator, lsmr
+
     d, n = s.dim, len(s)
     gens = _generators(d)[1:]               # the identity only shifts a phase
     m = len(gens)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -235,3 +238,12 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(['gamma', '--t', '2', '--dim', '2', '--bogus']) == 2
+
+
+def test_cli_import_loads_no_scipy_solvers():
+    # the tomography path needs no SciPy; only the search imports its solvers
+    code = ("import sys, udesign.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])")
+    out = subprocess.run([sys.executable, '-c', code], capture_output=True, text=True,
+                         check=True, env={**os.environ, 'PYTHONPATH': os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == '[]'

@@ -166,6 +166,19 @@ class TestSubspaceProjectors:
         projs = subspace_projectors(2)
         assert np.linalg.norm(projs['pi_uc'] @ projs['pi_gc'] - projs['pi_uc']) <= 1e-10
 
+    @pytest.mark.parametrize('d', [2, 3])
+    def test_closed_form_matches_basis_sum(self, d):
+        # definition: sum of vec(b_j⊗b_k)vec(b_j⊗b_k)† over the class's pairs
+        basis = herm_basis(d)
+        pairs = {
+            'pi_uc': [(0, 0)] + [(j, k) for j in range(1, d * d) for k in range(1, d * d)],
+            'pi_gc': [(0, 0)] + [(j, k) for j in range(1, d * d) for k in range(d * d)],
+        }
+        projs = subspace_projectors(d)
+        for key, index_pairs in pairs.items():
+            vs = np.array([vec(np.kron(basis[j], basis[k])) for j, k in index_pairs])
+            assert np.linalg.norm(projs[key] - vs.T @ vs.conj()) <= 1e-12
+
 
 class TestPartialTrace:
     def test_product_rule(self):

@@ -10,7 +10,7 @@ from udesign.channels import (
     random_unital_mix,
     rotate_channel,
 )
-from udesign.designs import WeightedUnitarySet, gallery, pu2_muub_family, uniform_set
+from udesign.designs import WeightedUnitarySet, gallery, group_closure, pu2_muub_family, uniform_set
 from udesign.errors import (
     InvalidInputError,
     NotAPovmError,
@@ -84,6 +84,11 @@ class TestPovmFromDesign:
             povm_from_design(pair)
         assert err.value.residual > 0.1
 
+    def test_first_non_psd_element_is_named(self):
+        elements = [np.diag([1.0, 0.5]), np.diag([0.2, -0.1]), np.diag([-0.2, 0.6])]
+        with pytest.raises(InvalidInputError, match='element 1 is not positive semidefinite'):
+            DiscretePovm.from_elements(elements)
+
     def test_completeness_for_all_gallery_designs(self):
         for name in ('pu2_11pt', 'pu2_clifford12', 'pu2_clifford24', 'pu2_600cell'):
             povm = povm_from_design(gallery(name))
@@ -115,6 +120,14 @@ class TestFrameSuperop:
         ident = vec(np.eye(4, dtype=complex))
         assert np.linalg.norm(f @ ident - ident) <= 1e-10
         assert np.linalg.matrix_rank(f, tol=1e-10) == 1
+
+    def test_matches_weighted_outer_product_sum_on_qutrit_clifford(self):
+        omega = np.exp(2j * np.pi / 3)
+        fourier = np.array([[omega ** (j * k) for k in range(3)] for j in range(3)]) / np.sqrt(3)
+        povm = povm_from_design(group_closure([fourier, np.diag([1, 1, omega])]))
+        flat = povm.povd.reshape(len(povm), -1)
+        expected = np.einsum('x,xi,xj->ij', povm.trace_measure, flat, flat.conj())
+        assert np.linalg.norm(frame_superop(povm) - expected) <= 1e-12
 
     def test_trace_bounded_by_dimension(self):
         # non-rank-one POVM: trace strictly below D
@@ -292,6 +305,18 @@ class TestSimulate:
         mean = acc / trials
         stderr = np.sqrt(np.maximum(acc_sq / trials - np.abs(mean) ** 2, 1e-30) / trials)
         assert np.all(np.abs(mean - sigma) <= 5 * stderr + 1e-12)
+
+    def test_summary_matches_per_trial_reconstruction(self, povm12):
+        channel = depolarizing_channel(0.3, 2)
+        shots, trials = 2_000, 40
+        report = simulate(povm12, channel, shots, trials, make_rng(19))
+        sigma = jamiolkowski(channel)
+        duals = canonical_dual(povm12, require='uc')
+        counts = make_rng(19).multinomial(shots, outcome_probabilities(povm12, sigma), size=trials)
+        errors = np.array([np.linalg.norm(reconstruct(duals, row / shots) - sigma) ** 2
+                           for row in counts])
+        assert report.empirical_mean == pytest.approx(errors.mean(), rel=1e-12)
+        assert report.std_err == pytest.approx(errors.std(ddof=1) / np.sqrt(trials), rel=1e-12)
 
     def test_simulate_rejects_uc_for_non_unital_channel(self, povm11):
         channel = random_general_channel(3, 2, make_rng(1))

@@ -17,6 +17,7 @@ from pathlib import Path
 from . import __version__
 from .channels import channel_from_spec
 from .designs import (
+    ATOL_CERT,
     GALLERY_CERTIFIED_T,
     GALLERY_NAMES,
     certify,
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser('design-verify', help='certify a design file at level t')
     p.add_argument('--file', required=True)
     p.add_argument('--t', type=int, required=True)
-    p.add_argument('--tol', type=float, default=1e-8)
+    p.add_argument('--tol', type=float, default=ATOL_CERT)
     p.add_argument('--json', default=None, help='also write a JSON report')
     p.set_defaults(func=_cmd_design_verify)
 
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--restarts', type=int, default=20)
     p.add_argument('--max-iter', type=int, default=2000)
     p.add_argument('--weights', choices=('free', 'uniform', 'per-basis'), default='free')
-    p.add_argument('--target-gap', type=float, default=1e-7)
+    p.add_argument('--target-gap', type=float, default=ATOL_CERT)
     p.add_argument('--out', required=True)
     p.set_defaults(func=_cmd_design_search)
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .linalg import ATOL_ALG, assert_unitary, dag, permutation_operator, swap_operator
+from .linalg import ATOL_ALG, assert_unitary, permutation_operator, swap_operator
 
 # Tolerance on the frame-potential gap for design certification.
 ATOL_CERT = 1e-8
@@ -43,16 +43,17 @@ def canonical_phase(u: np.ndarray) -> np.ndarray:
     """Rescale by a phase so the largest-modulus entry (row-major first among
     ties) is real positive.  Stable anchor for dedup and file round-trips;
     ties are resolved with a small tolerance so float noise cannot flip the
-    anchor between computation routes."""
+    anchor between computation routes.  Accepts one matrix or an (..., d, d)
+    stack, each matrix treated on its own."""
     u = np.asarray(u, dtype=complex)
-    flat = u.reshape(-1)
+    flat = u.reshape(u.shape[:-2] + (-1,))
     mods = np.abs(flat)
-    top = mods.max()
-    k = int(np.argmax(mods >= top - 1e-12 * (1.0 + top)))
-    pivot = flat[k]
-    if pivot.real > 0 and abs(pivot.imag) <= 1e-14 * pivot.real:
-        return u                       # already canonical; keep file round-trips exact
-    return u * (np.conj(pivot) / np.abs(pivot))
+    top = mods.max(axis=-1, keepdims=True)
+    k = np.argmax(mods >= top - 1e-12 * (1.0 + top), axis=-1)
+    pivot = np.take_along_axis(flat, k[..., None], axis=-1)[..., None]
+    # already canonical matrices come back untouched, keeping file round-trips exact
+    done = (pivot.real > 0) & (np.abs(pivot.imag) <= 1e-14 * pivot.real)
+    return np.where(done, u, u * (np.conj(pivot) / np.abs(pivot)))
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class WeightedUnitarySet:
                                    axis=(1, 2))
         if residuals.max() > ATOL_ALG:
             raise InvalidInputError(f"element {int(residuals.argmax())} is not unitary")
-        unitaries = np.array([canonical_phase(u) for u in unitaries])
+        unitaries = canonical_phase(unitaries)
         unitaries.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, 'unitaries', unitaries)
@@ -122,19 +123,22 @@ def assert_phase_distinct(s: WeightedUnitarySet, dedup_tol: float = DEDUP_TOL) -
 
 
 def merge_phase_duplicates(s: WeightedUnitarySet, dedup_tol: float = DEDUP_TOL) -> WeightedUnitarySet:
-    """Combine the weights of phase-equivalent elements, keeping first seen."""
-    kept: list[int] = []
-    weights: list[float] = []
-    threshold = s.dim ** 2 - dedup_tol
-    for i, u in enumerate(s.unitaries):
-        for pos, j in enumerate(kept):
-            if abs(np.vdot(s.unitaries[j], u)) ** 2 >= threshold:
-                weights[pos] += s.weights[i]
-                break
-        else:
-            kept.append(i)
-            weights.append(float(s.weights[i]))
-    return WeightedUnitarySet(s.dim, s.unitaries[kept], np.array(weights))
+    """Combine the weights of phase-equivalent elements, keeping first seen.
+
+    Each element joins the first earlier kept element it is phase-equivalent
+    to, |tr(U†V)|² >= d² - tol, and is kept itself when there is none.
+    """
+    n = len(s)
+    close = np.abs(s.gram()) ** 2 >= s.dim ** 2 - dedup_tol
+    owner = np.full(n, -1)
+    for i in range(n):
+        if owner[i] < 0:            # i is kept and claims every unowned element close to it
+            owner[close[i] & (owner < 0)] = i
+            owner[i] = i
+    weights = np.zeros(n)
+    np.add.at(weights, owner, s.weights)
+    kept = np.flatnonzero(owner == np.arange(n))
+    return WeightedUnitarySet(s.dim, s.unitaries[kept], weights[kept])
 
 
 def frame_potential(s: WeightedUnitarySet, t: int) -> float:
@@ -197,15 +201,21 @@ def haar_moment(t: int, d: int) -> np.ndarray:
 
 
 def design_moment(s: WeightedUnitarySet, t: int) -> np.ndarray:
-    """Weighted moment operator sum_x w(x) U(x)^⊗t ⊗ (U(x)^⊗t)†."""
-    dim = s.dim ** (2 * t)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for w, u in zip(s.weights, s.unitaries):
-        upow = u
-        for _ in range(t - 1):
-            upow = np.kron(upow, u)
-        acc += w * np.kron(upow, dag(upow))
-    return acc
+    """Weighted moment operator sum_x w(x) U(x)^⊗t ⊗ (U(x)^⊗t)†.
+
+    With P = U^⊗t of size D = d^t, entry ((a, b), (c, e)) is
+    sum_x w(x) P_x[a, c] conj(P_x[e, b]): one (D², n)·(n, D²) matmul of the
+    flattened powers, then an axis transpose.
+    """
+    n, d = len(s), s.dim
+    upow = s.unitaries
+    for _ in range(t - 1):          # kron(P, U) element by element
+        m = upow.shape[-1] * d
+        upow = (upow[:, :, None, :, None] * s.unitaries[:, None, :, None, :]).reshape(n, m, m)
+    dim = upow.shape[-1]
+    flat = upow.reshape(n, -1)
+    acc = (flat.T * s.weights) @ flat.conj()           # rows (a, c), columns (e, b)
+    return acc.reshape((dim,) * 4).transpose(0, 3, 1, 2).reshape(dim * dim, dim * dim)
 
 
 @dataclass(frozen=True)
@@ -243,11 +253,6 @@ def certify(s: WeightedUnitarySet, t: int, atol_cert: float = ATOL_CERT) -> Desi
         residual = float(np.linalg.norm(design_moment(s, t) - haar_moment(t, s.dim)))
     return DesignCertificate(t=t, potential=pot, gamma=g, gap=gap,
                              moment_residual=residual, passed=bool(gap <= atol_cert))
-
-
-def moment_residual_tol(atol_cert: float, t: int, d: int) -> float:
-    """Residual threshold matched to the gap tolerance."""
-    return np.sqrt(atol_cert) * d ** t
 
 
 def quat_to_unitary(r, atol: float = ATOL_ALG) -> np.ndarray:

@@ -41,18 +41,6 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v).reshape(dim, dim)
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(A†B)."""
-    return complex(np.vdot(a, b))
-
-
-def is_unitary(u: np.ndarray, atol: float = ATOL_ALG) -> bool:
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return bool(np.linalg.norm(dag(u) @ u - np.eye(u.shape[0])) <= atol)
-
-
 def assert_unitary(u: np.ndarray, atol: float = ATOL_ALG) -> np.ndarray:
     """Return ``u`` as a complex array, raising if it is not unitary."""
     u = np.asarray(u, dtype=complex)
@@ -62,20 +50,6 @@ def assert_unitary(u: np.ndarray, atol: float = ATOL_ALG) -> np.ndarray:
     if res > atol:
         raise InvalidInputError(f"matrix is not unitary: ||U†U - I|| = {res:.3e}")
     return u
-
-
-def assert_state(rho: np.ndarray, atol: float = ATOL_ALG) -> np.ndarray:
-    """Validate a density operator: Hermitian, unit trace, eigenvalues >= -atol."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {rho.shape}")
-    if np.linalg.norm(rho - dag(rho)) > atol:
-        raise InvalidInputError("state is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > atol:
-        raise InvalidInputError(f"state trace is {np.trace(rho):.6f}, expected 1")
-    if np.linalg.eigvalsh(rho).min() < -atol:
-        raise InvalidInputError("state has an eigenvalue below -atol")
-    return rho
 
 
 def partial_trace(a: np.ndarray, dims: tuple[int, int], axis: int) -> np.ndarray:
@@ -170,21 +144,23 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Ginibre matrix with the
-    phases of the R diagonal divided out."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
-
-
 def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``n`` independent Haar unitaries, shape (n, d, d)."""
-    z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
+    """Stack of ``n`` independent Haar unitaries, shape (n, d, d): QR of
+    complex Ginibre matrices with the phases of the R diagonals divided out.
+
+    The draw has layout (n, 2, d, d), real part then imaginary part for each
+    element in turn, so the stack equals ``n`` successive
+    :func:`haar_unitary` calls on the same generator.
+    """
+    z = rng.standard_normal((n, 2, d, d))
+    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-distributed unitary; see :func:`haar_unitaries`."""
+    return haar_unitaries(d, 1, rng)[0]
 
 
 def expm_hermitian(g: np.ndarray) -> np.ndarray:

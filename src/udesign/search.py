@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import WeightedUnitarySet, frame_potential, gamma, merge_phase_duplicates
+from .designs import ATOL_CERT, WeightedUnitarySet, frame_potential, gamma, merge_phase_duplicates
 from .errors import InvalidInputError
-from .linalg import haar_unitary, herm_basis, log_unitary
+from .linalg import dag, haar_unitaries, herm_basis, log_unitary
 
 WEIGHT_MODES = ('free', 'uniform', 'per-basis')
 # Cap on trial steps of the residual polish; singular sets need about 15.
@@ -39,7 +39,7 @@ class SearchConfig:
     max_iterations: int = 2000
     restarts: int = 20
     seed: int = 0
-    target_gap: float = 1e-7
+    target_gap: float = ATOL_CERT
     weight_mode: str = 'free'
 
     def __post_init__(self):
@@ -89,10 +89,18 @@ def _weights_from_logits(logits: np.ndarray, mode: str, d: int) -> np.ndarray:
 
 
 def _unitaries_from_theta(theta_u: np.ndarray, gens: np.ndarray):
-    g = np.einsum('nk,kab->nab', theta_u, gens)
-    evals, v = np.linalg.eigh(g)
-    u = np.einsum('nab,nb,ncb->nac', v, np.exp(1j * evals), np.conj(v))
-    return u, evals, v
+    # U = V e^{iλ} V† from the eigendecomposition of sum_k theta_k A_k
+    n, d2 = theta_u.shape
+    d = gens.shape[-1]
+    evals, v = np.linalg.eigh((theta_u @ gens.reshape(d2, d2)).reshape(n, d, d))
+    phases = np.exp(1j * evals)
+    return (v * phases[:, None, :]) @ dag(v), evals, phases, v
+
+
+def _log_coefficients(unitaries: np.ndarray, d: int) -> np.ndarray:
+    # generator coefficients tr(A_k G)/d of the principal logs G (Hermitian, so tr(A_k G) = <G, A_k>)
+    logs = np.array([log_unitary(u) for u in unitaries]).reshape(len(unitaries), -1)
+    return np.real(logs.conj() @ _generators(d).reshape(d * d, d * d).T) / d
 
 
 def parametrize(theta: np.ndarray, dim: int, size: int,
@@ -110,7 +118,7 @@ def parametrize(theta: np.ndarray, dim: int, size: int,
         raise InvalidInputError(
             f"theta must have length n·d² + n = {size * d2 + size}, got {theta.shape}")
     gens = _generators(dim)
-    unitaries, _, _ = _unitaries_from_theta(theta[:size * d2].reshape(size, d2), gens)
+    unitaries = _unitaries_from_theta(theta[:size * d2].reshape(size, d2), gens)[0]
     weights = _weights_from_logits(theta[size * d2:], weight_mode, dim)
     return WeightedUnitarySet(dim, unitaries, weights)
 
@@ -118,12 +126,7 @@ def parametrize(theta: np.ndarray, dim: int, size: int,
 def theta_from_set(s: WeightedUnitarySet) -> np.ndarray:
     """Inverse seed mapping: generator coefficients from principal logs plus
     log-weights as logits.  parametrize(theta) reproduces the set projectively."""
-    gens = _generators(s.dim)
-    coeffs = np.empty((len(s), s.dim ** 2))
-    for j, u in enumerate(s.unitaries):
-        g = log_unitary(u)
-        coeffs[j] = np.real(np.einsum('kab,ba->k', gens, g)) / s.dim
-    return np.concatenate([coeffs.reshape(-1), np.log(s.weights)])
+    return np.concatenate([_log_coefficients(s.unitaries, s.dim).reshape(-1), np.log(s.weights)])
 
 
 def objective_and_gradient(theta: np.ndarray, dim: int, size: int, t: int,
@@ -135,34 +138,33 @@ def objective_and_gradient(theta: np.ndarray, dim: int, size: int, t: int,
     theta_u = theta[:size * d2].reshape(size, d2)
     logits = theta[size * d2:]
     w = _weights_from_logits(logits, weight_mode, dim)
-    unitaries, evals, v = _unitaries_from_theta(theta_u, gens)
+    unitaries, evals, phases, v = _unitaries_from_theta(theta_u, gens)
 
     flat = unitaries.reshape(size, -1)
     overlaps = flat.conj() @ flat.T
-    abs2 = np.abs(overlaps) ** 2
-    potential = float(np.real(w @ abs2 ** t @ w))
+    abs2 = overlaps.real ** 2 + overlaps.imag ** 2
+    lower = abs2 ** (t - 1)
+    abs2_t = lower * abs2
+    potential = float(w @ abs2_t @ w)
     gap = potential - float(gamma(t, dim))
 
     # element gradient: dPhi = sum_j Re tr(K_j† dU_j),
     # K_j = 4t sum_x w_x w_j |T_xj|^(2t-2) T_xj U_x
-    pair = np.outer(w, w) * t * abs2 ** (t - 1) * overlaps
-    k_ops = 4.0 * np.einsum('xj,xab->jab', pair, unitaries)
-    lam_col = evals[:, :, None]
-    lam_row = evals[:, None, :]
-    diff = lam_col - lam_row
+    pair = np.outer(w, w) * t * lower * overlaps
+    k_ops = 4.0 * (pair.T @ flat).reshape(size, dim, dim)
+    diff = evals[:, :, None] - evals[:, None, :]
     near = np.abs(diff) < 1e-12
+    e_col, e_row = phases[:, :, None], phases[:, None, :]
     # divided differences of exp(i·): (e^{iλp} - e^{iλq})/(λp - λq), i·e^{iλ} on ties
-    dd = np.where(near, 1j * np.exp(1j * lam_col) * np.ones_like(lam_row),
-                  (np.exp(1j * lam_col) - np.exp(1j * lam_row)) / np.where(near, 1.0, diff))
-    vkv = np.einsum('nba,nbc,ncd->nad', v.conj(), k_ops, v)
-    middle = vkv.conj() * dd
-    back = np.einsum('nab,ncb,ndc->nad', v, middle, v.conj())   # V Mᵀ V†
-    grad_u = np.real(np.einsum('kab,nba->nk', gens, back))
+    dd = np.where(near, 1j * e_col, (e_col - e_row) / np.where(near, 1.0, diff))
+    middle = (dag(v) @ k_ops @ v).conj() * dd
+    back_t = v.conj() @ middle @ np.swapaxes(v, 1, 2)     # (V Mᵀ V†)ᵀ
+    grad_u = np.real(back_t.reshape(size, d2) @ gens.reshape(d2, d2).T)
 
     if weight_mode == 'uniform':
         grad_w = np.zeros(size)
     else:
-        dpot_dw = 2.0 * (abs2 ** t) @ w
+        dpot_dw = 2.0 * abs2_t @ w
         grad_w = w * (dpot_dw - np.dot(w, dpot_dw))
         if weight_mode == 'per-basis':
             # logits enter through a block mean, so the chain rule block-averages
@@ -173,11 +175,7 @@ def objective_and_gradient(theta: np.ndarray, dim: int, size: int, t: int,
 
 def _initial_theta(config: SearchConfig, rng: np.random.Generator) -> np.ndarray:
     # Haar-random generators scaled by 0.5, weight logits zero
-    gens = _generators(config.dim)
-    coeffs = np.empty((config.size, config.dim ** 2))
-    for j in range(config.size):
-        g = log_unitary(haar_unitary(config.dim, rng))
-        coeffs[j] = 0.5 * np.real(np.einsum('kab,ba->k', gens, g)) / config.dim
+    coeffs = 0.5 * _log_coefficients(haar_unitaries(config.dim, config.size, rng), config.dim)
     return np.concatenate([coeffs.reshape(-1), np.zeros(config.size)])
 
 

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from udesign.cli import main
+from udesign.cli import build_parser, main
+from udesign.designs import ATOL_CERT
 from udesign.io import load_design
 
 
@@ -247,3 +248,14 @@ def test_cli_import_loads_no_scipy_solvers():
     out = subprocess.run([sys.executable, '-c', code], capture_output=True, text=True,
                          check=True, env={**os.environ, 'PYTHONPATH': os.pathsep.join(sys.path)})
     assert out.stdout.strip() == '[]'
+
+
+def test_search_and_verify_defaults_share_the_certification_tolerance():
+    from udesign.search import SearchConfig
+
+    parser = build_parser()
+    verify = parser.parse_args(['design-verify', '--file', 'f.json', '--t', '2'])
+    found = parser.parse_args(['design-search', '--dim', '2', '--size', '4', '--t', '1', '--out', 'f.json'])
+    assert verify.tol == ATOL_CERT
+    assert found.target_gap == ATOL_CERT
+    assert SearchConfig(dim=2, size=4, t=1).target_gap == ATOL_CERT

@@ -8,6 +8,7 @@ from udesign.designs import (
     assert_phase_distinct,
     canonical_phase,
     certify,
+    design_moment,
     equiangularity_diagnostic,
     frame_potential,
     gallery,
@@ -146,6 +147,17 @@ class TestHaarMoment:
     def test_t3_unsupported(self):
         with pytest.raises(InvalidInputError):
             haar_moment(3, 2)
+
+
+@pytest.mark.parametrize('d', [2, 3])
+@pytest.mark.parametrize('t', [1, 2])
+def test_design_moment_matches_kron_sum(d, t):
+    s = random_weighted_set(d, 7, make_rng(16 + d + t))
+    expected = np.zeros((d ** (2 * t),) * 2, dtype=complex)
+    for w, u in zip(s.weights, s.unitaries):
+        upow = u if t == 1 else np.kron(u, u)
+        expected += w * np.kron(upow, dag(upow))
+    assert np.linalg.norm(design_moment(s, t) - expected) <= 1e-13
 
 
 class TestCertify:
@@ -359,6 +371,48 @@ class TestWeightedUnitarySet:
         flat = u.reshape(-1)
         pivot = flat[np.argmax(np.abs(flat))]
         assert abs(pivot.imag) <= 1e-12 and pivot.real > 0
+
+    def test_canonical_phase_on_a_stack_matches_each_matrix(self):
+        rng = make_rng(13)
+        stack = haar_unitaries(3, 8, rng) * np.exp(1j * rng.uniform(0, 2 * np.pi, 8))[:, None, None]
+        stack[3] = canonical_phase(stack[3])
+        expected = np.array([canonical_phase(u) for u in stack])
+        assert np.array_equal(canonical_phase(stack), expected)
+        assert np.array_equal(canonical_phase(stack.reshape(2, 4, 3, 3)), expected.reshape(2, 4, 3, 3))
+
+    def test_canonical_matrix_comes_back_unchanged(self):
+        u = canonical_phase(haar_unitaries(3, 1, make_rng(14))[0])
+        assert np.array_equal(canonical_phase(u), u)
+        s = uniform_set(3, [u])
+        assert np.array_equal(s.unitaries[0], u)
+
+    def test_merge_matches_first_seen_loop(self):
+        def first_seen(s):
+            # oracle: each element joins the first kept element it is phase-equivalent to
+            kept, weights = [], []
+            for i, u in enumerate(s.unitaries):
+                for pos, j in enumerate(kept):
+                    if abs(np.vdot(s.unitaries[j], u)) ** 2 >= s.dim ** 2 - 1e-6:
+                        weights[pos] += s.weights[i]
+                        break
+                else:
+                    kept.append(i)
+                    weights.append(float(s.weights[i]))
+            return kept, weights
+
+        rng = make_rng(15)
+        a, b, c = haar_unitaries(2, 3, rng)
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
+        interleaved = np.array([a, b, phase[0] * a, c, phase[1] * b, phase[2] * a])
+        # X-rotations by 0, 8e-4 and 4e-4: the last is close to both others, which are not close
+        chain = np.array([quat_to_unitary([np.cos(x), np.sin(x), 0, 0]) for x in (0, 8e-4, 4e-4)])
+        for unitaries, expected_kept in ((interleaved, [0, 1, 3]), (chain, [0, 1])):
+            s = WeightedUnitarySet(2, unitaries, rng.dirichlet(np.ones(len(unitaries))))
+            kept, weights = first_seen(s)
+            merged = merge_phase_duplicates(s)
+            assert kept == expected_kept
+            assert np.array_equal(merged.unitaries, s.unitaries[kept])
+            assert np.array_equal(merged.weights, weights)
 
     def test_phase_distinct_detection(self):
         dup = uniform_set(2, [np.eye(2), np.exp(1j * 0.2) * np.eye(2)])

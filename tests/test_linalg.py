@@ -121,6 +121,20 @@ class TestHaarUnitary:
             u = haar_unitary(d, rng)
             assert np.linalg.norm(dag(u) @ u - np.eye(d)) <= 1e-10
 
+    @pytest.mark.parametrize('d', [2, 3])
+    def test_stack_equals_successive_draws(self, d):
+        k = 150
+        stack = haar_unitaries(d, k, make_rng(8))
+        rng = make_rng(8)
+        assert np.array_equal(stack, np.array([haar_unitary(d, rng) for _ in range(k)]))
+        # oracle for the single draw: QR of one Ginibre matrix, real part drawn first
+        rng = make_rng(8)
+        for u in stack[:5]:
+            z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+            q, r = np.linalg.qr(z)
+            diag = np.diagonal(r)
+            assert np.array_equal(u, q * (diag / np.abs(diag)))
+
     def test_trace_moments_match_haar_averages(self):
         # mean |tr U|^2 -> 1 and mean |tr U|^4 -> 2 for d = 2
         rng = make_rng(123)

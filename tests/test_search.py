@@ -79,11 +79,17 @@ class TestParametrize:
 
 
 class TestGradient:
-    @pytest.mark.parametrize('mode', ['free', 'uniform', 'per-basis'])
-    def test_matches_central_differences(self, mode):
+    @pytest.mark.parametrize('dim,size,t,mode', [
+        pytest.param(2, 4, 2, 'free', id='free'),
+        pytest.param(2, 4, 2, 'uniform', id='uniform'),
+        pytest.param(2, 4, 2, 'per-basis', id='per-basis'),
+        pytest.param(3, 6, 2, 'free', id='d3-n6-t2'),
+        pytest.param(3, 9, 2, 'per-basis', id='d3-n9-t2-per-basis'),
+        pytest.param(2, 5, 3, 'free', id='d2-n5-t3'),
+    ])
+    def test_matches_central_differences(self, dim, size, t, mode):
         rng = make_rng(3)
-        size, dim, t = 4, 2, 2
-        theta = rng.standard_normal(size * 4 + size)
+        theta = rng.standard_normal(size * dim ** 2 + size)
         _, analytic = objective_and_gradient(theta, dim, size, t, mode)
         numeric = central_difference_gradient(theta, dim, size, t, mode)
         assert np.linalg.norm(analytic - numeric) <= 1e-4 * max(1.0, np.linalg.norm(numeric))

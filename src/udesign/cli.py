@@ -10,6 +10,7 @@ seed when --seed is absent.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -167,10 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process serves every main() call: parse_args leaves it unchanged.
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:          # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:

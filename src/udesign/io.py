@@ -8,6 +8,7 @@ Matrices are stored row-major as nested lists of [re, im] pairs.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,9 @@ REPORT_FIELDS = ('class', 'd', 'N', 'trials', 'empirical_mean', 'std_err',
 
 
 def _fmt_float(x: float) -> str:
-    if x != x or x in (float('inf'), float('-inf')):
+    if not math.isfinite(x):
         raise InvalidInputError("non-finite number in output")
-    return format(float(x), '.17g')
+    return '%.17g' % x
 
 
 def dumps(obj, indent: int = 0, compact: bool = False) -> str:
@@ -33,22 +34,24 @@ def dumps(obj, indent: int = 0, compact: bool = False) -> str:
     order preserved), list, str, bool, None, int and float.  ``compact``
     renders everything on one line (JSON-lines records).
     """
+    if type(obj) is list and obj and all(type(v) is float for v in obj):  # [re, im] pairs, float rows
+        return '[' + ', '.join(map(_fmt_float, obj)) + ']'
     pad = ' ' * indent
     if isinstance(obj, dict):
         if not obj:
             return '{}'
         if compact:
-            items = ', '.join(f'{json.dumps(k)}: {dumps(v, compact=True)}' for k, v in obj.items())
+            items = ', '.join([f'{json.dumps(k)}: {dumps(v, compact=True)}' for k, v in obj.items()])
             return '{' + items + '}'
-        items = ',\n'.join(f'{pad}  {json.dumps(k)}: {dumps(v, indent + 2)}' for k, v in obj.items())
+        items = ',\n'.join([f'{pad}  {json.dumps(k)}: {dumps(v, indent + 2)}' for k, v in obj.items()])
         return '{\n' + items + '\n' + pad + '}'
     if isinstance(obj, (list, tuple)):
         if not obj:
             return '[]'
         flat = compact or all(not isinstance(v, (dict, list, tuple)) for v in obj)
         if flat:
-            return '[' + ', '.join(dumps(v, compact=compact) for v in obj) + ']'
-        items = ',\n'.join(f'{pad}  {dumps(v, indent + 2)}' for v in obj)
+            return '[' + ', '.join([dumps(v, compact=compact) for v in obj]) + ']'
+        items = ',\n'.join([f'{pad}  {dumps(v, indent + 2)}' for v in obj])
         return '[\n' + items + '\n' + pad + ']'
     if isinstance(obj, bool):
         return 'true' if obj else 'false'
@@ -64,7 +67,8 @@ def dumps(obj, indent: int = 0, compact: bool = False) -> str:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(np.real(e)), float(np.imag(e))] for e in row] for row in np.asarray(m)]
+    """Nested lists of [re, im] pairs; a (..., d, d) stack gives one per matrix."""
+    return np.stack([np.real(m), np.imag(m)], -1).tolist()
 
 
 def matrix_from_json(rows, context: str = 'matrix') -> np.ndarray:
@@ -82,14 +86,18 @@ def design_to_json(s: WeightedUnitarySet, certified_t: int | None = None) -> dic
     if certified_t is not None:
         doc['certified_t'] = int(certified_t)
     doc['elements'] = [
-        {'weight': float(w), 'matrix': matrix_to_json(u)}
-        for w, u in zip(s.weights, s.unitaries)
+        {'weight': w, 'matrix': m}
+        for w, m in zip(s.weights.tolist(), matrix_to_json(s.unitaries))
     ]
     return doc
 
 
 def design_from_json(doc: dict) -> tuple[WeightedUnitarySet, int | None]:
-    """Parse and validate a design document; returns (set, certified_t)."""
+    """Parse and validate a design document; returns (set, certified_t).
+
+    One ``np.array`` call reads all matrices when they form a real (n, dim,
+    dim, 2) array; else each is parsed alone, naming the first bad element.
+    """
     if not isinstance(doc, dict):
         raise InvalidInputError("design file must hold a JSON object")
     for field in ('dim', 'elements'):
@@ -101,12 +109,20 @@ def design_from_json(doc: dict) -> tuple[WeightedUnitarySet, int | None]:
     elements = doc['elements']
     if not isinstance(elements, list) or not elements:
         raise InvalidInputError("'elements' must be a non-empty list")
+    try:
+        stack = np.array([entry['matrix'] for entry in elements])
+        whole = stack.shape == (len(elements), dim, dim, 2) and stack.dtype.kind in 'biuf'
+    except (TypeError, KeyError, ValueError):
+        whole = False
     weights = []
-    unitaries = []
+    # [re, im] pairs viewed as complex128: the same bits as complex(re, im)
+    unitaries = np.ascontiguousarray(stack, dtype=float).view(complex)[..., 0] if whole else []
     for i, entry in enumerate(elements):
         if not isinstance(entry, dict) or 'weight' not in entry or 'matrix' not in entry:
             raise InvalidInputError(f"element {i}: need 'weight' and 'matrix' fields")
         weights.append(float(entry['weight']))
+        if whole:
+            continue
         u = matrix_from_json(entry['matrix'], context=f"element {i}")
         if u.shape != (dim, dim):
             raise InvalidInputError(f"element {i}: matrix shape {u.shape} does not match dim={dim}")
@@ -115,7 +131,7 @@ def design_from_json(doc: dict) -> tuple[WeightedUnitarySet, int | None]:
     if abs(weights.sum() - 1.0) > 1e-6:
         raise InvalidInputError(f"weights sum to {weights.sum():.9f}, expected 1 within 1e-6")
     weights = weights / weights.sum()
-    s = WeightedUnitarySet(dim, np.array(unitaries), weights)
+    s = WeightedUnitarySet(dim, np.asarray(unitaries), weights)
     assert_phase_distinct(s)
     certified_t = doc.get('certified_t')
     if certified_t is not None and (not isinstance(certified_t, int) or certified_t < 1):

@@ -14,6 +14,8 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -216,13 +218,12 @@ def span_dimension(state_class: str, d: int) -> int:
     raise InvalidInputError(f"unknown state class {state_class!r}")
 
 
+@functools.lru_cache(maxsize=None)
 def class_projector(state_class: str, d: int) -> np.ndarray:
-    """Left-right projector onto span(Q) for a channel-output class."""
-    if state_class == 'full':
-        return np.eye(d ** 4, dtype=complex)
-    projs = subspace_projectors(d)
-    if state_class == 'uc':
-        return projs['pi_uc']
-    if state_class == 'gc':
-        return projs['pi_gc']
-    raise InvalidInputError(f"unknown state class {state_class!r}")
+    """Left-right projector onto span(Q) for a channel-output class ('full'
+    gives the identity); built once per (class, d) and returned read-only."""
+    if state_class not in ('full', 'uc', 'gc'):
+        raise InvalidInputError(f"unknown state class {state_class!r}")
+    pi = np.eye(d ** 4, dtype=complex) if state_class == 'full' else subspace_projectors(d)['pi_' + state_class]
+    pi.setflags(write=False)
+    return pi

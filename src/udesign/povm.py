@@ -12,6 +12,7 @@ yields the canonical reconstruction operators.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,14 @@ class DiscretePovm:
     def __len__(self) -> int:
         return self.elements.shape[0]
 
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """The frame superoperator (see :func:`frame_superop`), built on first use, read-only."""
+        flat = self.povd.reshape(len(self), -1)
+        frame = (flat.T * self.trace_measure) @ flat.conj()
+        frame.setflags(write=False)
+        return frame
+
 
 def povm_from_design(s: WeightedUnitarySet, atol: float = ATOL_ALG) -> DiscretePovm:
     """Rank-one POVM on C^d ⊗ C^d with P(x) = |U(x)><U(x)| and tau = d² w.
@@ -84,10 +93,17 @@ def frame_superop(povm: DiscretePovm) -> np.ndarray:
     """Left-right matrix of sum_x tau(x) |P(x)>><<P(x)| (shape (D², D²)).
 
     Positive, left-right Hermitian, fixes |I>> and has trace at most D with
-    equality only for rank-one POVMs.
+    equality only for rank-one POVMs.  Shared, read-only, as ``povm.frame``.
     """
-    flat = povm.povd.reshape(len(povm), -1)
-    return (flat.T * povm.trace_measure) @ flat.conj()
+    return povm.frame
+
+
+def _class_span(state_class: str, bigd: int) -> tuple[np.ndarray, int]:
+    """Projector onto a class span on C^d ⊗ C^d, D = d², and its dimension."""
+    d = int(round(np.sqrt(bigd)))
+    if d * d != bigd:
+        raise InvalidInputError(f"class {state_class!r} needs a bipartite dimension, got D={bigd}")
+    return class_projector(state_class, d), span_dimension(state_class, d)
 
 
 @dataclass(frozen=True)
@@ -109,11 +125,7 @@ def tight_check(povm: DiscretePovm, state_class: str, tol: float = 1e-8) -> Tigh
     its dimension ((d²-1)²+1 for uc, d²(d²-1)+1 for gc, D² for full).
     """
     bigd = povm.dim
-    d = int(round(np.sqrt(bigd)))
-    if state_class in ('uc', 'gc') and d * d != bigd:
-        raise InvalidInputError(f"class {state_class!r} needs a bipartite dimension, got D={bigd}")
-    delta = span_dimension(state_class, d) if state_class != 'full' else bigd * bigd
-    pi = class_projector(state_class, d) if state_class != 'full' else np.eye(bigd * bigd)
+    pi, delta = _class_span(state_class, bigd)
     frame = frame_superop(povm)
     ident = vec(np.eye(bigd, dtype=complex))
     a = (bigd - 1) / (delta - 1)
@@ -151,15 +163,7 @@ def canonical_dual(povm: DiscretePovm, require: str | np.ndarray | None = None,
     support_dim = int(keep.sum())
     if require is not None:
         if isinstance(require, str):
-            if require == 'full':
-                pi = np.eye(povm.dim ** 2)
-                required_dim = povm.dim ** 2
-            else:
-                d = int(round(np.sqrt(povm.dim)))
-                if d * d != povm.dim:
-                    raise InvalidInputError(f"class {require!r} needs a bipartite dimension")
-                pi = class_projector(require, d)
-                required_dim = span_dimension(require, d)
+            pi, required_dim = _class_span(require, povm.dim)
         else:
             pi = np.asarray(require)
             required_dim = int(round(np.real(np.trace(pi))))

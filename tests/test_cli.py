@@ -233,6 +233,39 @@ class TestTomo:
         assert code in (0, 1)
 
 
+class TestParserReuse:
+    def test_repeat_calls_write_identical_files(self, capsys, tmp_path):
+        design = tmp_path / 'd.json'
+        assert run(capsys, 'design-gallery', '--name', 'pu2_11pt', '--out', str(design))[0] == 0
+        tomo = ['tomo', '--design', str(design), '--channel', 'depolarizing:0.25',
+                '--shots', '2000', '--seed', '9']
+        verify = ['design-verify', '--file', str(design), '--t', '2']
+        assert run(capsys, *tomo, '--csv', str(tmp_path / 'a.csv'))[0] == 0
+        assert run(capsys, *verify, '--json', str(tmp_path / 'a.verify.json'))[0] == 0
+        # in between: other values for the defaulted options, a usage error, other subcommands
+        assert run(capsys, *tomo, '--trials', '7', '--class', 'uc',
+                   '--csv', str(tmp_path / 'x.csv'))[0] == 0
+        # parses, then the maximally entangled POVM is not complete for 'gc': exit 2
+        assert run(capsys, *tomo, '--trials', '7', '--class', 'gc',
+                   '--csv', str(tmp_path / 'y.csv'))[0] == 2
+        assert run(capsys, *verify, '--tol', '1e-30', '--json', str(tmp_path / 'x.json'))[0] == 1
+        assert run(capsys, 'tomo', '--design', str(design), '--bogus')[0] == 2
+        assert run(capsys, 'gamma', '--t', '2', '--dim', '3')[0] == 0
+        assert run(capsys, *tomo, '--csv', str(tmp_path / 'b.csv'))[0] == 0
+        assert run(capsys, *verify, '--json', str(tmp_path / 'b.verify.json'))[0] == 0
+        for a, b in (('a.csv', 'b.csv'), ('a.json', 'b.json'), ('a.verify.json', 'b.verify.json')):
+            assert (tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
+        row = json.loads((tmp_path / 'b.json').read_text())[0]
+        assert row['trials'] == 200 and row['class'] == 'uc'
+
+    def test_main_reuses_one_parser_and_build_parser_stays_fresh(self):
+        from udesign import cli
+
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+        assert build_parser() is not cli._parser()
+
+
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2

@@ -1,11 +1,13 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from udesign.designs import gallery, uniform_set
+from udesign.designs import GALLERY_NAMES, WeightedUnitarySet, gallery, group_closure, uniform_set
 from udesign.errors import InvalidInputError
 from udesign.io import (
+    design_from_json,
     design_to_json,
     dumps,
     load_design,
@@ -32,6 +34,29 @@ class TestDumps:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
             dumps(float('nan'))
+
+    def test_rejects_non_finite_in_float_rows(self):
+        for bad in (float('nan'), float('inf'), float('-inf')):
+            with pytest.raises(InvalidInputError):
+                dumps([0.5, bad])
+            with pytest.raises(InvalidInputError):
+                dumps({'row': [bad]}, compact=True)
+
+    def test_float_rows_match_format_spec(self):
+        bits = make_rng(5).integers(-2 ** 63, 2 ** 63 - 1, size=20000, dtype=np.int64).view(np.float64)
+        values = bits[np.isfinite(bits)].tolist() + [0.0, -0.0, 5e-324, 1e16, 0.1, -1 / 3]
+        assert dumps(values) == '[' + ', '.join(format(x, '.17g') for x in values) + ']'
+
+    def test_float_rows_match_per_item_dispatch(self):
+        # numpy scalars take the per-item path, Python floats the row path
+        def as_numpy(obj):
+            if isinstance(obj, dict):
+                return {k: as_numpy(v) for k, v in obj.items()}
+            if isinstance(obj, list):
+                return [as_numpy(v) for v in obj]
+            return np.float64(obj) if type(obj) is float else obj
+        doc = design_to_json(gallery('pu2_600cell'), certified_t=5)
+        assert dumps(doc) == dumps(as_numpy(doc))
 
     def test_valid_json(self):
         doc = design_to_json(gallery('pu2_11pt'), certified_t=2)
@@ -125,6 +150,63 @@ class TestLoadValidation:
     def test_matrix_entry_validation(self):
         with pytest.raises(InvalidInputError, match='pairs'):
             matrix_from_json([[1.0, 2.0]])
+
+
+def qutrit_clifford():
+    omega = np.exp(2j * np.pi / 3)
+    fourier = np.array([[omega ** (j * k) for k in range(3)] for j in range(3)]) / np.sqrt(3)
+    return group_closure([fourier, np.diag([1, 1, omega])])
+
+
+def per_element_parse(doc):
+    """Reference loader: one complex(re, im) per entry, as the format defines."""
+    unitaries = np.array([[[complex(e[0], e[1]) for e in row] for row in entry['matrix']]
+                          for entry in doc['elements']])
+    weights = np.array([float(entry['weight']) for entry in doc['elements']])
+    return WeightedUnitarySet(doc['dim'], unitaries, weights / weights.sum())
+
+
+class TestWholeArrayParse:
+    @pytest.mark.parametrize('name', GALLERY_NAMES + ('qutrit_clifford216',))
+    def test_bit_identical_to_per_element_parse(self, tmp_path, name):
+        if name == 'qutrit_clifford216':
+            s = qutrit_clifford()
+        else:
+            s = gallery(name, n=9, dim=3) if name == 'utof' else gallery(name)
+        path = tmp_path / 'd.json'
+        save_design(s, path, certified_t=1)
+        loaded, _ = load_design(path)
+        expected = per_element_parse(json.loads(path.read_text()))
+        for got, want in ((loaded.unitaries, expected.unitaries), (loaded.weights, expected.weights)):
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+    def test_signed_zeros_survive(self):
+        # diag(1, i) written with negative zeros: a re + 1j*im rebuild would drop their signs
+        doc = {'dim': 2, 'elements': [{'weight': 1.0, 'matrix': [[[1.0, -0.0], [-0.0, 0.0]],
+                                                                  [[0.0, -0.0], [-0.0, 1.0]]]}]}
+        s, _ = design_from_json(doc)
+        assert s.unitaries.tobytes() == per_element_parse(doc).unitaries.tobytes()
+        assert np.signbit(s.unitaries.real[0, 1, 1])
+
+    def test_integer_entries_parse_as_numbers(self):
+        doc = {'dim': 2, 'elements': [{'weight': 1, 'matrix': [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
+        s, _ = design_from_json(doc)
+        assert np.array_equal(s.unitaries[0], np.eye(2))
+
+    @pytest.mark.parametrize('bad,message', [
+        (lambda m: m[0].__setitem__(1, ['0.5', 0.0]), 'entries must be [re, im] pairs'),
+        (lambda m: m[1].__setitem__(0, [None, 0.0]), 'entries must be [re, im] pairs'),
+        (lambda m: m[1].pop(), 'entries must be [re, im] pairs'),
+        (lambda m: [row.append([0.0, 0.0]) for row in m], 'matrix shape (2, 3) does not match dim=2'),
+    ], ids=['string', 'null', 'ragged', 'two-by-three'])
+    def test_malformed_element_is_named(self, bad, message):
+        doc = json.loads(dumps(design_to_json(gallery('pu2_11pt'))))
+        for k in (0, 3, 10):
+            broken = copy.deepcopy(doc)
+            bad(broken['elements'][k]['matrix'])
+            with pytest.raises(InvalidInputError) as err:
+                design_from_json(broken)
+            assert str(err.value) == f"element {k}: {message}"
 
 
 class TestReports:

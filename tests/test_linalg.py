@@ -3,6 +3,7 @@ import pytest
 
 from udesign.errors import InvalidInputError, ResourceLimitError
 from udesign.linalg import (
+    class_projector,
     dag,
     haar_unitaries,
     haar_unitary,
@@ -192,6 +193,32 @@ class TestSubspaceProjectors:
         for key, index_pairs in pairs.items():
             vs = np.array([vec(np.kron(basis[j], basis[k])) for j, k in index_pairs])
             assert np.linalg.norm(projs[key] - vs.T @ vs.conj()) <= 1e-12
+
+
+class TestClassProjector:
+    @pytest.mark.parametrize('d', [2, 3])
+    def test_cached_read_only_and_equal_to_subspace_projectors(self, d):
+        projs = subspace_projectors(d)
+        for state_class in ('uc', 'gc'):
+            pi = class_projector(state_class, d)
+            assert class_projector(state_class, d) is pi
+            assert np.array_equal(pi, projs['pi_' + state_class])
+            with pytest.raises(ValueError):
+                pi[0, 0] = 0.0
+        # the dict of subspace_projectors stays fresh and writable
+        again = subspace_projectors(d)
+        assert again['pi_uc'] is not projs['pi_uc'] and again['pi_uc'].flags.writeable
+
+    @pytest.mark.parametrize('d', [2, 3])
+    def test_full_class_is_identity(self, d):
+        pi = class_projector('full', d)
+        assert np.array_equal(pi, np.eye(d ** 4))
+        assert class_projector('full', d) is pi and not pi.flags.writeable
+
+    def test_unknown_class_raises(self):
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match='unknown state class'):
+                class_projector('xx', 2)
 
 
 class TestPartialTrace:

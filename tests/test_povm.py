@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,27 @@ class TestFrameSuperop:
         povm = DiscretePovm.from_elements([blob, np.eye(4) - blob])
         assert np.trace(frame_superop(povm)).real < 4.0 - 1e-6
 
+    def test_frame_built_once_and_read_only(self, monkeypatch):
+        builds = []
+        build = DiscretePovm.frame.func
+
+        def counted(povm):
+            builds.append(povm)
+            return build(povm)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(DiscretePovm, 'frame')
+        monkeypatch.setattr(DiscretePovm, 'frame', prop)
+        povm = povm_from_design(gallery('pu2_11pt'))
+        tight_check(povm, 'uc')
+        canonical_dual(povm, require='uc')
+        dual_frame_norm(povm)
+        assert len(builds) == 1
+        frame = frame_superop(povm)
+        assert frame is povm.frame and len(builds) == 1
+        with pytest.raises(ValueError):
+            frame[0, 0] = 0.0
+
 
 class TestTightCheck:
     def test_11pt_tight_for_unital_class(self, povm11):
@@ -164,6 +187,22 @@ class TestTightCheck:
 
     def test_nonuniform_weights_break_uc_tightness(self):
         assert not tight_check(nonuniform_muub_povm(), 'uc').is_tight_rank_one
+
+    def test_full_class_target_is_built_on_the_identity(self, povm11):
+        # delta = D² = 16: target (D-1)/(delta-1)·I + (delta-D)/((delta-1)D)|I>><<I|
+        report = tight_check(povm11, 'full')
+        ident = vec(np.eye(4, dtype=complex))
+        target = 3 / 15 * np.eye(16) + 12 / 60 * np.outer(ident, ident.conj())
+        assert report.span_dim == 16 and not report.is_tight_rank_one
+        assert report.residual == pytest.approx(np.linalg.norm(frame_superop(povm11) - target), abs=1e-14)
+
+    def test_full_class_needs_bipartite_dimension(self):
+        povm = DiscretePovm.from_elements([np.eye(3) / 2] * 2)
+        for state_class in ('uc', 'gc', 'full'):
+            with pytest.raises(InvalidInputError, match='bipartite'):
+                tight_check(povm, state_class)
+            with pytest.raises(InvalidInputError, match='bipartite'):
+                canonical_dual(povm, require=state_class)
 
 
 class TestCanonicalDual:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NotChannelImageError
-from .linalg import ATOL_ALG, dag, haar_unitary, partial_trace, unvec, vec
+from .linalg import ATOL_ALG, ATOL_KRAUS, CP_FLOOR, dag, haar_unitary, partial_trace, unvec
 
 
 @dataclass(frozen=True)
@@ -91,17 +91,13 @@ def apply_process_matrix(s: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
     return np.einsum('abcd,bd->ac', s4, np.asarray(a, dtype=complex))
 
 
-def leftright_apply(s: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
-    """Left-right action of the same matrix: A -> unvec(s · vec(A))."""
-    return unvec(np.asarray(s) @ vec(np.asarray(a, dtype=complex)), d)
-
-
-def inverse_jamiolkowski(rho: np.ndarray, atol: float = ATOL_ALG) -> QuantumChannel:
+def inverse_jamiolkowski(rho: np.ndarray) -> QuantumChannel:
     """Channel whose output state is ``rho``, from the process matrix d·rho.
 
-    Requires tr_s(rho) = I/d (every trace-preserving image satisfies it) and
-    complete positivity within tolerance, since Kraus operators are read off
-    the eigendecomposition of the process matrix.
+    Requires tr_s(rho) = I/d within ``ATOL_ALG`` (every trace-preserving
+    image satisfies it) and complete positivity down to ``-CP_FLOOR``, since
+    Kraus operators are read off the eigendecomposition of the process
+    matrix; they must then be trace preserving within ``ATOL_KRAUS``.
     """
     rho = np.asarray(rho, dtype=complex)
     d2 = rho.shape[0]
@@ -110,17 +106,17 @@ def inverse_jamiolkowski(rho: np.ndarray, atol: float = ATOL_ALG) -> QuantumChan
         raise InvalidInputError(f"expected a (d², d²) bipartite state, got shape {rho.shape}")
     marg = partial_trace(rho, (d, d), axis=0)
     residual = float(np.linalg.norm(marg - np.eye(d) / d))
-    if residual > atol:
+    if residual > ATOL_ALG:
         raise NotChannelImageError(residual)
     s = d * rho
     evals, evecs = np.linalg.eigh((s + dag(s)) / 2)
-    if evals.min() < -1e-8:
+    if evals.min() < -CP_FLOOR:
         raise InvalidInputError(
             f"state is not completely positive within tolerance (min eigenvalue {evals.min():.3e})"
         )
     keep = evals > 0
     kraus = [np.sqrt(lam) * unvec(evecs[:, i], d) for i, lam in zip(np.where(keep)[0], evals[keep])]
-    return QuantumChannel.from_kraus(kraus, atol=max(atol, 1e-7))
+    return QuantumChannel.from_kraus(kraus, atol=ATOL_KRAUS)
 
 
 def channel_distance(a: QuantumChannel | ChannelEstimate, b: QuantumChannel | ChannelEstimate) -> float:

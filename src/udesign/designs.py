@@ -18,12 +18,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .linalg import ATOL_ALG, assert_unitary, permutation_operator, swap_operator
+from .linalg import (
+    ATOL_ALG,
+    ATOL_CERT,
+    DEDUP_TOL,
+    PHASE_REAL,
+    PHASE_TIE,
+    assert_unitary,
+    permutation_operator,
+    swap_operator,
+)
 
-# Tolerance on the frame-potential gap for design certification.
-ATOL_CERT = 1e-8
-# Two unitaries are treated as phase-equivalent when |tr(U†V)|² >= d² - DEDUP_TOL.
-DEDUP_TOL = 1e-6
 # Enumeration guard for gamma(t, d): S_t is enumerated exhaustively.
 MAX_GAMMA_T = 9
 
@@ -49,10 +54,10 @@ def canonical_phase(u: np.ndarray) -> np.ndarray:
     flat = u.reshape(u.shape[:-2] + (-1,))
     mods = np.abs(flat)
     top = mods.max(axis=-1, keepdims=True)
-    k = np.argmax(mods >= top - 1e-12 * (1.0 + top), axis=-1)
+    k = np.argmax(mods >= top - PHASE_TIE * (1.0 + top), axis=-1)
     pivot = np.take_along_axis(flat, k[..., None], axis=-1)[..., None]
     # already canonical matrices come back untouched, keeping file round-trips exact
-    done = (pivot.real > 0) & (np.abs(pivot.imag) <= 1e-14 * pivot.real)
+    done = (pivot.real > 0) & (np.abs(pivot.imag) <= PHASE_REAL * pivot.real)
     return np.where(done, u, u * (np.conj(pivot) / np.abs(pivot)))
 
 
@@ -81,6 +86,8 @@ class WeightedUnitarySet:
             raise InvalidInputError("one weight per element required")
         if unitaries.shape[0] == 0:
             raise InvalidInputError("a weighted set needs at least one element")
+        if not (np.isfinite(unitaries).all() and np.isfinite(weights).all()):
+            raise InvalidInputError("unitaries and weights must be finite")
         if np.any(weights <= 0):
             raise InvalidInputError("all weights must be strictly positive")
         if abs(weights.sum() - 1.0) > ATOL_ALG:
@@ -112,24 +119,24 @@ def uniform_set(dim: int, unitaries) -> WeightedUnitarySet:
     return WeightedUnitarySet(dim, unitaries, np.full(n, 1.0 / n))
 
 
-def assert_phase_distinct(s: WeightedUnitarySet, dedup_tol: float = DEDUP_TOL) -> None:
-    """Raise if two elements are phase-equivalent, |tr(U†V)|² >= d² - tol."""
+def assert_phase_distinct(s: WeightedUnitarySet) -> None:
+    """Raise if two elements are phase-equivalent, |tr(U†V)|² >= d² - DEDUP_TOL."""
     overlap = np.abs(s.gram()) ** 2
     np.fill_diagonal(overlap, 0.0)
     worst = overlap.max() if len(s) > 1 else 0.0
-    if worst >= s.dim ** 2 - dedup_tol:
+    if worst >= s.dim ** 2 - DEDUP_TOL:
         raise InvalidInputError(
             f"set contains phase-equivalent elements (max off-diagonal |tr|² = {worst:.9f})")
 
 
-def merge_phase_duplicates(s: WeightedUnitarySet, dedup_tol: float = DEDUP_TOL) -> WeightedUnitarySet:
+def merge_phase_duplicates(s: WeightedUnitarySet) -> WeightedUnitarySet:
     """Combine the weights of phase-equivalent elements, keeping first seen.
 
     Each element joins the first earlier kept element it is phase-equivalent
-    to, |tr(U†V)|² >= d² - tol, and is kept itself when there is none.
+    to, |tr(U†V)|² >= d² - DEDUP_TOL, and is kept itself when there is none.
     """
     n = len(s)
-    close = np.abs(s.gram()) ** 2 >= s.dim ** 2 - dedup_tol
+    close = np.abs(s.gram()) ** 2 >= s.dim ** 2 - DEDUP_TOL
     owner = np.full(n, -1)
     for i in range(n):
         if owner[i] < 0:            # i is kept and claims every unowned element close to it
@@ -255,7 +262,7 @@ def certify(s: WeightedUnitarySet, t: int, atol_cert: float = ATOL_CERT) -> Desi
                              moment_residual=residual, passed=bool(gap <= atol_cert))
 
 
-def quat_to_unitary(r, atol: float = ATOL_ALG) -> np.ndarray:
+def quat_to_unitary(r) -> np.ndarray:
     """Unit quaternion (r0, r1, r2, r3) -> r0·I + i(r1·X + r2·Y + r3·Z).
 
     The map identifies PU(2) with the projective 3-sphere and preserves
@@ -264,14 +271,13 @@ def quat_to_unitary(r, atol: float = ATOL_ALG) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (4,):
         raise InvalidInputError(f"expected a 4-vector, got shape {r.shape}")
-    if abs(np.linalg.norm(r) - 1.0) > atol:
+    if abs(np.linalg.norm(r) - 1.0) > ATOL_ALG:
         raise InvalidInputError(f"quaternion norm is {np.linalg.norm(r):.9f}, expected 1")
     return (r[0] * _PAULI['I']
             + 1j * (r[1] * _PAULI['X'] + r[2] * _PAULI['Y'] + r[3] * _PAULI['Z']))
 
 
-def group_closure(generators, max_order: int = 10_000,
-                  dedup_tol: float = DEDUP_TOL) -> WeightedUnitarySet:
+def group_closure(generators, max_order: int = 10_000) -> WeightedUnitarySet:
     """Projective closure of the generated group, uniform weights.
 
     Breadth-first multiplication with phase-equivalence dedup; raises once
@@ -281,7 +287,7 @@ def group_closure(generators, max_order: int = 10_000,
     if not gens:
         raise InvalidInputError("need at least one generator")
     d = gens[0].shape[0]
-    threshold = d * d - dedup_tol
+    threshold = d * d - DEDUP_TOL
     elements = [canonical_phase(np.eye(d, dtype=complex))]
     frontier = list(elements)
     while frontier:
@@ -350,13 +356,8 @@ def _pu2_600cell() -> WeightedUnitarySet:
         for signs in itertools.product((1.0, -1.0), repeat=3):
             it = iter(signs)
             verts.append([x * (next(it) if x != 0.0 else 1.0) for x in pattern])
-    points: list[np.ndarray] = []
-    for v in verts:
-        v = np.asarray(v)
-        k = int(np.argmax(np.abs(v) > 1e-12))
-        v = v if v[k] > 0 else -v
-        if not any(np.allclose(v, p, atol=1e-12) for p in points):
-            points.append(v)
+    # one vertex per antipodal pair: the one whose first nonzero coordinate is positive
+    points = [v for v in verts if next(x for x in v if x != 0.0) > 0]
     return uniform_set(2, np.array([quat_to_unitary(p) for p in points]))
 
 
@@ -423,13 +424,15 @@ class MuubReport:
     complete: bool                   # m == d² - 1 and all pairwise unbiased
 
 
-def muub_check(bases: list[WeightedUnitarySet], atol: float = ATOL_ALG) -> MuubReport:
+def muub_check(bases: list[WeightedUnitarySet]) -> MuubReport:
     """Check a family of unitary operator bases and its union 2-design property.
 
     Each basis must contain exactly d² elements with tr(U_j†U_k) = d delta;
     pairs of bases are mutually unbiased when every cross overlap has
     |tr(U†V)|² = 1.  The union with basis weights 1/(m d²) is a weighted
-    2-design exactly when the fourth-power overlap sum equals 2.
+    2-design exactly when the fourth-power overlap sum equals 2.  All three
+    tests read blocks of one Gram matrix of the union: orthogonality and
+    unbiasedness pass within ``ATOL_ALG``, the Welch sum within ``ATOL_CERT``.
     """
     if not bases:
         raise InvalidInputError("need at least one basis")
@@ -440,25 +443,15 @@ def muub_check(bases: list[WeightedUnitarySet], atol: float = ATOL_ALG) -> MuubR
         if len(b) != d * d:
             raise InvalidInputError(f"a unitary operator basis for d={d} has d²={d * d} elements, got {len(b)}")
     m = len(bases)
-    orth_defect = 0.0
-    for b in bases:
-        gram = b.gram()
-        orth_defect = max(orth_defect, float(np.abs(gram - d * np.eye(d * d)).max()))
-    unbias_defect = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            flat_i = bases[i].unitaries.reshape(d * d, -1)
-            flat_j = bases[j].unitaries.reshape(d * d, -1)
-            cross = np.abs(flat_i.conj() @ flat_j.T) ** 2
-            unbias_defect = max(unbias_defect, float(np.abs(cross - 1.0).max()))
+    flat = np.concatenate([b.unitaries.reshape(d * d, -1) for b in bases])
+    overlap = flat.conj() @ flat.T
+    same = np.kron(np.eye(m, dtype=bool), np.ones((d * d, d * d), dtype=bool))
+    orth_defect = float(np.abs(overlap - d * np.eye(m * d * d))[same].max())
+    unbias_defect = float(np.abs(np.abs(overlap[~same]) ** 2 - 1.0).max()) if m > 1 else 0.0
     w_basis = 1.0 / (m * d * d)
-    flats = [b.unitaries.reshape(d * d, -1) for b in bases]
-    welch = 0.0
-    for fi in flats:
-        for fj in flats:
-            welch += w_basis * w_basis * float((np.abs(fi.conj() @ fj.T) ** 4).sum())
-    orthogonal = orth_defect <= atol
-    unbiased = unbias_defect <= atol
+    welch = w_basis * w_basis * float((np.abs(overlap) ** 4).sum())
+    orthogonal = orth_defect <= ATOL_ALG
+    unbiased = unbias_defect <= ATOL_ALG
     return MuubReport(
         m=m,
         bound=d * d - 1,
@@ -469,30 +462,4 @@ def muub_check(bases: list[WeightedUnitarySet], atol: float = ATOL_ALG) -> MuubR
         welch_sum=welch,
         is_two_design=bool(abs(welch - 2.0) <= ATOL_CERT),
         complete=bool(m == d * d - 1 and orthogonal and unbiased),
-    )
-
-
-@dataclass(frozen=True)
-class EquiangularityDiagnostic:
-    size: int
-    minimal_size: int                # (d² - 1)² + 1
-    target_overlap: float            # 1 - 1/(d² - 1)
-    min_overlap: float
-    max_overlap: float
-    weights_uniform: bool
-
-
-def equiangularity_diagnostic(s: WeightedUnitarySet) -> EquiangularityDiagnostic:
-    """Report how close a set sits to the (conjecturally nonexistent) minimal
-    equiangular 2-design configuration.  Informational only."""
-    d = s.dim
-    overlap = np.abs(s.gram()) ** 2
-    off = overlap[~np.eye(len(s), dtype=bool)]
-    return EquiangularityDiagnostic(
-        size=len(s),
-        minimal_size=(d * d - 1) ** 2 + 1,
-        target_overlap=1.0 - 1.0 / (d * d - 1),
-        min_overlap=float(off.min()) if off.size else float('nan'),
-        max_overlap=float(off.max()) if off.size else float('nan'),
-        weights_uniform=bool(np.allclose(s.weights, 1.0 / len(s), atol=1e-9)),
     )

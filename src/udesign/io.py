@@ -15,6 +15,7 @@ import numpy as np
 
 from .designs import WeightedUnitarySet, assert_phase_distinct
 from .errors import InvalidInputError
+from .linalg import ATOL_FILE_WEIGHTS
 from .povm import TomographyReport
 
 REPORT_FIELDS = ('class', 'd', 'N', 'trials', 'empirical_mean', 'std_err',
@@ -120,7 +121,10 @@ def design_from_json(doc: dict) -> tuple[WeightedUnitarySet, int | None]:
     for i, entry in enumerate(elements):
         if not isinstance(entry, dict) or 'weight' not in entry or 'matrix' not in entry:
             raise InvalidInputError(f"element {i}: need 'weight' and 'matrix' fields")
-        weights.append(float(entry['weight']))
+        try:
+            weights.append(float(entry['weight']))
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"element {i}: weight must be a number, got {entry['weight']!r}") from exc
         if whole:
             continue
         u = matrix_from_json(entry['matrix'], context=f"element {i}")
@@ -128,13 +132,13 @@ def design_from_json(doc: dict) -> tuple[WeightedUnitarySet, int | None]:
             raise InvalidInputError(f"element {i}: matrix shape {u.shape} does not match dim={dim}")
         unitaries.append(u)
     weights = np.asarray(weights)
-    if abs(weights.sum() - 1.0) > 1e-6:
-        raise InvalidInputError(f"weights sum to {weights.sum():.9f}, expected 1 within 1e-6")
+    if abs(weights.sum() - 1.0) > ATOL_FILE_WEIGHTS:
+        raise InvalidInputError(f"weights sum to {weights.sum():.9f}, expected 1 within {ATOL_FILE_WEIGHTS:g}")
     weights = weights / weights.sum()
     s = WeightedUnitarySet(dim, np.asarray(unitaries), weights)
     assert_phase_distinct(s)
     certified_t = doc.get('certified_t')
-    if certified_t is not None and (not isinstance(certified_t, int) or certified_t < 1):
+    if certified_t is not None and (type(certified_t) is not int or certified_t < 1):
         raise InvalidInputError(f"'certified_t' must be a positive integer, got {certified_t!r}")
     return s, certified_t
 

@@ -20,10 +20,23 @@ import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
 
-# Absolute tolerance for algebraic identities (unitarity, trace conditions).
-ATOL_ALG = 1e-9
-# Relative eigenvalue cutoff for restricted (pseudo-)inversion of superoperators.
-EIG_CUTOFF = 1e-10
+# Tolerance table: every accept/reject guard of the package reads its threshold
+# here, one name per purpose.  Solver settings stay with the solvers in `search`.
+ATOL_ALG = 1e-9            # algebraic identities: unitarity, weight sums, trace preservation, MUUB overlaps
+EIG_CUTOFF = 1e-10         # relative eigenvalue cutoff for restricted inversion of superoperators
+ATOL_CERT = 1e-8           # frame-potential gap that certifies a t-design (and the MUUB Welch sum)
+DEDUP_TOL = 1e-6           # U, V are phase-equivalent when |tr(U†V)|² >= d² - DEDUP_TOL
+ATOL_POVM = 1e-8           # normalization defect ||sum F - I|| and eigenvalue dip of a design's POVM
+ATOL_TIGHT = 1e-8          # residual of a frame superoperator against the tight form of its class
+RANK_TOL = 1e-8            # singular-value cutoff of the span-containment rank in canonical_dual
+CP_FLOOR = 1e-8            # most negative process-matrix eigenvalue still read as completely positive
+ATOL_KRAUS = 1e-7          # trace-preservation residual of Kraus operators re-extracted from a state
+PROB_CLAMP = 1e-12         # Born-probability dips down to -PROB_CLAMP are floored at zero
+PROB_SUM_TOL = 1e-9        # Born probabilities summing further from one mean POVM and state disagree
+PHASE_TIE = 1e-12          # canonical_phase: relative tie on the largest modulus
+PHASE_REAL = 1e-14         # canonical_phase: relative imaginary part of a pivot read as real
+PURITY_SLACK = 1e-12       # float slack on the purity range [1/d², 1] of an error prediction
+ATOL_FILE_WEIGHTS = 1e-6   # weight-sum defect a design file may carry before renormalization
 # Guard on total tensor-product dimension for permutation operators.
 MAX_PERM_DIM = 10_000
 
@@ -43,13 +56,13 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v).reshape(dim, dim)
 
 
-def assert_unitary(u: np.ndarray, atol: float = ATOL_ALG) -> np.ndarray:
+def assert_unitary(u: np.ndarray) -> np.ndarray:
     """Return ``u`` as a complex array, raising if it is not unitary."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {u.shape}")
     res = np.linalg.norm(dag(u) @ u - np.eye(u.shape[0]))
-    if res > atol:
+    if res > ATOL_ALG:
         raise InvalidInputError(f"matrix is not unitary: ||U†U - I|| = {res:.3e}")
     return u
 
@@ -106,9 +119,9 @@ def herm_basis(d: int) -> np.ndarray:
     return np.array(ops)
 
 
-def max_entangled_ket(u: np.ndarray, atol: float = ATOL_ALG) -> np.ndarray:
+def max_entangled_ket(u: np.ndarray) -> np.ndarray:
     """Maximally entangled ket (1/sqrt(d)) sum_k U|k> ⊗ |k> for unitary U."""
-    u = assert_unitary(u, atol=atol)
+    u = assert_unitary(u)
     return vec(u) / np.sqrt(u.shape[0])
 
 
@@ -165,12 +178,6 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitaries(d, 1, rng)[0]
 
 
-def expm_hermitian(g: np.ndarray) -> np.ndarray:
-    """exp(iG) for Hermitian G via eigendecomposition (supports stacks)."""
-    evals, v = np.linalg.eigh(g)
-    return np.einsum('...ab,...b,...cb->...ac', v, np.exp(1j * evals), np.conj(v))
-
-
 def log_unitary(u: np.ndarray) -> np.ndarray:
     """Hermitian G with U = exp(iG), eigenphases on the principal branch."""
     import scipy.linalg
@@ -183,27 +190,23 @@ def log_unitary(u: np.ndarray) -> np.ndarray:
 def subspace_projectors(d: int) -> dict[str, np.ndarray]:
     """Left-right projectors onto the tomography subspaces of H(C^d ⊗ C^d).
 
-    Returns the traceless projector ``pi0`` = I - |I>><<I|/D with D = d², the
-    unital-channel-image projector ``pi_uc`` spanned by b_0⊗b_0 and b_j⊗b_k
-    (j,k > 0), and the general-channel-image projector ``pi_gc`` spanned by
-    b_0⊗b_0 and b_j⊗b_k (j > 0, all k), for the Hermitian basis {b_k}.
-    Ranks are D² - 1, (d²-1)² + 1 and d²(d²-1) + 1 respectively.
+    Returns the unital-channel-image projector ``pi_uc`` spanned by b_0⊗b_0
+    and b_j⊗b_k (j,k > 0), and the general-channel-image projector ``pi_gc``
+    spanned by b_0⊗b_0 and b_j⊗b_k (j > 0, all k), for the Hermitian basis
+    {b_k}.  With D = d², the ranks are (D-1)² + 1 and D(D-1) + 1.
     With p0 = |b_0>><<b_0| and q = I - p0, the basis sums close to p0⊗p0 + q⊗q
     and p0⊗p0 + q⊗I on vec(A)⊗vec(B), reshuffled to vec(A⊗B).
     """
     if d < 2:
         raise InvalidInputError(f"dimension must be >= 2, got {d}")
     bigd = d * d
-    ident = vec(np.eye(bigd, dtype=complex))
-    pi0 = np.eye(bigd * bigd, dtype=complex) - np.outer(ident, ident.conj()) / bigd
-
     b0 = vec(np.eye(d, dtype=complex)) / np.sqrt(d)
     p0 = np.outer(b0, b0.conj())
     q = np.eye(bigd) - p0
     sums = np.kron(p0, p0) + np.array([np.kron(q, q), np.kron(q, np.eye(bigd))])
     # row and column axes (a1, a2, b1, b2) of vec(A)⊗vec(B) -> (a1, b1, a2, b2) of vec(A⊗B)
     pi_uc, pi_gc = sums.reshape((2,) + (d,) * 8).transpose(0, 1, 3, 2, 4, 5, 7, 6, 8).reshape(2, bigd ** 2, -1)
-    return {'pi0': pi0, 'pi_uc': pi_uc, 'pi_gc': pi_gc}
+    return {'pi_uc': pi_uc, 'pi_gc': pi_gc}
 
 
 def span_dimension(state_class: str, d: int) -> int:

@@ -25,7 +25,13 @@ from .errors import (
 )
 from .linalg import (
     ATOL_ALG,
+    ATOL_POVM,
+    ATOL_TIGHT,
     EIG_CUTOFF,
+    PROB_CLAMP,
+    PROB_SUM_TOL,
+    PURITY_SLACK,
+    RANK_TOL,
     class_projector,
     dag,
     span_dimension,
@@ -44,21 +50,20 @@ class DiscretePovm:
     povd: np.ndarray              # (n, D, D)
 
     @classmethod
-    def from_elements(cls, elements, atol: float = ATOL_ALG, validate: bool = True) -> "DiscretePovm":
+    def from_elements(cls, elements, atol: float = ATOL_ALG) -> "DiscretePovm":
         elements = np.asarray(elements, dtype=complex)
         if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
             raise InvalidInputError(f"POVM elements must have shape (n, D, D), got {elements.shape}")
         dim = elements.shape[1]
         tau = np.real(np.trace(elements, axis1=1, axis2=2))
-        if validate:
-            completeness = np.linalg.norm(elements.sum(axis=0) - np.eye(dim))
-            if completeness > atol:
-                raise NotAPovmError(completeness)
-            if np.any(tau <= 0):
-                raise InvalidInputError("every element must have positive trace")
-            bad = np.flatnonzero(np.linalg.eigvalsh((elements + dag(elements)) / 2)[:, 0] < -atol)
-            if bad.size:
-                raise InvalidInputError(f"element {bad[0]} is not positive semidefinite")
+        completeness = np.linalg.norm(elements.sum(axis=0) - np.eye(dim))
+        if completeness > atol:
+            raise NotAPovmError(completeness)
+        if np.any(tau <= 0):
+            raise InvalidInputError("every element must have positive trace")
+        bad = np.flatnonzero(np.linalg.eigvalsh((elements + dag(elements)) / 2)[:, 0] < -atol)
+        if bad.size:
+            raise InvalidInputError(f"element {bad[0]} is not positive semidefinite")
         povd = elements / tau[:, None, None]
         for arr in (elements, tau, povd):
             arr.setflags(write=False)
@@ -76,17 +81,17 @@ class DiscretePovm:
         return frame
 
 
-def povm_from_design(s: WeightedUnitarySet, atol: float = ATOL_ALG) -> DiscretePovm:
+def povm_from_design(s: WeightedUnitarySet) -> DiscretePovm:
     """Rank-one POVM on C^d ⊗ C^d with P(x) = |U(x)><U(x)| and tau = d² w.
 
     The element sum equals the identity exactly when the set is a weighted
-    1-design; otherwise the normalization defect is raised as an error.
+    1-design; a normalization defect beyond ``ATOL_POVM`` is raised as an error.
     """
     d = s.dim
     kets = s.unitaries.reshape(len(s), -1) / np.sqrt(d)    # |U> = vec(U)/sqrt(d)
     tau = d * d * s.weights
     elements = (tau[:, None] * kets)[:, :, None] * kets[:, None, :].conj()
-    return DiscretePovm.from_elements(elements, atol=max(atol, 1e-8))
+    return DiscretePovm.from_elements(elements, atol=ATOL_POVM)
 
 
 def frame_superop(povm: DiscretePovm) -> np.ndarray:
@@ -117,8 +122,9 @@ class TightReport:
     dual_norm_bound: float        # (delta-1)²/(D-1) + 1
 
 
-def tight_check(povm: DiscretePovm, state_class: str, tol: float = 1e-8) -> TightReport:
-    """Residual of F against the tight form for the requested class.
+def tight_check(povm: DiscretePovm, state_class: str) -> TightReport:
+    """Residual of F against the tight form for the requested class, tight
+    when it is at most ``ATOL_TIGHT``.
 
     The target is a·Pi + ((delta-D)/((delta-1)D))|I>><<I| with
     a = (D-1)/(delta-1), where Pi projects onto the class span and delta is
@@ -133,7 +139,7 @@ def tight_check(povm: DiscretePovm, state_class: str, tol: float = 1e-8) -> Tigh
     residual = float(np.linalg.norm(frame - target))
     return TightReport(
         state_class=state_class,
-        is_tight_rank_one=bool(residual <= tol),
+        is_tight_rank_one=bool(residual <= ATOL_TIGHT),
         residual=residual,
         frame_trace=float(np.real(np.trace(frame))),
         frame_trace_sq=float(np.real(np.trace(frame @ frame))),
@@ -142,15 +148,14 @@ def tight_check(povm: DiscretePovm, state_class: str, tol: float = 1e-8) -> Tigh
     )
 
 
-def _frame_eig(povm: DiscretePovm, cutoff: float = EIG_CUTOFF):
+def _frame_eig(povm: DiscretePovm):
     frame = frame_superop(povm)
     evals, evecs = np.linalg.eigh(frame)
-    keep = evals > cutoff * evals.max()
+    keep = evals > EIG_CUTOFF * evals.max()
     return evals, evecs, keep
 
 
-def canonical_dual(povm: DiscretePovm, require: str | np.ndarray | None = None,
-                   cutoff: float = EIG_CUTOFF) -> np.ndarray:
+def canonical_dual(povm: DiscretePovm, require: str | np.ndarray | None = None) -> np.ndarray:
     """Reconstruction operators R(x) of the canonical dual frame.
 
     The frame superoperator is inverted on its support; R(x) is the image of
@@ -159,7 +164,7 @@ def canonical_dual(povm: DiscretePovm, require: str | np.ndarray | None = None,
     gives a projector, the support must contain that span, otherwise the
     POVM cannot reconstruct all states of the class and an error is raised.
     """
-    evals, evecs, keep = _frame_eig(povm, cutoff)
+    evals, evecs, keep = _frame_eig(povm)
     support_dim = int(keep.sum())
     if require is not None:
         if isinstance(require, str):
@@ -170,7 +175,7 @@ def canonical_dual(povm: DiscretePovm, require: str | np.ndarray | None = None,
         basis = evecs[:, keep]
         # span containment: Pi restricted to the support must keep full rank
         overlap = pi @ basis
-        contained = np.linalg.matrix_rank(overlap, tol=1e-8) >= required_dim
+        contained = np.linalg.matrix_rank(overlap, tol=RANK_TOL) >= required_dim
         if support_dim < required_dim or not contained:
             raise NotInformationallyCompleteError(support_dim, required_dim)
     inv = np.zeros_like(evals)
@@ -181,29 +186,28 @@ def canonical_dual(povm: DiscretePovm, require: str | np.ndarray | None = None,
     return duals.reshape(len(povm), povm.dim, povm.dim)
 
 
-def dual_frame_norm(povm: DiscretePovm, duals: np.ndarray | None = None,
-                    cutoff: float = EIG_CUTOFF) -> float:
+def dual_frame_norm(povm: DiscretePovm, duals: np.ndarray | None = None) -> float:
     """Delta_tau(R) = sum_x tau(x) <<R(x)|R(x)>> = Tr of the inverted frame."""
     if duals is None:
-        evals, _, keep = _frame_eig(povm, cutoff)
+        evals, _, keep = _frame_eig(povm)
         return float((1.0 / evals[keep]).sum())
     flat = duals.reshape(len(povm), -1)
     return float(np.real(np.einsum('x,xi,xi->', povm.trace_measure, flat.conj(), flat)))
 
 
-def outcome_probabilities(povm: DiscretePovm, state: np.ndarray,
-                          clamp: float = 1e-12) -> np.ndarray:
+def outcome_probabilities(povm: DiscretePovm, state: np.ndarray) -> np.ndarray:
     """Born probabilities tr(F(x) rho), clamped and renormalized.
 
-    Small negative dips (>= -clamp) are floored at zero; anything beyond that
-    or a total deviating from one by more than 1e-9 means the POVM and state
-    are inconsistent and raises.
+    Small negative dips (>= -``PROB_CLAMP``, 1e-12) are floored at zero;
+    anything beyond that or a total deviating from one by more than
+    ``PROB_SUM_TOL`` (1e-9) means the POVM and state are inconsistent and
+    raises.
     """
     p = np.real(np.einsum('xij,ji->x', povm.elements, np.asarray(state, dtype=complex)))
-    if p.min() < -clamp:
-        raise InvalidInputError(f"negative outcome probability {p.min():.3e} beyond clamp {clamp:.0e}")
+    if p.min() < -PROB_CLAMP:
+        raise InvalidInputError(f"negative outcome probability {p.min():.3e} beyond clamp {PROB_CLAMP:.0e}")
     defect = abs(p.sum() - 1.0)
-    if defect > 1e-9:
+    if defect > PROB_SUM_TOL:
         raise InvalidInputError(f"outcome probabilities sum to 1{defect:+.3e}; inconsistent POVM")
     p = np.clip(p, 0.0, None)
     return p / p.sum()
@@ -228,21 +232,16 @@ def predicted_error(d: int, purity: float, shots: int, state_class: str) -> floa
 
     Per shot count N this is (d⁴ + d² - 1 - tr σ²)/N for arbitrary bipartite
     states, (d⁴ - d² + 1/d² - tr σ²)/N for general-channel outputs and
-    (d⁴ - 3d² + 3 - tr σ²)/N for unital-channel outputs.
+    (d⁴ - 3d² + 3 - tr σ²)/N for unital-channel outputs: the tight dual-frame
+    norm per unit trace, ((δ-1)² + D - 1)/(D(D-1)) with D = d² and δ the
+    class span dimension, less the purity.
     """
     if shots < 1:
         raise InvalidInputError(f"shot count must be >= 1, got {shots}")
-    if not (1.0 / d ** 2 - 1e-12 <= purity <= 1.0 + 1e-12):
+    if not (1.0 / d ** 2 - PURITY_SLACK <= purity <= 1.0 + PURITY_SLACK):
         raise InvalidInputError(f"purity {purity} outside [1/d², 1]")
-    if state_class == 'full':
-        poly = d ** 4 + d ** 2 - 1
-    elif state_class == 'gc':
-        poly = d ** 4 - d ** 2 + 1.0 / d ** 2
-    elif state_class == 'uc':
-        poly = d ** 4 - 3 * d ** 2 + 3
-    else:
-        raise InvalidInputError(f"unknown state class {state_class!r}")
-    return (poly - purity) / shots
+    delta, bigd = span_dimension(state_class, d), d * d
+    return (((delta - 1) ** 2 + bigd - 1) / (bigd * (bigd - 1)) - purity) / shots
 
 
 @dataclass(frozen=True)

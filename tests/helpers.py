@@ -1,0 +1,33 @@
+"""Small numerical helpers shared by the tests."""
+
+import numpy as np
+
+
+def expm_hermitian(g: np.ndarray) -> np.ndarray:
+    """exp(iG) for Hermitian G via eigendecomposition (supports stacks)."""
+    evals, v = np.linalg.eigh(g)
+    return np.einsum('...ab,...b,...cb->...ac', v, np.exp(1j * evals), np.conj(v))
+
+
+def broken_design_docs() -> dict:
+    """The pu2_11pt design document with one bad field each: name -> (doc, error message)."""
+    from udesign.designs import gallery
+    from udesign.io import design_to_json
+
+    def broken(edit):
+        doc = design_to_json(gallery('pu2_11pt'), certified_t=2)
+        edit(doc)
+        return doc
+
+    return {
+        'nan-weight': (broken(lambda doc: doc['elements'][3].update(weight=float('nan'))),
+                       "unitaries and weights must be finite"),
+        'nan-entry': (broken(lambda doc: doc['elements'][3]['matrix'][0][1].__setitem__(0, float('nan'))),
+                      "unitaries and weights must be finite"),
+        'null-weight': (broken(lambda doc: doc['elements'][3].update(weight=None)),
+                        "element 3: weight must be a number, got None"),
+        'string-weight': (broken(lambda doc: doc['elements'][3].update(weight='abc')),
+                          "element 3: weight must be a number, got 'abc'"),
+        'bool-certified-t': (broken(lambda doc: doc.update(certified_t=True)),
+                             "'certified_t' must be a positive integer, got True"),
+    }

@@ -28,7 +28,7 @@ from udesign.designs import (
     muub_check,
     pu2_muub_family,
 )
-from udesign.linalg import dag, expm_hermitian, haar_unitaries, make_rng
+from udesign.linalg import dag, haar_unitaries, make_rng
 from udesign.povm import (
     canonical_dual,
     dual_frame_norm,
@@ -39,6 +39,8 @@ from udesign.povm import (
     simulate,
     tight_check,
 )
+
+from helpers import expm_hermitian
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -11,14 +11,13 @@ from udesign.channels import (
     depolarizing_channel,
     inverse_jamiolkowski,
     jamiolkowski,
-    leftright_apply,
     process_matrix,
     random_general_channel,
     random_unital_mix,
     rotate_channel,
 )
 from udesign.errors import InvalidInputError, NotChannelImageError
-from udesign.linalg import dag, haar_unitary, make_rng, partial_trace, vec
+from udesign.linalg import dag, haar_unitary, make_rng, partial_trace, unvec, vec
 
 
 def random_state(d, rng):
@@ -61,6 +60,25 @@ class TestJamiolkowski:
         assert np.linalg.norm(partial_trace(rho, (2, 2), 0) - np.eye(2) / 2) <= 1e-9
         assert np.linalg.norm(partial_trace(rho, (2, 2), 1) - np.eye(2) / 2) > 1e-3
 
+    @pytest.mark.parametrize('d', [2, 3])
+    def test_inverse_round_trips_general_channel(self, d):
+        channel = random_general_channel(3, d, make_rng(24))
+        recovered = inverse_jamiolkowski(jamiolkowski(channel))
+        assert channel_distance(channel, recovered) <= 1e-12
+
+    @pytest.mark.parametrize('d', [2, 3])
+    def test_inverse_complete_positivity_floor(self, d):
+        # I/d² + c·(Z ⊗ I) keeps tr_s = I/d; its process matrix has smallest
+        # eigenvalue 1/d - d·c, set just above and just below -1e-8
+        z = np.diag([1.0, -1.0] + [0.0] * (d - 2))
+        for dip, accepted in ((0.99e-8, True), (1.01e-8, False)):
+            rho = np.eye(d * d) / d ** 2 + (1 / d + dip) / d * np.kron(z, np.eye(d))
+            if accepted:
+                assert inverse_jamiolkowski(rho).dim == d
+            else:
+                with pytest.raises(InvalidInputError, match='completely positive'):
+                    inverse_jamiolkowski(rho)
+
     def test_inverse_rejects_non_channel_image(self):
         bad = np.diag([0.4, 0.3, 0.2, 0.1])
         with pytest.raises(NotChannelImageError) as err:
@@ -94,7 +112,7 @@ class TestProcessMatrix:
         s = process_matrix(channel)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         expected = sum(b * np.trace(dag(b) @ a) for b in channel.kraus)
-        assert np.linalg.norm(leftright_apply(s, a, 2) - expected) <= 1e-9
+        assert np.linalg.norm(unvec(s @ vec(a), 2) - expected) <= 1e-9
 
 
 class TestGallery:

@@ -10,6 +10,8 @@ from udesign.cli import build_parser, main
 from udesign.designs import ATOL_CERT
 from udesign.io import load_design
 
+from helpers import broken_design_docs
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -266,6 +268,21 @@ class TestParserReuse:
         assert build_parser() is not cli._parser()
 
 
+class TestBadDesignFiles:
+    @pytest.mark.parametrize('name', sorted(broken_design_docs()))
+    def test_verify_and_tomo_exit_2_with_an_error_line(self, capsys, tmp_path, name):
+        doc, message = broken_design_docs()[name]
+        design = tmp_path / 'bad.json'
+        design.write_text(json.dumps(doc))
+        for argv in (['design-verify', '--file', str(design), '--t', '2'],
+                     ['tomo', '--design', str(design), '--channel', 'identity', '--shots', '100',
+                      '--trials', '10', '--seed', '1', '--csv', str(tmp_path / 'r.csv')]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert err == f"error: {message}\n"
+        assert not (tmp_path / 'r.csv').exists()
+
+
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
@@ -292,3 +309,25 @@ def test_search_and_verify_defaults_share_the_certification_tolerance():
     assert verify.tol == ATOL_CERT
     assert found.target_gap == ATOL_CERT
     assert SearchConfig(dim=2, size=4, t=1).target_gap == ATOL_CERT
+
+
+def test_public_names_unchanged():
+    import inspect
+
+    import udesign
+
+    names = {n for n in dir(udesign) if not n.startswith('_') and not inspect.ismodule(getattr(udesign, n))}
+    assert names == {
+        'ChannelEstimate', 'DesignCertificate', 'DiscretePovm', 'InvalidInputError', 'NotAPovmError',
+        'NotChannelImageError', 'NotInformationallyCompleteError', 'QuantumChannel', 'ResourceLimitError',
+        'SearchConfig', 'SearchTrace', 'TomographyReport', 'UDesignError', 'WeightedUnitarySet',
+        'assert_phase_distinct', 'canonical_dual', 'certify', 'channel_distance', 'channel_from_spec',
+        'channel_gallery', 'depolarizing_channel', 'design_moment', 'dual_frame_norm', 'estimate_channel',
+        'frame_potential', 'frame_superop', 'gallery', 'gamma', 'group_closure', 'haar_moment', 'haar_unitary',
+        'herm_basis', 'inverse_jamiolkowski', 'jamiolkowski', 'load_design', 'make_rng', 'max_entangled_ket',
+        'muub_check', 'outcome_probabilities', 'parametrize', 'partial_trace', 'permutation_operator',
+        'povm_from_design', 'predicted_error', 'process_matrix', 'pu2_muub_family', 'quat_to_unitary',
+        'reconstruct', 'refine', 'rotate_channel', 'sample_counts', 'save_design', 'search', 'simulate',
+        'subspace_projectors', 'swap_operator', 'theta_from_set', 'tight_check', 'uniform_set',
+        'unitary_operator_frame',
+    }

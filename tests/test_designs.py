@@ -9,7 +9,6 @@ from udesign.designs import (
     canonical_phase,
     certify,
     design_moment,
-    equiangularity_diagnostic,
     frame_potential,
     gallery,
     gamma,
@@ -25,11 +24,12 @@ from udesign.designs import (
 from udesign.errors import InvalidInputError, ResourceLimitError
 from udesign.linalg import (
     dag,
-    expm_hermitian,
     haar_unitaries,
     make_rng,
     swap_operator,
 )
+
+from helpers import expm_hermitian
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -349,6 +349,30 @@ class TestMuub:
         with pytest.raises(InvalidInputError):
             muub_check([uniform_set(2, [np.eye(2), X, Y])])
 
+    def test_matches_basis_pair_loops(self):
+        # reference: one Gram product per basis and per pair of bases
+        def loops(bases):
+            d, m = bases[0].dim, len(bases)
+            flats = [b.unitaries.reshape(d * d, -1) for b in bases]
+            orth = max(float(np.abs(f.conj() @ f.T - d * np.eye(d * d)).max()) for f in flats)
+            unbias = max([float(np.abs(np.abs(f.conj() @ g.T) ** 2 - 1.0).max())
+                          for i, f in enumerate(flats) for g in flats[i + 1:]], default=0.0)
+            welch = sum(float((np.abs(f.conj() @ g.T) ** 4).sum()) for f in flats for g in flats) / (m * d * d) ** 2
+            return orth, unbias, welch
+
+        rng = make_rng(16)
+        w = np.exp(2j * np.pi / 3)
+        weyl = np.array([np.linalg.matrix_power(np.roll(np.eye(3), 1, axis=0), a) @ np.diag(w ** (b * np.arange(3)))
+                         for a in range(3) for b in range(3)])
+        families = [pu2_muub_family()[:m] for m in (1, 2, 3)]
+        families.append([uniform_set(3, weyl), uniform_set(3, haar_unitaries(3, 1, rng)[0] @ weyl)])
+        for bases in families:
+            report = muub_check(bases)
+            orth, unbias, welch = loops(bases)
+            assert report.max_orthogonality_defect == pytest.approx(orth, abs=1e-14)
+            assert report.max_unbiasedness_defect == pytest.approx(unbias, abs=1e-14)
+            assert report.welch_sum == pytest.approx(welch, rel=1e-14)
+
 
 class TestWeightedUnitarySet:
     def test_weight_validation(self):
@@ -356,6 +380,14 @@ class TestWeightedUnitarySet:
             WeightedUnitarySet(2, [np.eye(2)], [0.5])
         with pytest.raises(InvalidInputError):
             WeightedUnitarySet(2, [np.eye(2), X], [1.5, -0.5])
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(InvalidInputError, match='finite'):
+            WeightedUnitarySet(2, np.full((1, 2, 2), np.nan), [1.0])
+        with pytest.raises(InvalidInputError, match='finite'):
+            WeightedUnitarySet(2, [np.eye(2), X], [np.nan, 0.5])
+        with pytest.raises(InvalidInputError, match='finite'):
+            WeightedUnitarySet(2, [np.eye(2), X], [np.inf, 0.5])
 
     def test_unitarity_validation(self):
         with pytest.raises(InvalidInputError):
@@ -434,11 +466,3 @@ def test_perturbing_gallery_designs_strictly_increases_gap():
         noisy_gap = frame_potential(_perturb(s, 1e-2, rng), t) - gamma(t, 2)
         assert noisy_gap > base_gap
         assert noisy_gap > 1e-7
-
-
-def test_equiangularity_diagnostic_reports_spread():
-    diag = equiangularity_diagnostic(gallery('pu2_11pt'))
-    assert diag.size == 11 and diag.minimal_size == 10
-    assert diag.target_overlap == pytest.approx(2 / 3)
-    assert diag.min_overlap <= diag.max_overlap
-    assert not diag.weights_uniform

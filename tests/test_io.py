@@ -19,6 +19,8 @@ from udesign.io import (
 from udesign.linalg import haar_unitaries, make_rng
 from udesign.povm import TomographyReport
 
+from helpers import broken_design_docs
+
 
 class TestDumps:
     def test_seventeen_digit_floats_round_trip(self):
@@ -125,6 +127,25 @@ class TestLoadValidation:
                                       {'weight': 0.5, 'matrix': x}]}
         s, _ = load_design(self.write(tmp_path, doc))
         assert s.weights.sum() == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize('drift,accepted', [(0.9e-6, True), (1.1e-6, False)])
+    def test_weight_sum_tolerance(self, drift, accepted):
+        doc = design_to_json(gallery('pu2_11pt'))
+        for entry in doc['elements']:
+            entry['weight'] *= 1 + drift
+        if accepted:
+            s, _ = design_from_json(doc)
+            assert s.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        else:
+            with pytest.raises(InvalidInputError, match='weights sum to'):
+                design_from_json(doc)
+
+    @pytest.mark.parametrize('name', sorted(broken_design_docs()))
+    def test_non_finite_and_non_numeric_fields_rejected(self, tmp_path, name):
+        doc, message = broken_design_docs()[name]
+        with pytest.raises(InvalidInputError) as err:
+            load_design(self.write(tmp_path, doc))
+        assert str(err.value) == message
 
     def test_non_unitary_matrix_rejected(self, tmp_path):
         ones = [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]

@@ -161,7 +161,6 @@ class TestHaarUnitary:
 class TestSubspaceProjectors:
     def test_ranks_d2(self):
         projs = subspace_projectors(2)
-        assert np.linalg.matrix_rank(projs['pi0'], tol=1e-8) == 15
         assert np.linalg.matrix_rank(projs['pi_uc'], tol=1e-8) == 10
         assert np.linalg.matrix_rank(projs['pi_gc'], tol=1e-8) == 13
 
@@ -171,7 +170,7 @@ class TestSubspaceProjectors:
         assert np.linalg.matrix_rank(projs['pi_uc'], tol=1e-8) == (d2 - 1) ** 2 + 1
         assert np.linalg.matrix_rank(projs['pi_gc'], tol=1e-8) == d2 * (d2 - 1) + 1
 
-    @pytest.mark.parametrize('key', ['pi0', 'pi_uc', 'pi_gc'])
+    @pytest.mark.parametrize('key', ['pi_uc', 'pi_gc'])
     def test_idempotent_and_hermitian(self, key):
         p = subspace_projectors(2)[key]
         assert np.linalg.norm(p @ p - p) <= 1e-10

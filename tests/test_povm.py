@@ -12,7 +12,14 @@ from udesign.channels import (
     random_unital_mix,
     rotate_channel,
 )
-from udesign.designs import WeightedUnitarySet, gallery, group_closure, pu2_muub_family, uniform_set
+from udesign.designs import (
+    WeightedUnitarySet,
+    gallery,
+    group_closure,
+    pu2_muub_family,
+    uniform_set,
+    unitary_operator_frame,
+)
 from udesign.errors import (
     InvalidInputError,
     NotAPovmError,
@@ -307,6 +314,57 @@ class TestPredictedError:
             predicted_error(2, 0.1, 1, 'uc')
         with pytest.raises(InvalidInputError):
             predicted_error(2, 1.0, 0, 'uc')
+
+    @pytest.mark.parametrize('d', [2, 3, 4])
+    def test_class_polynomials_bit_for_bit(self, d):
+        polys = {'full': d ** 4 + d ** 2 - 1, 'gc': d ** 4 - d ** 2 + 1.0 / d ** 2, 'uc': d ** 4 - 3 * d ** 2 + 3}
+        for state_class, poly in polys.items():
+            for purity in (1.0 / d ** 2, 0.37, 1.0):
+                for shots in (1, 7, 4000):
+                    assert predicted_error(d, purity, shots, state_class) == (poly - purity) / shots
+
+
+class TestGuardBoundaries:
+    """Each guard flips at its value in the tolerance table."""
+
+    @pytest.mark.parametrize('defect,accepted', [(0.99e-8, True), (1.01e-8, False)])
+    def test_design_povm_completeness(self, defect, accepted):
+        # utof(4, 2) gives an orthonormal ket basis: moving weight e from one
+        # element to another leaves ||sum F - I|| = 4·sqrt(2)·e
+        e = defect / (4 * np.sqrt(2))
+        s = WeightedUnitarySet(2, unitary_operator_frame(4, 2).unitaries, [0.25 + e, 0.25 - e, 0.25, 0.25])
+        if accepted:
+            povm = povm_from_design(s)
+            assert np.linalg.norm(povm.elements.sum(axis=0) - np.eye(4)) == pytest.approx(defect, rel=1e-6)
+        else:
+            with pytest.raises(NotAPovmError) as err:
+                povm_from_design(s)
+            assert err.value.residual == pytest.approx(defect, rel=1e-6)
+
+    def test_tight_check_flips_at_its_tolerance(self):
+        # shifting weight e between two MUUBs keeps the union complete and
+        # moves the uc frame residual linearly in e
+        unitaries = np.concatenate([b.unitaries for b in pu2_muub_family()])
+
+        def shifted(e):
+            weights = np.repeat([1 / 12 + e, 1 / 12 - e, 1 / 12], 4)
+            return tight_check(povm_from_design(WeightedUnitarySet(2, unitaries, weights)), 'uc')
+
+        slope = shifted(1e-4).residual / 1e-4
+        for residual, tight in ((0.99e-8, True), (1.01e-8, False)):
+            report = shifted(residual / slope)
+            assert report.residual == pytest.approx(residual, rel=1e-4)
+            assert report.is_tight_rank_one is tight
+
+    def test_probability_clamp_and_total(self):
+        povm = DiscretePovm.from_elements([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        floored = outcome_probabilities(povm, np.diag([1 + 0.5e-12, -0.5e-12]))
+        assert floored[1] == 0.0 and floored.sum() == 1.0
+        with pytest.raises(InvalidInputError, match='negative outcome probability'):
+            outcome_probabilities(povm, np.diag([1 + 2e-12, -2e-12]))
+        assert outcome_probabilities(povm, np.diag([0.5 + 0.5e-9, 0.5])).sum() == pytest.approx(1.0)
+        with pytest.raises(InvalidInputError, match='sum to'):
+            outcome_probabilities(povm, np.diag([0.5 + 2e-9, 0.5]))
 
 
 class TestSimulate:

@@ -37,7 +37,8 @@ class QuantumChannel:
             raise InvalidInputError(f"Kraus operators are not trace preserving: residual {tp_residual:.3e}")
         unital_residual = np.linalg.norm(np.einsum('kab,kcb->ac', kraus, kraus.conj()) - ident)
         kraus.setflags(write=False)
-        return cls(dim=d, kraus=kraus, unital=bool(unital_residual <= atol))
+        # ``atol`` loosens only trace preservation; unitality is an algebraic identity
+        return cls(dim=d, kraus=kraus, unital=bool(unital_residual <= ATOL_ALG))
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         """Ordinary action sum_k B_k A B_k†."""

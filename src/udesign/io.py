@@ -121,10 +121,11 @@ def design_from_json(doc: dict) -> tuple[WeightedUnitarySet, int | None]:
     for i, entry in enumerate(elements):
         if not isinstance(entry, dict) or 'weight' not in entry or 'matrix' not in entry:
             raise InvalidInputError(f"element {i}: need 'weight' and 'matrix' fields")
-        try:
-            weights.append(float(entry['weight']))
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"element {i}: weight must be a number, got {entry['weight']!r}") from exc
+        weight = entry['weight']
+        # a JSON number: int or float, and bool is an int subclass
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            raise InvalidInputError(f"element {i}: weight must be a number, got {weight!r}")
+        weights.append(float(weight))
         if whole:
             continue
         u = matrix_from_json(entry['matrix'], context=f"element {i}")

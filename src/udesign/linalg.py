@@ -8,6 +8,13 @@ Conventions, fixed once for the whole package:
   operator basis E_(j,k) = |j><k| with the flattened index j*d + k.  For a
   Kraus map this matrix is the process matrix; for frame superoperators it
   is sum_x tau(x) vec(P(x)) vec(P(x))†.
+* Hermitian operators on C^D also have real coordinates c(H) in R^(D²), read
+  against the orthonormal basis E_jj, (E_jk + E_kj)/sqrt(2) and
+  i(E_jk - E_kj)/sqrt(2) (j < k, row-major pairs, in that order): c_jj = H_jj,
+  then sqrt(2) Re H_jk, then sqrt(2) Im H_jk.  The map is an isometry, so
+  tr(GH) = c(G)·c(H) and ||G - H||_F = |c(G) - c(H)|; a superoperator that
+  preserves Hermiticity is a real D² x D² matrix there.  With W the unitary
+  whose columns are vec of the basis, its left-right matrix is W M Wᴴ.
 * Maximally entangled kets |U> live in C^d ⊗ C^d with component (j,k) equal
   to U_(j,k)/sqrt(d), i.e. |U> = vec(U)/sqrt(d).
 """
@@ -15,6 +22,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -26,9 +34,9 @@ ATOL_ALG = 1e-9            # algebraic identities: unitarity, weight sums, trace
 EIG_CUTOFF = 1e-10         # relative eigenvalue cutoff for restricted inversion of superoperators
 ATOL_CERT = 1e-8           # frame-potential gap that certifies a t-design (and the MUUB Welch sum)
 DEDUP_TOL = 1e-6           # U, V are phase-equivalent when |tr(U†V)|² >= d² - DEDUP_TOL
-ATOL_POVM = 1e-8           # normalization defect ||sum F - I|| and eigenvalue dip of a design's POVM
+ATOL_POVM = 1e-8           # normalization defect ||sum F - I|| of a design's POVM
 ATOL_TIGHT = 1e-8          # residual of a frame superoperator against the tight form of its class
-RANK_TOL = 1e-8            # singular-value cutoff of the span-containment rank in canonical_dual
+ATOL_SPAN = 1e-8           # ||Pi - B Bᵀ Pi||: part of a required span outside the frame support (canonical_dual)
 CP_FLOOR = 1e-8            # most negative process-matrix eigenvalue still read as completely positive
 ATOL_KRAUS = 1e-7          # trace-preservation residual of Kraus operators re-extracted from a state
 PROB_CLAMP = 1e-12         # Born-probability dips down to -PROB_CLAMP are floored at zero
@@ -117,6 +125,59 @@ def herm_basis(d: int) -> np.ndarray:
         m[l, l] = -l
         ops.append(m / np.sqrt(l * (l + 1)))
     return np.array(ops)
+
+
+@functools.lru_cache(maxsize=None)
+def _herm_layout(dim: int) -> tuple[np.ndarray, ...]:
+    """Gather maps between the interleaved (re, im) float view of a row-major
+    (dim, dim) complex operator and its Hermitian coordinates: source slot
+    and scale of each coordinate, and of each float slot back."""
+    j, k = np.triu_indices(dim, 1)
+    diag, upper, lower = np.arange(dim) * (dim + 1), j * dim + k, k * dim + j
+    pairs, root2 = len(upper), np.sqrt(2)
+    to_src = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
+    to_scale = np.concatenate([np.ones(dim), np.full(2 * pairs, root2)])
+    sym, anti = dim + np.arange(pairs), dim + pairs + np.arange(pairs)
+    from_src = np.zeros((dim * dim, 2), dtype=int)
+    from_scale = np.zeros((dim * dim, 2))
+    from_src[diag, 0], from_scale[diag, 0] = np.arange(dim), 1.0
+    from_src[upper, 0] = from_src[lower, 0] = sym
+    from_src[upper, 1] = from_src[lower, 1] = anti
+    from_scale[upper, 0] = from_scale[lower, 0] = from_scale[upper, 1] = 1 / root2
+    from_scale[lower, 1] = -1 / root2
+    return to_src, to_scale, from_src.reshape(-1), from_scale.reshape(-1)
+
+
+def herm_coords(a: np.ndarray) -> np.ndarray:
+    """Real coordinates (..., D²) of Hermitian operators (..., D, D).
+
+    Only the diagonal and upper triangle are read, so the input is taken to
+    be Hermitian, not checked.
+    """
+    a = np.ascontiguousarray(a, dtype=complex)
+    to_src, to_scale, _, _ = _herm_layout(a.shape[-1])
+    return a.view(float).reshape(a.shape[:-2] + (-1,))[..., to_src] * to_scale
+
+
+def herm_from_coords(c: np.ndarray) -> np.ndarray:
+    """Hermitian operators (..., D, D) with the real coordinates (..., D²);
+    the inverse of :func:`herm_coords`."""
+    c = np.asarray(c, dtype=float)
+    dim = math.isqrt(c.shape[-1])
+    if dim * dim != c.shape[-1]:
+        raise InvalidInputError(f"coordinate length {c.shape[-1]} is not a square")
+    _, _, from_src, from_scale = _herm_layout(dim)
+    flat = np.ascontiguousarray(c[..., from_src] * from_scale)
+    return flat.view(complex).reshape(c.shape[:-1] + (dim, dim))
+
+
+@functools.lru_cache(maxsize=None)
+def coord_basis(dim: int) -> np.ndarray:
+    """The unitary W (dim², dim²) with vec(H) = W c(H): column k is vec of the
+    k-th coordinate basis operator.  Built once per dim, read-only."""
+    w = herm_from_coords(np.eye(dim * dim)).reshape(dim * dim, -1).T
+    w.setflags(write=False)
+    return w
 
 
 def max_entangled_ket(u: np.ndarray) -> np.ndarray:
@@ -230,3 +291,13 @@ def class_projector(state_class: str, d: int) -> np.ndarray:
     pi = np.eye(d ** 4, dtype=complex) if state_class == 'full' else subspace_projectors(d)['pi_' + state_class]
     pi.setflags(write=False)
     return pi
+
+
+@functools.lru_cache(maxsize=None)
+def class_projector_coords(state_class: str, d: int) -> np.ndarray:
+    """:func:`class_projector` in Hermitian coordinates, the real symmetric
+    Wᴴ Pi W; built once per (class, d) and returned read-only."""
+    w = coord_basis(d * d)
+    pi_coords = np.real(dag(w) @ class_projector(state_class, d) @ w)
+    pi_coords.setflags(write=False)
+    return pi_coords

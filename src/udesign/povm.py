@@ -7,6 +7,12 @@ identity exactly when the set is a 1-design.  The frame superoperator
 F = sum_x tau(x)|P(x)>><<P(x)| decides informational completeness through
 its support and tightness through its spectrum, and its restricted inverse
 yields the canonical reconstruction operators.
+
+The frame lives in the real Hermitian coordinates of `udesign.linalg`: with
+A the (n, D²) coordinates of the P(x), it is the real symmetric matrix
+Aᵀ diag(tau) A.  Tightness, the spectrum, the duals and the reconstruction
+error are all computed there; `frame_superop` and `canonical_dual` map back
+to the complex left-right and operator forms.
 """
 
 from __future__ import annotations
@@ -26,16 +32,18 @@ from .errors import (
 from .linalg import (
     ATOL_ALG,
     ATOL_POVM,
+    ATOL_SPAN,
     ATOL_TIGHT,
     EIG_CUTOFF,
     PROB_CLAMP,
     PROB_SUM_TOL,
     PURITY_SLACK,
-    RANK_TOL,
-    class_projector,
+    class_projector_coords,
+    coord_basis,
     dag,
+    herm_coords,
+    herm_from_coords,
     span_dimension,
-    vec,
 )
 
 
@@ -51,6 +59,12 @@ class DiscretePovm:
 
     @classmethod
     def from_elements(cls, elements, atol: float = ATOL_ALG) -> "DiscretePovm":
+        return cls._admit(elements, atol, check_psd=True)
+
+    @classmethod
+    def _admit(cls, elements, atol: float, check_psd: bool) -> "DiscretePovm":
+        """Standard form of complete positive elements; ``check_psd=False`` is
+        for callers whose elements are positive by construction."""
         elements = np.asarray(elements, dtype=complex)
         if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
             raise InvalidInputError(f"POVM elements must have shape (n, D, D), got {elements.shape}")
@@ -61,9 +75,10 @@ class DiscretePovm:
             raise NotAPovmError(completeness)
         if np.any(tau <= 0):
             raise InvalidInputError("every element must have positive trace")
-        bad = np.flatnonzero(np.linalg.eigvalsh((elements + dag(elements)) / 2)[:, 0] < -atol)
-        if bad.size:
-            raise InvalidInputError(f"element {bad[0]} is not positive semidefinite")
+        if check_psd:
+            bad = np.flatnonzero(np.linalg.eigvalsh((elements + dag(elements)) / 2)[:, 0] < -atol)
+            if bad.size:
+                raise InvalidInputError(f"element {bad[0]} is not positive semidefinite")
         povd = elements / tau[:, None, None]
         for arr in (elements, tau, povd):
             arr.setflags(write=False)
@@ -74,9 +89,11 @@ class DiscretePovm:
 
     @cached_property
     def frame(self) -> np.ndarray:
-        """The frame superoperator (see :func:`frame_superop`), built on first use, read-only."""
-        flat = self.povd.reshape(len(self), -1)
-        frame = (flat.T * self.trace_measure) @ flat.conj()
+        """The frame superoperator in Hermitian coordinates: the real symmetric
+        (D², D²) matrix Aᵀ diag(tau) A, A the coordinates of the P(x).  Built
+        on first use, read-only; :func:`frame_superop` gives its left-right form."""
+        scaled = herm_coords(self.povd) * np.sqrt(self.trace_measure)[:, None]
+        frame = scaled.T @ scaled
         frame.setflags(write=False)
         return frame
 
@@ -86,29 +103,34 @@ def povm_from_design(s: WeightedUnitarySet) -> DiscretePovm:
 
     The element sum equals the identity exactly when the set is a weighted
     1-design; a normalization defect beyond ``ATOL_POVM`` is raised as an error.
+    Each element is tau(x) times a rank-one projector, so positivity follows
+    from tau > 0 (checked) and needs no eigenvalue test.
     """
     d = s.dim
     kets = s.unitaries.reshape(len(s), -1) / np.sqrt(d)    # |U> = vec(U)/sqrt(d)
     tau = d * d * s.weights
     elements = (tau[:, None] * kets)[:, :, None] * kets[:, None, :].conj()
-    return DiscretePovm.from_elements(elements, atol=ATOL_POVM)
+    return DiscretePovm._admit(elements, ATOL_POVM, check_psd=False)
 
 
 def frame_superop(povm: DiscretePovm) -> np.ndarray:
     """Left-right matrix of sum_x tau(x) |P(x)>><<P(x)| (shape (D², D²)).
 
     Positive, left-right Hermitian, fixes |I>> and has trace at most D with
-    equality only for rank-one POVMs.  Shared, read-only, as ``povm.frame``.
+    equality only for rank-one POVMs.  Built on each call as W F Wᴴ from the
+    coordinate frame F = ``povm.frame``, which the package itself works with.
     """
-    return povm.frame
+    w = coord_basis(povm.dim)
+    return w @ povm.frame @ dag(w)
 
 
 def _class_span(state_class: str, bigd: int) -> tuple[np.ndarray, int]:
-    """Projector onto a class span on C^d ⊗ C^d, D = d², and its dimension."""
+    """Projector onto a class span on C^d ⊗ C^d, D = d², in Hermitian
+    coordinates, and the span's dimension."""
     d = int(round(np.sqrt(bigd)))
     if d * d != bigd:
         raise InvalidInputError(f"class {state_class!r} needs a bipartite dimension, got D={bigd}")
-    return class_projector(state_class, d), span_dimension(state_class, d)
+    return class_projector_coords(state_class, d), span_dimension(state_class, d)
 
 
 @dataclass(frozen=True)
@@ -129,30 +151,50 @@ def tight_check(povm: DiscretePovm, state_class: str) -> TightReport:
     The target is a·Pi + ((delta-D)/((delta-1)D))|I>><<I| with
     a = (D-1)/(delta-1), where Pi projects onto the class span and delta is
     its dimension ((d²-1)²+1 for uc, d²(d²-1)+1 for gc, D² for full).
+    Computed in Hermitian coordinates, where the Frobenius norm and traces
+    are those of the left-right form.
     """
     bigd = povm.dim
     pi, delta = _class_span(state_class, bigd)
-    frame = frame_superop(povm)
-    ident = vec(np.eye(bigd, dtype=complex))
+    frame = povm.frame
+    ident = herm_coords(np.eye(bigd))
     a = (bigd - 1) / (delta - 1)
-    target = a * pi + (delta - bigd) / ((delta - 1) * bigd) * np.outer(ident, ident.conj())
+    target = a * pi + (delta - bigd) / ((delta - 1) * bigd) * np.outer(ident, ident)
     residual = float(np.linalg.norm(frame - target))
     return TightReport(
         state_class=state_class,
         is_tight_rank_one=bool(residual <= ATOL_TIGHT),
         residual=residual,
-        frame_trace=float(np.real(np.trace(frame))),
-        frame_trace_sq=float(np.real(np.trace(frame @ frame))),
+        frame_trace=float(np.trace(frame)),
+        frame_trace_sq=float(np.vdot(frame, frame)),     # Tr(F²) of the symmetric F
         span_dim=delta,
         dual_norm_bound=(delta - 1) ** 2 / (bigd - 1) + 1,
     )
 
 
 def _frame_eig(povm: DiscretePovm):
-    frame = frame_superop(povm)
-    evals, evecs = np.linalg.eigh(frame)
+    evals, evecs = np.linalg.eigh(povm.frame)
     keep = evals > EIG_CUTOFF * evals.max()
     return evals, evecs, keep
+
+
+def _dual_coords(povm: DiscretePovm, require: str | np.ndarray | None) -> np.ndarray:
+    """Hermitian coordinates (n, D²) of the canonical duals; see :func:`canonical_dual`."""
+    evals, evecs, keep = _frame_eig(povm)
+    support = evecs[:, keep]
+    if require is not None:
+        if isinstance(require, str):
+            pi, required_dim = _class_span(require, povm.dim)
+        else:
+            pi = np.asarray(require)
+            required_dim = int(round(np.real(np.trace(pi))))
+            w = coord_basis(povm.dim)
+            pi = dag(w) @ pi @ w
+        # span containment: no part of the required span may lie outside the support
+        outside = np.linalg.norm(pi - support @ (support.T @ pi))
+        if support.shape[1] < required_dim or outside > ATOL_SPAN:
+            raise NotInformationallyCompleteError(support.shape[1], required_dim)
+    return herm_coords(povm.povd) @ ((support / evals[keep]) @ support.T)
 
 
 def canonical_dual(povm: DiscretePovm, require: str | np.ndarray | None = None) -> np.ndarray:
@@ -161,29 +203,12 @@ def canonical_dual(povm: DiscretePovm, require: str | np.ndarray | None = None) 
     The frame superoperator is inverted on its support; R(x) is the image of
     P(x) under that restricted inverse, so sum_x tau(x) R(x) = I and
     tr R(x) = 1.  When ``require`` names a class ('uc', 'gc', 'full') or
-    gives a projector, the support must contain that span, otherwise the
-    POVM cannot reconstruct all states of the class and an error is raised.
+    gives a left-right projector Pi, the support must contain its span
+    (||Pi - B Bᵀ Pi|| <= ``ATOL_SPAN`` for an orthonormal support basis B),
+    otherwise the POVM cannot reconstruct all states of the class and an
+    error is raised.
     """
-    evals, evecs, keep = _frame_eig(povm)
-    support_dim = int(keep.sum())
-    if require is not None:
-        if isinstance(require, str):
-            pi, required_dim = _class_span(require, povm.dim)
-        else:
-            pi = np.asarray(require)
-            required_dim = int(round(np.real(np.trace(pi))))
-        basis = evecs[:, keep]
-        # span containment: Pi restricted to the support must keep full rank
-        overlap = pi @ basis
-        contained = np.linalg.matrix_rank(overlap, tol=RANK_TOL) >= required_dim
-        if support_dim < required_dim or not contained:
-            raise NotInformationallyCompleteError(support_dim, required_dim)
-    inv = np.zeros_like(evals)
-    inv[keep] = 1.0 / evals[keep]
-    dual_superop = (evecs * inv) @ evecs.conj().T
-    flat = povm.povd.reshape(len(povm), -1)
-    duals = flat @ dual_superop.T
-    return duals.reshape(len(povm), povm.dim, povm.dim)
+    return herm_from_coords(_dual_coords(povm, require))
 
 
 def dual_frame_norm(povm: DiscretePovm, duals: np.ndarray | None = None) -> float:
@@ -273,8 +298,9 @@ def simulate(povm: DiscretePovm, channel: QuantumChannel, shots: int, trials: in
     All trials come from one multinomial draw on ``rng`` of ``trials`` count
     vectors of ``shots`` outcomes; each is reconstructed through the canonical
     dual restricted to the class span, and its squared Frobenius error against
-    the exact output state is recorded.  The report carries the class
-    prediction evaluated at the exact purity.
+    the exact output state is recorded (as the squared distance of Hermitian
+    coordinates, the same number).  The report carries the class prediction
+    evaluated at the exact purity.
     """
     if shots < 1 or trials < 1:
         raise InvalidInputError("shots and trials must both be >= 1")
@@ -283,10 +309,10 @@ def simulate(povm: DiscretePovm, channel: QuantumChannel, shots: int, trials: in
     if state_class == 'uc' and not channel.unital:
         raise InvalidInputError("class 'uc' requires a unital channel")
     sigma = jamiolkowski(channel)
-    duals = canonical_dual(povm, require=state_class)
+    duals = _dual_coords(povm, state_class)
     probs = outcome_probabilities(povm, sigma)
     counts = sample_counts(probs, shots, rng, size=trials)
-    errors = np.linalg.norm(reconstruct(duals, counts / shots) - sigma, axis=(1, 2)) ** 2
+    errors = np.sum(((counts / shots) @ duals - herm_coords(sigma)) ** 2, axis=1)
     purity = float(np.real(np.trace(sigma @ sigma)))
     return TomographyReport(
         state_class=state_class,

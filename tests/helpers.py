@@ -28,6 +28,10 @@ def broken_design_docs() -> dict:
                         "element 3: weight must be a number, got None"),
         'string-weight': (broken(lambda doc: doc['elements'][3].update(weight='abc')),
                           "element 3: weight must be a number, got 'abc'"),
+        'numeric-string-weight': (broken(lambda doc: doc['elements'][3].update(weight='0.25')),
+                                  "element 3: weight must be a number, got '0.25'"),
+        'bool-weight': (broken(lambda doc: doc['elements'][3].update(weight=True)),
+                        "element 3: weight must be a number, got True"),
         'bool-certified-t': (broken(lambda doc: doc.update(certified_t=True)),
                              "'certified_t' must be a positive integer, got True"),
     }

@@ -179,6 +179,15 @@ class TestChannelTypes:
         k1 = np.array([[0, np.sqrt(0.5)], [0, 0]], dtype=complex)
         assert not QuantumChannel.from_kraus([k0, k1]).unital
 
+    @pytest.mark.parametrize('atol', [1e-9, 1e-7])
+    def test_unital_flag_ignores_the_trace_preservation_tolerance(self, atol):
+        # weak amplitude damping: unital residual 4.2e-8, above ATOL_ALG = 1e-9
+        g = 3e-8
+        kraus = [np.diag([1.0, np.sqrt(1 - g)]), np.array([[0.0, np.sqrt(g)], [0.0, 0.0]])]
+        channel = QuantumChannel.from_kraus(kraus, atol=atol)
+        assert not channel.unital
+        assert not inverse_jamiolkowski(jamiolkowski(channel)).unital
+
     def test_rotate_channel_conjugates_output_state(self):
         rng = make_rng(51)
         channel = random_unital_mix(3, 2, rng)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from udesign.cli import build_parser, main
-from udesign.designs import ATOL_CERT
-from udesign.io import load_design
+from udesign.designs import ATOL_CERT, gallery
+from udesign.io import load_design, save_design
 
 from helpers import broken_design_docs
 
@@ -289,6 +289,20 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(['gamma', '--t', '2', '--dim', '2', '--bogus']) == 2
+
+
+def test_tomo_run_loads_no_scipy(tmp_path):
+    # a whole tomo op, from the design file to the report, runs on numpy alone
+    code = ("import sys; from udesign.cli import main; "
+            "codes = [main(['tomo', '--design', sys.argv[1], '--channel', channel, '--shots', '200', "
+            "'--trials', '20', '--seed', '3', '--csv', sys.argv[2]]) "
+            "for channel in ('depolarizing:0.5', 'random_unital_mix:3', 'random_general:2')]; "
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    save_design(gallery('pu2_11pt'), tmp_path / 'd.json', certified_t=2)
+    out = subprocess.run([sys.executable, '-c', code, str(tmp_path / 'd.json'), str(tmp_path / 'r.csv')],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, 'PYTHONPATH': os.pathsep.join(sys.path)})
+    assert out.stdout.strip().splitlines()[-1] == '[0, 0, 2] []'
 
 
 def test_cli_import_loads_no_scipy_solvers():

@@ -4,14 +4,19 @@ import pytest
 from udesign.errors import InvalidInputError, ResourceLimitError
 from udesign.linalg import (
     class_projector,
+    class_projector_coords,
+    coord_basis,
     dag,
     haar_unitaries,
     haar_unitary,
     herm_basis,
+    herm_coords,
+    herm_from_coords,
     make_rng,
     max_entangled_ket,
     partial_trace,
     permutation_operator,
+    span_dimension,
     subspace_projectors,
     swap_operator,
     vec,
@@ -218,6 +223,58 @@ class TestClassProjector:
         for _ in range(2):
             with pytest.raises(InvalidInputError, match='unknown state class'):
                 class_projector('xx', 2)
+
+
+class TestHermCoords:
+    @pytest.mark.parametrize('d', [1, 2, 3, 4, 9])
+    def test_isometry_and_inverse(self, d):
+        rng = make_rng(40 + d)
+        m = rng.standard_normal((3, 5, d, d)) + 1j * rng.standard_normal((3, 5, d, d))
+        h = m + dag(m)
+        c = herm_coords(h)
+        assert c.shape == (3, 5, d * d) and c.dtype == float
+        assert np.abs(herm_from_coords(c) - h).max() <= 1e-14
+        # tr(GH) = c(G)·c(H), so Frobenius distances agree too
+        gram = np.einsum('xij,yji->xy', h[0], h[0]).real
+        assert np.abs(c[0] @ c[0].T - gram).max() <= 1e-12 * np.abs(gram).max()
+        assert np.allclose(np.linalg.norm(c[0] - c[1], axis=-1), np.linalg.norm(h[0] - h[1], axis=(-2, -1)),
+                           rtol=1e-13, atol=0)
+
+    def test_basis_order_at_d2(self):
+        c = herm_coords(np.array([[1.0, 2 - 3j], [2 + 3j, 5.0]]))
+        assert np.allclose(c, [1.0, 5.0, 2 * np.sqrt(2), -3 * np.sqrt(2)], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize('d', [2, 3, 4])
+    def test_coord_basis_is_unitary_and_orthonormal_hermitian(self, d):
+        w = coord_basis(d)
+        assert coord_basis(d) is w and not w.flags.writeable
+        assert np.abs(dag(w) @ w - np.eye(d * d)).max() <= 1e-15
+        ops = w.T.reshape(-1, d, d)
+        assert np.array_equal(ops, dag(ops))
+        rng = make_rng(50 + d)
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert np.abs(w @ herm_coords(m + dag(m)) - vec(m + dag(m))).max() <= 1e-14
+
+    def test_rejects_non_square_length(self):
+        with pytest.raises(InvalidInputError, match='not a square'):
+            herm_from_coords(np.zeros(5))
+
+
+class TestClassProjectorCoords:
+    @pytest.mark.parametrize('d', [2, 3])
+    @pytest.mark.parametrize('state_class', ['uc', 'gc', 'full'])
+    def test_basis_change_of_class_projector(self, d, state_class):
+        pi = class_projector_coords(state_class, d)
+        assert class_projector_coords(state_class, d) is pi
+        assert pi.dtype == float and not pi.flags.writeable
+        w = coord_basis(d * d)
+        assert np.abs(w @ pi @ dag(w) - class_projector(state_class, d)).max() <= 1e-14
+        assert np.abs(pi @ pi - pi).max() <= 1e-13 and np.array_equal(pi, pi.T)
+        assert round(np.trace(pi)) == span_dimension(state_class, d)
+
+    def test_unknown_class_raises(self):
+        with pytest.raises(InvalidInputError, match='unknown state class'):
+            class_projector_coords('xx', 2)
 
 
 class TestPartialTrace:

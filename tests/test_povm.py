@@ -27,6 +27,7 @@ from udesign.errors import (
 )
 from udesign.linalg import (
     class_projector,
+    coord_basis,
     dag,
     haar_unitaries,
     haar_unitary,
@@ -69,6 +70,13 @@ def nonuniform_muub_povm():
     unitaries = np.concatenate([b.unitaries for b in bases])
     weights = np.concatenate([np.full(4, 1 / 8), np.full(4, 1 / 16), np.full(4, 1 / 16)])
     return povm_from_design(WeightedUnitarySet(2, unitaries, weights))
+
+
+def qutrit_clifford_povm():
+    """The 216-element qutrit Clifford group, a 2-design, as a POVM on C^3 ⊗ C^3."""
+    omega = np.exp(2j * np.pi / 3)
+    fourier = np.array([[omega ** (j * k) for k in range(3)] for j in range(3)]) / np.sqrt(3)
+    return povm_from_design(group_closure([fourier, np.diag([1, 1, omega])]))
 
 
 class TestPovmFromDesign:
@@ -131,9 +139,7 @@ class TestFrameSuperop:
         assert np.linalg.matrix_rank(f, tol=1e-10) == 1
 
     def test_matches_weighted_outer_product_sum_on_qutrit_clifford(self):
-        omega = np.exp(2j * np.pi / 3)
-        fourier = np.array([[omega ** (j * k) for k in range(3)] for j in range(3)]) / np.sqrt(3)
-        povm = povm_from_design(group_closure([fourier, np.diag([1, 1, omega])]))
+        povm = qutrit_clifford_povm()
         flat = povm.povd.reshape(len(povm), -1)
         expected = np.einsum('x,xi,xj->ij', povm.trace_measure, flat, flat.conj())
         assert np.linalg.norm(frame_superop(povm) - expected) <= 1e-12
@@ -159,11 +165,66 @@ class TestFrameSuperop:
         tight_check(povm, 'uc')
         canonical_dual(povm, require='uc')
         dual_frame_norm(povm)
+        simulate(povm, depolarizing_channel(0.5, 2), 100, 5, make_rng(1))
+        lr = frame_superop(povm)
         assert len(builds) == 1
-        frame = frame_superop(povm)
-        assert frame is povm.frame and len(builds) == 1
+        # the coordinate frame is real symmetric and shared; the left-right form is built from it
+        frame = povm.frame
+        assert frame.dtype == float and frame.shape == (16, 16) and np.array_equal(frame, frame.T)
+        w = coord_basis(4)
+        assert np.abs(lr - w @ frame @ dag(w)).max() <= 1e-15 and lr is not frame_superop(povm)
         with pytest.raises(ValueError):
             frame[0, 0] = 0.0
+
+
+class TestCoordinateParity:
+    """The coordinate frame, tightness report, duals and dual norm against the
+    complex left-right formulas, written out here."""
+
+    @pytest.fixture(scope='class', params=['pu2_11pt', 'muub-nonuniform', 'qutrit-clifford216'])
+    def case(self, request):
+        povm = {'pu2_11pt': lambda: povm_from_design(gallery('pu2_11pt')),
+                'muub-nonuniform': nonuniform_muub_povm,
+                'qutrit-clifford216': qutrit_clifford_povm}[request.param]()
+        flat = povm.povd.reshape(len(povm), -1)
+        lr = np.einsum('x,xi,xj->ij', povm.trace_measure, flat, flat.conj())
+        return povm, lr
+
+    @staticmethod
+    def lr_duals(povm, lr):
+        evals, evecs = np.linalg.eigh(lr)
+        keep = evals > 1e-10 * evals.max()
+        inv = (evecs[:, keep] / evals[keep]) @ dag(evecs[:, keep])
+        flat = povm.povd.reshape(len(povm), -1)
+        return (flat @ inv.T).reshape(povm.elements.shape), float((1 / evals[keep]).sum())
+
+    @pytest.mark.parametrize('state_class', ['uc', 'gc', 'full'])
+    def test_tight_check(self, case, state_class):
+        povm, lr = case
+        bigd = povm.dim
+        d = int(round(np.sqrt(bigd)))
+        delta = {'uc': (bigd - 1) ** 2 + 1, 'gc': bigd * (bigd - 1) + 1, 'full': bigd * bigd}[state_class]
+        ident = vec(np.eye(bigd, dtype=complex))
+        target = ((bigd - 1) / (delta - 1) * class_projector(state_class, d)
+                  + (delta - bigd) / ((delta - 1) * bigd) * np.outer(ident, ident.conj()))
+        report = tight_check(povm, state_class)
+        assert report.residual == pytest.approx(np.linalg.norm(lr - target), abs=1e-12)
+        assert report.frame_trace == pytest.approx(np.trace(lr).real, abs=1e-12)
+        assert report.frame_trace_sq == pytest.approx(np.trace(lr @ lr).real, abs=1e-12)
+
+    @pytest.mark.parametrize('require', ['uc', None])
+    def test_canonical_dual(self, case, require):
+        povm, lr = case
+        expected, _ = self.lr_duals(povm, lr)
+        duals = canonical_dual(povm, require=require)
+        assert duals.shape == expected.shape and duals.dtype == complex
+        assert np.abs(duals - expected).max() <= 1e-12
+
+    def test_dual_frame_norm(self, case):
+        povm, lr = case
+        expected_duals, expected = self.lr_duals(povm, lr)
+        assert dual_frame_norm(povm) == pytest.approx(expected, rel=1e-12)
+        assert dual_frame_norm(povm, expected_duals) == pytest.approx(expected, rel=1e-12)
 
 
 class TestTightCheck:
@@ -253,6 +314,19 @@ class TestCanonicalDual:
     def test_projector_requirement_accepted(self, povm11):
         duals = canonical_dual(povm11, require=class_projector('uc', 2))
         assert duals.shape == (11, 4, 4)
+
+    def test_required_span_must_lie_inside_the_support(self):
+        # support span{I}; the required line vec(I + (E01 + E10)/2) has full rank against
+        # it but leaves the support, so a rank test alone would accept it
+        povm = DiscretePovm.from_elements([np.eye(2) / 2, np.eye(2) / 2])
+        line = vec(np.eye(2) + 0.5 * np.array([[0, 1], [1, 0]], dtype=complex))
+        line /= np.linalg.norm(line)
+        with pytest.raises(NotInformationallyCompleteError) as err:
+            canonical_dual(povm, require=np.outer(line, line.conj()))
+        assert err.value.support_dim == 1 and err.value.required_dim == 1
+        ident = vec(np.eye(2, dtype=complex)) / np.sqrt(2)
+        duals = canonical_dual(povm, require=np.outer(ident, ident.conj()))
+        assert np.abs(duals - np.eye(2) / 2).max() <= 1e-15
 
 
 class TestDualOptimality:

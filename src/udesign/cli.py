@@ -25,9 +25,9 @@ from .designs import (
     gallery,
     gamma,
 )
-from .errors import ResourceLimitError, UDesignError
+from .errors import InvalidInputError, ResourceLimitError, UDesignError
 from .io import dumps, load_design, save_design, write_report, write_search_log
-from .linalg import make_rng
+from .linalg import STATE_CLASSES, make_rng
 from .povm import povm_from_design, simulate, tight_check
 from .search import SearchConfig, search
 
@@ -38,10 +38,14 @@ EXIT_GUARD = 3
 
 
 def _resolve_seed(value: int | None) -> int:
+    """The --seed value, else UDESIGN_SEED, else 0; the sign is checked by make_rng."""
     if value is not None:
         return value
     env = os.environ.get('UDESIGN_SEED')
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise InvalidInputError(f"UDESIGN_SEED must be a non-negative integer, got {env!r}") from None
 
 
 def _cmd_design_verify(args) -> int:
@@ -157,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--shots', type=int, required=True)
     p.add_argument('--trials', type=int, default=200)
     p.add_argument('--seed', type=int, default=None)
-    p.add_argument('--class', dest='state_class', choices=('uc', 'gc', 'full'), default=None)
+    p.add_argument('--class', dest='state_class', choices=STATE_CLASSES, default=None)
     p.add_argument('--csv', required=True)
     p.set_defaults(func=_cmd_tomo)
 

@@ -41,8 +41,6 @@ _PAULI = {
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _PHASE = np.array([[1, 0], [0, 1j]], dtype=complex)
 
-GALLERY_NAMES = ('utof', 'pu2_11pt', 'pu2_clifford12', 'pu2_clifford24', 'pu2_600cell')
-
 
 def canonical_phase(u: np.ndarray) -> np.ndarray:
     """Rescale by a phase so the largest-modulus entry (row-major first among
@@ -377,6 +375,24 @@ def pu2_muub_family() -> list[WeightedUnitarySet]:
     return bases
 
 
+def _utof(n: int | None, dim: int | None) -> WeightedUnitarySet:
+    if n is None or dim is None:
+        raise InvalidInputError("utof needs both n and dim")
+    return unitary_operator_frame(n, dim)
+
+
+# The gallery, in export order: name -> (builder of (n, dim), certified t).
+_GALLERY = {
+    'utof': (_utof, 1),
+    'pu2_11pt': (lambda n, dim: _pu2_11pt(), 2),
+    'pu2_clifford12': (lambda n, dim: group_closure([_HADAMARD @ _PHASE, _PHASE @ _PHASE]), 2),
+    'pu2_clifford24': (lambda n, dim: group_closure([_HADAMARD, _PHASE]), 3),
+    'pu2_600cell': (lambda n, dim: _pu2_600cell(), 5),
+}
+GALLERY_NAMES = tuple(_GALLERY)
+GALLERY_CERTIFIED_T = {name: t for name, (_, t) in _GALLERY.items()}
+
+
 def gallery(name: str, n: int | None = None, dim: int | None = None) -> WeightedUnitarySet:
     """Known designs by name.
 
@@ -384,29 +400,11 @@ def gallery(name: str, n: int | None = None, dim: int | None = None) -> Weighted
     minimal weighted PU(2) 2-design; pu2_clifford12 (the closure of <HR, R²>)
     and pu2_clifford24 (the projective Clifford group <H, R>) are unweighted
     2- and 3-designs; pu2_600cell is the 60-point 5-design from the 600-cell.
+    ``n`` and ``dim`` are read by utof only.
     """
-    if name == 'utof':
-        if n is None or dim is None:
-            raise InvalidInputError("utof needs both n and dim")
-        return unitary_operator_frame(n, dim)
-    if name == 'pu2_11pt':
-        return _pu2_11pt()
-    if name == 'pu2_clifford12':
-        return group_closure([_HADAMARD @ _PHASE, _PHASE @ _PHASE])
-    if name == 'pu2_clifford24':
-        return group_closure([_HADAMARD, _PHASE])
-    if name == 'pu2_600cell':
-        return _pu2_600cell()
-    raise InvalidInputError(f"unknown gallery name {name!r}; known: {', '.join(GALLERY_NAMES)}")
-
-
-GALLERY_CERTIFIED_T = {
-    'utof': 1,
-    'pu2_11pt': 2,
-    'pu2_clifford12': 2,
-    'pu2_clifford24': 3,
-    'pu2_600cell': 5,
-}
+    if name not in _GALLERY:
+        raise InvalidInputError(f"unknown gallery name {name!r}; known: {', '.join(GALLERY_NAMES)}")
+    return _GALLERY[name][0](n, dim)
 
 
 @dataclass(frozen=True)

@@ -73,13 +73,15 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(rows, context: str = 'matrix') -> np.ndarray:
+    """Inverse of :func:`matrix_to_json`; every entry must be exactly two JSON
+    numbers.  The pairs are viewed as complex128: the same bits as complex(re, im)."""
     try:
-        arr = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
-    except (TypeError, IndexError, ValueError) as exc:
-        raise InvalidInputError(f"{context}: entries must be [re, im] pairs") from exc
-    if arr.ndim != 2:
-        raise InvalidInputError(f"{context}: expected a 2-d matrix")
-    return arr
+        pairs = np.array(rows)
+    except ValueError:                      # ragged rows or entries
+        pairs = None
+    if pairs is None or pairs.dtype.kind not in 'biuf' or pairs.ndim < 3 or pairs.shape[-1] != 2:
+        raise InvalidInputError(f"{context}: entries must be [re, im] pairs")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
 def design_to_json(s: WeightedUnitarySet, certified_t: int | None = None) -> dict:
@@ -96,8 +98,9 @@ def design_to_json(s: WeightedUnitarySet, certified_t: int | None = None) -> dic
 def design_from_json(doc: dict) -> tuple[WeightedUnitarySet, int | None]:
     """Parse and validate a design document; returns (set, certified_t).
 
-    One ``np.array`` call reads all matrices when they form a real (n, dim,
-    dim, 2) array; else each is parsed alone, naming the first bad element.
+    The matrices are read in one :func:`matrix_from_json` call and accepted
+    only as an (n, dim, dim) stack; otherwise each is checked alone to name
+    the first bad element, and the document is rejected.
     """
     if not isinstance(doc, dict):
         raise InvalidInputError("design file must hold a JSON object")
@@ -111,13 +114,11 @@ def design_from_json(doc: dict) -> tuple[WeightedUnitarySet, int | None]:
     if not isinstance(elements, list) or not elements:
         raise InvalidInputError("'elements' must be a non-empty list")
     try:
-        stack = np.array([entry['matrix'] for entry in elements])
-        whole = stack.shape == (len(elements), dim, dim, 2) and stack.dtype.kind in 'biuf'
-    except (TypeError, KeyError, ValueError):
+        unitaries = matrix_from_json([entry['matrix'] for entry in elements])
+        whole = unitaries.shape == (len(elements), dim, dim)
+    except (TypeError, KeyError, InvalidInputError):
         whole = False
     weights = []
-    # [re, im] pairs viewed as complex128: the same bits as complex(re, im)
-    unitaries = np.ascontiguousarray(stack, dtype=float).view(complex)[..., 0] if whole else []
     for i, entry in enumerate(elements):
         if not isinstance(entry, dict) or 'weight' not in entry or 'matrix' not in entry:
             raise InvalidInputError(f"element {i}: need 'weight' and 'matrix' fields")
@@ -126,17 +127,17 @@ def design_from_json(doc: dict) -> tuple[WeightedUnitarySet, int | None]:
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             raise InvalidInputError(f"element {i}: weight must be a number, got {weight!r}")
         weights.append(float(weight))
-        if whole:
-            continue
-        u = matrix_from_json(entry['matrix'], context=f"element {i}")
-        if u.shape != (dim, dim):
-            raise InvalidInputError(f"element {i}: matrix shape {u.shape} does not match dim={dim}")
-        unitaries.append(u)
+        if not whole:
+            shape = matrix_from_json(entry['matrix'], context=f"element {i}").shape
+            if shape != (dim, dim):
+                raise InvalidInputError(f"element {i}: matrix shape {shape} does not match dim={dim}")
+    if not whole:
+        raise InvalidInputError("element matrices must form one (n, dim, dim) array of [re, im] pairs")
     weights = np.asarray(weights)
     if abs(weights.sum() - 1.0) > ATOL_FILE_WEIGHTS:
         raise InvalidInputError(f"weights sum to {weights.sum():.9f}, expected 1 within {ATOL_FILE_WEIGHTS:g}")
     weights = weights / weights.sum()
-    s = WeightedUnitarySet(dim, np.asarray(unitaries), weights)
+    s = WeightedUnitarySet(dim, unitaries, weights)
     assert_phase_distinct(s)
     certified_t = doc.get('certified_t')
     if certified_t is not None and (type(certified_t) is not int or certified_t < 1):

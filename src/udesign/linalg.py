@@ -4,17 +4,17 @@ Conventions, fixed once for the whole package:
 
 * Operators are complex numpy arrays; `vec` flattens row-major, so the
   Hilbert-Schmidt inner product tr(A†B) equals vec(A)†·vec(B).
-* Superoperators are stored as their left-right matrix in the standard
-  operator basis E_(j,k) = |j><k| with the flattened index j*d + k.  For a
-  Kraus map this matrix is the process matrix; for frame superoperators it
-  is sum_x tau(x) vec(P(x)) vec(P(x))†.
-* Hermitian operators on C^D also have real coordinates c(H) in R^(D²), read
+* Hermitian operators on C^D have real coordinates c(H) in R^(D²), read
   against the orthonormal basis E_jj, (E_jk + E_kj)/sqrt(2) and
   i(E_jk - E_kj)/sqrt(2) (j < k, row-major pairs, in that order): c_jj = H_jj,
   then sqrt(2) Re H_jk, then sqrt(2) Im H_jk.  The map is an isometry, so
-  tr(GH) = c(G)·c(H) and ||G - H||_F = |c(G) - c(H)|; a superoperator that
-  preserves Hermiticity is a real D² x D² matrix there.  With W the unitary
-  whose columns are vec of the basis, its left-right matrix is W M Wᴴ.
+  tr(GH) = c(G)·c(H) and ||G - H||_F = |c(G) - c(H)|.  They are the working
+  form: a superoperator that preserves Hermiticity is a real D² x D² matrix
+  M there, and the frames and class projectors are built as such.
+* A superoperator's left-right matrix acts in the operator basis
+  E_(j,k) = |j><k| (flattened index j*d + k); for a Kraus map it is the
+  process matrix.  Those of frames and class projectors are views W M Wᴴ,
+  W the unitary whose columns are vec of the coordinate basis.
 * Maximally entangled kets |U> live in C^d ⊗ C^d with component (j,k) equal
   to U_(j,k)/sqrt(d), i.e. |U> = vec(U)/sqrt(d).
 """
@@ -216,7 +216,9 @@ def swap_operator(d: int) -> np.ndarray:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator (Philox) from a 64-bit seed."""
+    """Counter-based generator (Philox) from a non-negative integer seed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
@@ -248,56 +250,61 @@ def log_unitary(u: np.ndarray) -> np.ndarray:
     return (q * phases) @ dag(q)
 
 
-def subspace_projectors(d: int) -> dict[str, np.ndarray]:
-    """Left-right projectors onto the tomography subspaces of H(C^d ⊗ C^d).
+STATE_CLASSES = ('uc', 'gc', 'full')   # outputs of unital channels, of all channels, all states
 
-    Returns the unital-channel-image projector ``pi_uc`` spanned by b_0⊗b_0
-    and b_j⊗b_k (j,k > 0), and the general-channel-image projector ``pi_gc``
-    spanned by b_0⊗b_0 and b_j⊗b_k (j > 0, all k), for the Hermitian basis
-    {b_k}.  With D = d², the ranks are (D-1)² + 1 and D(D-1) + 1.
-    With p0 = |b_0>><<b_0| and q = I - p0, the basis sums close to p0⊗p0 + q⊗q
-    and p0⊗p0 + q⊗I on vec(A)⊗vec(B), reshuffled to vec(A⊗B).
-    """
-    if d < 2:
-        raise InvalidInputError(f"dimension must be >= 2, got {d}")
-    bigd = d * d
-    b0 = vec(np.eye(d, dtype=complex)) / np.sqrt(d)
-    p0 = np.outer(b0, b0.conj())
-    q = np.eye(bigd) - p0
-    sums = np.kron(p0, p0) + np.array([np.kron(q, q), np.kron(q, np.eye(bigd))])
-    # row and column axes (a1, a2, b1, b2) of vec(A)⊗vec(B) -> (a1, b1, a2, b2) of vec(A⊗B)
-    pi_uc, pi_gc = sums.reshape((2,) + (d,) * 8).transpose(0, 1, 3, 2, 4, 5, 7, 6, 8).reshape(2, bigd ** 2, -1)
-    return {'pi_uc': pi_uc, 'pi_gc': pi_gc}
+
+def bipartite_dim(bigd: int, what: str) -> int:
+    """The d with d² = ``bigd``, else an error saying ``what`` needs one."""
+    d = math.isqrt(bigd)
+    if d * d != bigd:
+        raise InvalidInputError(f"{what} needs a bipartite dimension, got D={bigd}")
+    return d
 
 
 def span_dimension(state_class: str, d: int) -> int:
     """Dimension of span(Q) for a channel-output class on C^d ⊗ C^d."""
+    if state_class not in STATE_CLASSES:
+        raise InvalidInputError(f"unknown state class {state_class!r}")
     d2 = d * d
-    if state_class == 'full':
-        return d2 * d2
-    if state_class == 'uc':
-        return (d2 - 1) ** 2 + 1
-    if state_class == 'gc':
-        return d2 * (d2 - 1) + 1
-    raise InvalidInputError(f"unknown state class {state_class!r}")
+    return {'uc': (d2 - 1) ** 2 + 1, 'gc': d2 * (d2 - 1) + 1, 'full': d2 * d2}[state_class]
 
 
 @functools.lru_cache(maxsize=None)
-def class_projector(state_class: str, d: int) -> np.ndarray:
-    """Left-right projector onto span(Q) for a channel-output class ('full'
-    gives the identity); built once per (class, d) and returned read-only."""
-    if state_class not in ('full', 'uc', 'gc'):
-        raise InvalidInputError(f"unknown state class {state_class!r}")
-    pi = np.eye(d ** 4, dtype=complex) if state_class == 'full' else subspace_projectors(d)['pi_' + state_class]
+def class_projector_coords(state_class: str, d: int) -> np.ndarray:
+    """Projector onto span(Q) for a channel-output class, in the Hermitian
+    coordinates of C^d ⊗ C^d; real symmetric, built once per (class, d) and
+    read-only.  With b_0 = I/sqrt(d) and B over the traceless rest of
+    :func:`herm_basis`: 'full' is the identity, 'gc' removes the directions
+    b_0⊗B, on which a trace-preserving channel's output has no part, and
+    'uc' also removes B⊗b_0."""
+    span_dimension(state_class, d)          # the class-name check
+    pi = np.eye(d ** 4)
+    if state_class != 'full':
+        basis = herm_basis(d)
+        removed = [np.kron(basis[0], b) for b in basis[1:]]
+        if state_class == 'uc':
+            removed += [np.kron(b, basis[0]) for b in basis[1:]]
+        c = herm_coords(np.array(removed))
+        pi -= c.T @ c
     pi.setflags(write=False)
     return pi
 
 
 @functools.lru_cache(maxsize=None)
-def class_projector_coords(state_class: str, d: int) -> np.ndarray:
-    """:func:`class_projector` in Hermitian coordinates, the real symmetric
-    Wᴴ Pi W; built once per (class, d) and returned read-only."""
-    w = coord_basis(d * d)
-    pi_coords = np.real(dag(w) @ class_projector(state_class, d) @ w)
-    pi_coords.setflags(write=False)
-    return pi_coords
+def class_projector(state_class: str, d: int) -> np.ndarray:
+    """Left-right view W Pi Wᴴ of :func:`class_projector_coords` ('full' gives
+    the identity exactly); built once per (class, d) and returned read-only."""
+    if state_class == 'full':
+        pi = np.eye(d ** 4, dtype=complex)
+    else:
+        w = coord_basis(d * d)
+        pi = w @ class_projector_coords(state_class, d) @ dag(w)
+    pi.setflags(write=False)
+    return pi
+
+
+def subspace_projectors(d: int) -> dict[str, np.ndarray]:
+    """Fresh, writable copies of the left-right class projectors: ``pi_uc`` onto
+    the span of b_0⊗b_0 and b_j⊗b_k (j,k > 0) and ``pi_gc`` onto that of b_0⊗b_0
+    and b_j⊗b_k (j > 0, all k); ranks (D-1)² + 1 and D(D-1) + 1 with D = d²."""
+    return {'pi_uc': class_projector('uc', d).copy(), 'pi_gc': class_projector('gc', d).copy()}

@@ -38,6 +38,7 @@ from .linalg import (
     PROB_CLAMP,
     PROB_SUM_TOL,
     PURITY_SLACK,
+    bipartite_dim,
     class_projector_coords,
     coord_basis,
     dag,
@@ -127,9 +128,7 @@ def frame_superop(povm: DiscretePovm) -> np.ndarray:
 def _class_span(state_class: str, bigd: int) -> tuple[np.ndarray, int]:
     """Projector onto a class span on C^d ⊗ C^d, D = d², in Hermitian
     coordinates, and the span's dimension."""
-    d = int(round(np.sqrt(bigd)))
-    if d * d != bigd:
-        raise InvalidInputError(f"class {state_class!r} needs a bipartite dimension, got D={bigd}")
+    d = bipartite_dim(bigd, f"class {state_class!r}")
     return class_projector_coords(state_class, d), span_dimension(state_class, d)
 
 
@@ -337,9 +336,7 @@ def estimate_channel(povm: DiscretePovm, counts: np.ndarray,
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (len(povm),) or counts.sum() <= 0:
         raise InvalidInputError("counts must hold one nonnegative total per outcome")
-    d = int(round(np.sqrt(povm.dim)))
-    if d * d != povm.dim:
-        raise InvalidInputError("channel estimation needs a bipartite POVM dimension")
+    d = bipartite_dim(povm.dim, "channel estimation")
     duals = canonical_dual(povm, require=require)
     rho_hat = reconstruct(duals, counts / counts.sum())
     return ChannelEstimate(dim=d, process=d * rho_hat)

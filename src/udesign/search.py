@@ -24,7 +24,7 @@ import numpy as np
 
 from .designs import ATOL_CERT, WeightedUnitarySet, frame_potential, gamma, merge_phase_duplicates
 from .errors import InvalidInputError
-from .linalg import dag, haar_unitaries, herm_basis, log_unitary
+from .linalg import dag, haar_unitaries, herm_basis, log_unitary, make_rng
 
 WEIGHT_MODES = ('free', 'uniform', 'per-basis')
 # Cap on trial steps of the residual polish; singular sets need about 15.
@@ -51,10 +51,6 @@ class SearchConfig:
             raise InvalidInputError(f"weight_mode must be one of {WEIGHT_MODES}")
         if self.weight_mode == 'per-basis' and self.size % self.dim ** 2 != 0:
             raise InvalidInputError("per-basis mode needs size divisible by d²")
-
-    @property
-    def theta_len(self) -> int:
-        return self.size * self.dim ** 2 + self.size
 
 
 @dataclass(frozen=True)
@@ -313,13 +309,13 @@ def _finish(s: WeightedUnitarySet, gap: float, config: SearchConfig, history: li
     )
 
 
-def search(config: SearchConfig, rng: np.random.Generator | None = None) -> SearchTrace:
+def search(config: SearchConfig) -> SearchTrace:
     """Multi-restart minimization of the frame-potential gap.
 
     Restart initializations derive from independent child generators spawned
-    off ``config.seed`` (or the supplied generator), so the result is
-    reproducible; the first restart reaching ``target_gap`` stops the search.
-    Non-convergence is reported through the flag, never raised.
+    off ``make_rng(config.seed)``, so the result is reproducible; the first
+    restart reaching ``target_gap`` stops the search.  Non-convergence is
+    reported through the flag, never raised.
 
     A converged result is polished to a 1-design residual at float precision
     (see :func:`_polish`) without lifting its gap above ``target_gap``, so
@@ -328,11 +324,7 @@ def search(config: SearchConfig, rng: np.random.Generator | None = None) -> Sear
     the L-BFGS restarts only.
     """
     start = time.perf_counter()
-    if rng is None:
-        seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-        children = [np.random.Generator(np.random.Philox(s)) for s in seeds]
-    else:
-        children = rng.spawn(config.restarts)
+    children = make_rng(config.seed).spawn(config.restarts)
     history: list[float] = []
     best_gap = np.inf
     best_theta = None

@@ -34,4 +34,9 @@ def broken_design_docs() -> dict:
                         "element 3: weight must be a number, got True"),
         'bool-certified-t': (broken(lambda doc: doc.update(certified_t=True)),
                              "'certified_t' must be a positive integer, got True"),
+        'three-number-entries': (broken(lambda doc: [e.append(0.0) for row in doc['elements'][3]['matrix']
+                                                     for e in row]),
+                                 "element 3: entries must be [re, im] pairs"),
+        'float-overflow-entry': (broken(lambda doc: doc['elements'][3]['matrix'][0][1].__setitem__(0, 10 ** 400)),
+                                 "element 3: entries must be [re, im] pairs"),
     }

@@ -158,6 +158,34 @@ class TestSearch:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestSeeds:
+    def design(self, tmp_path):
+        save_design(gallery('pu2_11pt'), tmp_path / 'd.json', certified_t=2)
+        return str(tmp_path / 'd.json')
+
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path):
+        for argv in (['tomo', '--design', self.design(tmp_path), '--channel', 'identity',
+                      '--shots', '100', '--trials', '10', '--csv', str(tmp_path / 'r.csv')],
+                     ['design-search', '--dim', '2', '--size', '4', '--t', '1', '--restarts', '1',
+                      '--out', str(tmp_path / 's.json')]):
+            code, _, err = run(capsys, *argv, '--seed', '-1')
+            assert code == 2
+            assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / 'r.csv').exists() and not (tmp_path / 's.json').exists()
+
+    @pytest.mark.parametrize('value', ['abc', '1.5'])
+    def test_non_integer_env_seed_is_usage_error(self, capsys, tmp_path, monkeypatch, value):
+        monkeypatch.setenv('UDESIGN_SEED', value)
+        code, _, err = run(capsys, 'tomo', '--design', self.design(tmp_path), '--channel', 'identity',
+                           '--shots', '100', '--trials', '10', '--csv', str(tmp_path / 'r.csv'))
+        assert code == 2
+        assert err == f"error: UDESIGN_SEED must be a non-negative integer, got {value!r}\n"
+        monkeypatch.setenv('UDESIGN_SEED', '-4')
+        code, _, err = run(capsys, 'design-search', '--dim', '2', '--size', '4', '--t', '1',
+                           '--out', str(tmp_path / 's.json'))
+        assert code == 2 and err == "error: seed must be a non-negative integer, got -4\n"
+
+
 class TestTomo:
     @pytest.fixture()
     def design_file(self, capsys, tmp_path):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from udesign.designs import (
+    GALLERY_CERTIFIED_T,
+    GALLERY_NAMES,
     WeightedUnitarySet,
     assert_phase_distinct,
     canonical_phase,
@@ -291,6 +293,12 @@ class TestGallery:
     def test_utof_requires_params(self):
         with pytest.raises(InvalidInputError):
             gallery('utof')
+
+    def test_names_and_certified_levels_pinned(self):
+        assert GALLERY_NAMES == ('utof', 'pu2_11pt', 'pu2_clifford12', 'pu2_clifford24', 'pu2_600cell')
+        assert GALLERY_CERTIFIED_T == {'utof': 1, 'pu2_11pt': 2, 'pu2_clifford12': 2,
+                                       'pu2_clifford24': 3, 'pu2_600cell': 5}
+        assert list(GALLERY_CERTIFIED_T) == list(GALLERY_NAMES)
 
 
 class TestGroupClosure:

@@ -163,6 +163,17 @@ class TestHaarUnitary:
         assert abs(plain.mean() - rotated.mean()) <= 5 * pooled
 
 
+class TestMakeRng:
+    def test_accepts_non_negative_integers(self):
+        for seed in (0, 7, np.int64(7), 2 ** 40 + 3):
+            assert make_rng(seed).integers(1 << 30) == make_rng(int(seed)).integers(1 << 30)
+
+    @pytest.mark.parametrize('seed', [-1, 1.5, '3', True, None])
+    def test_rejects_other_seeds(self, seed):
+        with pytest.raises(InvalidInputError, match='seed must be a non-negative integer'):
+            make_rng(seed)
+
+
 class TestSubspaceProjectors:
     def test_ranks_d2(self):
         projs = subspace_projectors(2)
@@ -264,13 +275,22 @@ class TestClassProjectorCoords:
     @pytest.mark.parametrize('d', [2, 3])
     @pytest.mark.parametrize('state_class', ['uc', 'gc', 'full'])
     def test_basis_change_of_class_projector(self, d, state_class):
+        # Wᴴ (sum of vec(b_j⊗b_k)vec(b_j⊗b_k)† over the class's pairs) W, with no
+        # call into the projector builders
         pi = class_projector_coords(state_class, d)
         assert class_projector_coords(state_class, d) is pi
         assert pi.dtype == float and not pi.flags.writeable
-        w = coord_basis(d * d)
-        assert np.abs(w @ pi @ dag(w) - class_projector(state_class, d)).max() <= 1e-14
+        basis, d2 = herm_basis(d), d * d
+        pairs = {
+            'uc': [(0, 0)] + [(j, k) for j in range(1, d2) for k in range(1, d2)],
+            'gc': [(0, 0)] + [(j, k) for j in range(1, d2) for k in range(d2)],
+            'full': [(j, k) for j in range(d2) for k in range(d2)],
+        }[state_class]
+        vs = np.array([vec(np.kron(basis[j], basis[k])) for j, k in pairs])
+        w = coord_basis(d2)
+        assert np.abs(dag(w) @ (vs.T @ vs.conj()) @ w - pi).max() <= 1e-14
         assert np.abs(pi @ pi - pi).max() <= 1e-13 and np.array_equal(pi, pi.T)
-        assert round(np.trace(pi)) == span_dimension(state_class, d)
+        assert round(np.trace(pi)) == span_dimension(state_class, d) == len(pairs)
 
     def test_unknown_class_raises(self):
         with pytest.raises(InvalidInputError, match='unknown state class'):

@@ -1,3 +1,6 @@
+import copy
+import importlib
+
 import numpy as np
 import pytest
 
@@ -163,6 +166,26 @@ class TestSearch:
         assert np.array_equal(t1.gap_history, t2.gap_history)
         assert np.allclose(t1.result.unitaries, t2.result.unitaries)
         assert np.allclose(t1.result.weights, t2.result.weights)
+
+    def test_restart_streams_are_the_philox_children_of_the_seed(self, monkeypatch):
+        # reference: one Philox generator per child of SeedSequence(seed)
+        module = importlib.import_module('udesign.search')     # the package binds the name to the function
+        draws = []
+        original = module._initial_theta
+
+        def spy(config, rng):
+            draws.append(copy.deepcopy(rng).standard_normal(16))
+            return original(config, rng)
+
+        monkeypatch.setattr(module, '_initial_theta', spy)
+        for seed in (0, 7, 2 ** 40 + 3):
+            draws.clear()
+            trace = search(SearchConfig(dim=2, size=1, t=1, seed=seed, restarts=3, max_iterations=5))
+            assert not trace.converged and len(draws) == 3
+            children = np.random.SeedSequence(seed).spawn(3)
+            for got, child in zip(draws, children):
+                expected = np.random.Generator(np.random.Philox(child)).standard_normal(16)
+                assert got.tobytes() == expected.tobytes()
 
     def test_output_satisfies_set_invariants(self):
         trace = search(SearchConfig(dim=2, size=12, t=2, seed=7))

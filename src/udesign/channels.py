@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NotChannelImageError
-from .linalg import ATOL_ALG, ATOL_KRAUS, CP_FLOOR, dag, haar_unitary, partial_trace, unvec
+from .linalg import ATOL_ALG, ATOL_KRAUS, CP_FLOOR, bipartite_dim, dag, haar_unitary, partial_trace, unvec
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,8 @@ def inverse_jamiolkowski(rho: np.ndarray) -> QuantumChannel:
     matrix; they must then be trace preserving within ``ATOL_KRAUS``.
     """
     rho = np.asarray(rho, dtype=complex)
-    d2 = rho.shape[0]
-    d = int(round(np.sqrt(d2)))
-    if d * d != d2 or rho.shape != (d2, d2):
+    d = bipartite_dim(rho.shape[0], "a channel output state")
+    if rho.shape != (d * d, d * d):
         raise InvalidInputError(f"expected a (d², d²) bipartite state, got shape {rho.shape}")
     marg = partial_trace(rho, (d, d), axis=0)
     residual = float(np.linalg.norm(marg - np.eye(d) / d))

@@ -98,13 +98,12 @@ def _cmd_tomo(args) -> int:
     povm = povm_from_design(s)
     rng = make_rng(seed)
     channel = channel_from_spec(args.channel, s.dim, rng=rng)
-    state_class = args.state_class or ('uc' if channel.unital else 'gc')
-    report_tight = tight_check(povm, state_class)
-    if not report_tight.is_tight_rank_one:
-        print(f"warning: POVM is not tight for class {state_class!r} "
-              f"(residual {report_tight.residual:.3e})", file=sys.stderr)
     report = simulate(povm, channel, args.shots, args.trials, rng,
-                      state_class=state_class).with_seed(seed)
+                      state_class=args.state_class).with_seed(seed)
+    report_tight = tight_check(povm, report.state_class)
+    if not report_tight.is_tight_rank_one:
+        print(f"warning: POVM is not tight for class {report.state_class!r} "
+              f"(residual {report_tight.residual:.3e})", file=sys.stderr)
     mirror = write_report(args.csv, [report])
     z = report.z_score
     print(f"class {report.state_class}  d={report.dim}  N={report.shots}  trials={report.trials}")

@@ -90,12 +90,7 @@ class WeightedUnitarySet:
             raise InvalidInputError("all weights must be strictly positive")
         if abs(weights.sum() - 1.0) > ATOL_ALG:
             raise InvalidInputError(f"weights sum to {weights.sum():.12f}, expected 1")
-        ident = np.eye(self.dim)
-        residuals = np.linalg.norm(np.einsum('nba,nbc->nac', unitaries.conj(), unitaries) - ident,
-                                   axis=(1, 2))
-        if residuals.max() > ATOL_ALG:
-            raise InvalidInputError(f"element {int(residuals.argmax())} is not unitary")
-        unitaries = canonical_phase(unitaries)
+        unitaries = canonical_phase(assert_unitary(unitaries))
         unitaries.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, 'unitaries', unitaries)
@@ -117,32 +112,39 @@ def uniform_set(dim: int, unitaries) -> WeightedUnitarySet:
     return WeightedUnitarySet(dim, unitaries, np.full(n, 1.0 / n))
 
 
+def _phase_equivalent(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) mask of |tr(A†B)|² >= d² - DEDUP_TOL over stacks (n, d, d), (m, d, d)."""
+    d2 = a.shape[-1] ** 2
+    overlap = a.reshape(len(a), d2).conj() @ b.reshape(len(b), d2).T
+    return np.abs(overlap) ** 2 >= d2 - DEDUP_TOL
+
+
+def _first_seen(u: np.ndarray) -> np.ndarray:
+    """Owner of each element: the first earlier kept one phase-equivalent to it, else itself."""
+    close = _phase_equivalent(u, u)
+    owner = np.full(len(u), -1)
+    for i in range(len(u)):
+        if owner[i] < 0:            # i is kept and claims every unowned element close to it
+            owner[close[i] & (owner < 0)] = i
+            owner[i] = i
+    return owner
+
+
 def assert_phase_distinct(s: WeightedUnitarySet) -> None:
     """Raise if two elements are phase-equivalent, |tr(U†V)|² >= d² - DEDUP_TOL."""
-    overlap = np.abs(s.gram()) ** 2
-    np.fill_diagonal(overlap, 0.0)
-    worst = overlap.max() if len(s) > 1 else 0.0
-    if worst >= s.dim ** 2 - DEDUP_TOL:
+    close = _phase_equivalent(s.unitaries, s.unitaries) & ~np.eye(len(s), dtype=bool)
+    if close.any():
+        worst = (np.abs(s.gram()[close]) ** 2).max()
         raise InvalidInputError(
             f"set contains phase-equivalent elements (max off-diagonal |tr|² = {worst:.9f})")
 
 
 def merge_phase_duplicates(s: WeightedUnitarySet) -> WeightedUnitarySet:
-    """Combine the weights of phase-equivalent elements, keeping first seen.
-
-    Each element joins the first earlier kept element it is phase-equivalent
-    to, |tr(U†V)|² >= d² - DEDUP_TOL, and is kept itself when there is none.
-    """
-    n = len(s)
-    close = np.abs(s.gram()) ** 2 >= s.dim ** 2 - DEDUP_TOL
-    owner = np.full(n, -1)
-    for i in range(n):
-        if owner[i] < 0:            # i is kept and claims every unowned element close to it
-            owner[close[i] & (owner < 0)] = i
-            owner[i] = i
-    weights = np.zeros(n)
+    """Combine the weights of phase-equivalent elements, keeping first seen."""
+    owner = _first_seen(s.unitaries)
+    weights = np.zeros(len(s))
     np.add.at(weights, owner, s.weights)
-    kept = np.flatnonzero(owner == np.arange(n))
+    kept = np.flatnonzero(owner == np.arange(len(s)))
     return WeightedUnitarySet(s.dim, s.unitaries[kept], weights[kept])
 
 
@@ -278,29 +280,26 @@ def quat_to_unitary(r) -> np.ndarray:
 def group_closure(generators, max_order: int = 10_000) -> WeightedUnitarySet:
     """Projective closure of the generated group, uniform weights.
 
-    Breadth-first multiplication with phase-equivalence dedup; raises once
-    the closure exceeds ``max_order`` elements.
+    The elements found are the breadth-first queue: each is multiplied by
+    every generator and the products of new phase classes are appended, first
+    seen kept.  Raises once the closure exceeds ``max_order`` elements.
     """
-    gens = [assert_unitary(g) for g in generators]
-    if not gens:
-        raise InvalidInputError("need at least one generator")
-    d = gens[0].shape[0]
-    threshold = d * d - DEDUP_TOL
-    elements = [canonical_phase(np.eye(d, dtype=complex))]
-    frontier = list(elements)
-    while frontier:
-        fresh = []
-        for u in frontier:
-            for g in gens:
-                cand = canonical_phase(g @ u)
-                if not any(abs(np.vdot(e, cand)) ** 2 >= threshold for e in elements):
-                    elements.append(cand)
-                    fresh.append(cand)
-                    if len(elements) > max_order:
-                        raise ResourceLimitError(
-                            f"group closure exceeded max_order = {max_order}")
-        frontier = fresh
-    return uniform_set(d, np.array(elements))
+    gens = assert_unitary(np.asarray(generators, dtype=complex))
+    if gens.ndim != 3 or not len(gens):
+        raise InvalidInputError(f"need a stack of generator matrices, got shape {gens.shape}")
+    d = gens.shape[-1]
+    found = np.empty((max_order + len(gens), d, d), dtype=complex)
+    found[0] = canonical_phase(np.eye(d, dtype=complex))
+    i, n = 0, 1
+    while i < n:
+        prods = canonical_phase(gens @ found[i])
+        prods = prods[~_phase_equivalent(found[:n], prods).any(axis=0)]
+        prods = prods[_first_seen(prods) == np.arange(len(prods))]
+        found[n:n + len(prods)] = prods
+        i, n = i + 1, n + len(prods)
+        if n > max_order:
+            raise ResourceLimitError(f"group closure exceeded max_order = {max_order}")
+    return uniform_set(d, found[:n])
 
 
 def unitary_operator_frame(n: int, d: int) -> WeightedUnitarySet:
@@ -308,13 +307,9 @@ def unitary_operator_frame(n: int, d: int) -> WeightedUnitarySet:
     <j|U_m|k> = exp(2πi jk/d + 2πi (j + kd) m/n)/sqrt(d)."""
     if n < d * d:
         raise InvalidInputError(f"a 1-design needs at least d² = {d * d} elements, got n={n}")
-    j = np.arange(d)[:, None]
-    k = np.arange(d)[None, :]
-    ops = []
-    for m in range(n):
-        phase = 2 * np.pi * (j * k / d + (j + k * d) * m / n)
-        ops.append(np.exp(1j * phase) / np.sqrt(d))
-    return uniform_set(d, np.array(ops))
+    j, k, m = np.arange(d)[:, None], np.arange(d)[None, :], np.arange(n)[:, None, None]
+    phase = 2 * np.pi * (j * k / d + (j + k * d) * m / n)
+    return uniform_set(d, np.exp(1j * phase) / np.sqrt(d))
 
 
 def _pu2_11pt() -> WeightedUnitarySet:

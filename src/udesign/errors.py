@@ -21,17 +21,17 @@ class ResourceLimitError(UDesignError):
 class NotAPovmError(InvalidInputError):
     """Element sum deviates from the identity beyond tolerance."""
 
-    def __init__(self, residual: float, message: str = ""):
+    def __init__(self, residual: float):
         self.residual = float(residual)
-        super().__init__(message or f"POVM normalization defect: ||sum F - I|| = {residual:.3e}")
+        super().__init__(f"POVM normalization defect: ||sum F - I|| = {residual:.3e}")
 
 
 class NotChannelImageError(InvalidInputError):
     """Bipartite state violates the trace-preservation marginal condition."""
 
-    def __init__(self, residual: float, message: str = ""):
+    def __init__(self, residual: float):
         self.residual = float(residual)
-        super().__init__(message or f"state is not a channel image: ||tr_s(rho) - I/d|| = {residual:.3e}")
+        super().__init__(f"state is not a channel image: ||tr_s(rho) - I/d|| = {residual:.3e}")
 
 
 class NotInformationallyCompleteError(InvalidInputError):

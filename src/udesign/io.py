@@ -126,7 +126,10 @@ def design_from_json(doc: dict) -> tuple[WeightedUnitarySet, int | None]:
         # a JSON number: int or float, and bool is an int subclass
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             raise InvalidInputError(f"element {i}: weight must be a number, got {weight!r}")
-        weights.append(float(weight))
+        try:
+            weights.append(float(weight))
+        except OverflowError:
+            raise InvalidInputError(f"element {i}: weight is too large for a float") from None
         if not whole:
             shape = matrix_from_json(entry['matrix'], context=f"element {i}").shape
             if shape != (dim, dim):

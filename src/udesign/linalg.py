@@ -65,13 +65,15 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def assert_unitary(u: np.ndarray) -> np.ndarray:
-    """Return ``u`` as a complex array, raising if it is not unitary."""
+    """Return ``u`` as complex, raising if it is not unitary; a stack names its first bad element."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {u.shape}")
-    res = np.linalg.norm(dag(u) @ u - np.eye(u.shape[0]))
-    if res > ATOL_ALG:
-        raise InvalidInputError(f"matrix is not unitary: ||U†U - I|| = {res:.3e}")
+    if u.ndim not in (2, 3) or u.shape[-1] != u.shape[-2]:
+        raise InvalidInputError(f"expected a square matrix or a stack of them, got shape {u.shape}")
+    res = np.atleast_1d(np.linalg.norm(dag(u) @ u - np.eye(u.shape[-1]), axis=(-2, -1)))
+    bad = np.flatnonzero(~(res <= ATOL_ALG))        # NaN entries are not unitary either
+    if bad.size:
+        what = f"element {bad[0]}" if u.ndim == 3 else "matrix"
+        raise InvalidInputError(f"{what} is not unitary: ||U†U - I|| = {res[bad[0]]:.3e}")
     return u
 
 
@@ -183,6 +185,8 @@ def coord_basis(dim: int) -> np.ndarray:
 def max_entangled_ket(u: np.ndarray) -> np.ndarray:
     """Maximally entangled ket (1/sqrt(d)) sum_k U|k> ⊗ |k> for unitary U."""
     u = assert_unitary(u)
+    if u.ndim != 2:
+        raise InvalidInputError(f"expected a square matrix, got shape {u.shape}")
     return vec(u) / np.sqrt(u.shape[0])
 
 

@@ -59,8 +59,8 @@ class DiscretePovm:
     povd: np.ndarray              # (n, D, D)
 
     @classmethod
-    def from_elements(cls, elements, atol: float = ATOL_ALG) -> "DiscretePovm":
-        return cls._admit(elements, atol, check_psd=True)
+    def from_elements(cls, elements) -> "DiscretePovm":
+        return cls._admit(elements, ATOL_ALG, check_psd=True)
 
     @classmethod
     def _admit(cls, elements, atol: float, check_psd: bool) -> "DiscretePovm":

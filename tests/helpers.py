@@ -37,6 +37,8 @@ def broken_design_docs() -> dict:
         'three-number-entries': (broken(lambda doc: [e.append(0.0) for row in doc['elements'][3]['matrix']
                                                      for e in row]),
                                  "element 3: entries must be [re, im] pairs"),
+        'float-overflow-weight': (broken(lambda doc: doc['elements'][3].update(weight=10 ** 400)),
+                                  "element 3: weight is too large for a float"),
         'float-overflow-entry': (broken(lambda doc: doc['elements'][3]['matrix'][0][1].__setitem__(0, 10 ** 400)),
                                  "element 3: entries must be [re, im] pairs"),
     }

@@ -79,6 +79,12 @@ class TestJamiolkowski:
                 with pytest.raises(InvalidInputError, match='completely positive'):
                     inverse_jamiolkowski(rho)
 
+    def test_inverse_rejects_non_bipartite_shapes(self):
+        with pytest.raises(InvalidInputError, match='needs a bipartite dimension, got D=5'):
+            inverse_jamiolkowski(np.eye(5) / 5)
+        with pytest.raises(InvalidInputError, match=r'expected a \(d², d²\) bipartite state, got shape \(4, 3\)'):
+            inverse_jamiolkowski(np.ones((4, 3)))
+
     def test_inverse_rejects_non_channel_image(self):
         bad = np.diag([0.4, 0.3, 0.2, 0.1])
         with pytest.raises(NotChannelImageError) as err:

@@ -259,7 +259,7 @@ class TestTomo:
         code, _, err = run(capsys, 'tomo', '--design', str(out),
                            '--channel', 'identity', '--shots', '5000', '--trials', '20',
                            '--seed', '2', '--csv', str(tmp_path / 'w.csv'))
-        assert 'warning' in err
+        assert "warning: POVM is not tight for class 'uc'" in err
         assert code in (0, 1)
 
 

@@ -301,7 +301,62 @@ class TestGallery:
         assert list(GALLERY_CERTIFIED_T) == list(GALLERY_NAMES)
 
 
+def clifford_generators(d):
+    """Fourier gate and the Clifford phase gate diag(ω^(j(j-1)/2)); at d = 3 the
+    latter is diag(1, 1, ω)."""
+    omega = np.exp(2j * np.pi / d)
+    fourier = np.array([[omega ** (j * k) for k in range(d)] for j in range(d)]) / np.sqrt(d)
+    return [fourier, np.diag([omega ** (j * (j - 1) // 2) for j in range(d)])]
+
+
+def sequential_closure(generators, d):
+    """Reference: pass-by-pass frontier, one product and one vdot scan at a time."""
+    elements = [canonical_phase(np.eye(d, dtype=complex))]
+    frontier = list(elements)
+    while frontier:
+        fresh = []
+        for u in frontier:
+            for g in generators:
+                cand = canonical_phase(np.asarray(g, dtype=complex) @ u)
+                if not any(abs(np.vdot(e, cand)) ** 2 >= d * d - 1e-6 for e in elements):
+                    elements.append(cand)
+                    fresh.append(cand)
+        frontier = fresh
+    return uniform_set(d, np.array(elements))
+
+
 class TestGroupClosure:
+    @pytest.mark.parametrize('name', ['hr_r2', 'h_r', 'qutrit'])
+    def test_matches_sequential_closure_bit_for_bit(self, name):
+        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        r = np.diag([1, 1j])
+        gens = {'hr_r2': [h @ r, r @ r], 'h_r': [h, r], 'qutrit': clifford_generators(3)}[name]
+        d = len(gens[0])
+        got, expected = group_closure(gens).unitaries, sequential_closure(gens, d).unitaries
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(float), expected.view(float))
+
+    def test_order_exactly_max_order_still_closes(self):
+        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        r = np.diag([1, 1j])
+        assert len(group_closure([h @ r, r @ r], max_order=12)) == 12
+        with pytest.raises(ResourceLimitError):
+            group_closure([h @ r, r @ r], max_order=11)
+
+    def test_d5_clifford_has_25_times_sl2_5_elements(self):
+        s = group_closure(clifford_generators(5))
+        assert len(s) == 3000 == 25 * 120          # |SL(2, 5)| = 120
+        assert_phase_distinct(s)
+        assert certify(s, 2).passed
+
+    def test_generators_must_form_a_stack_of_unitaries(self):
+        with pytest.raises(InvalidInputError):
+            group_closure([])
+        with pytest.raises(InvalidInputError, match='stack of generator matrices'):
+            group_closure(np.eye(2))
+        with pytest.raises(InvalidInputError, match='element 1 is not unitary'):
+            group_closure([np.eye(2), 2 * np.eye(2)])
+
     def test_hr_r2_subgroup_has_12_elements(self):
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         r = np.diag([1, 1j])

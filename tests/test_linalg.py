@@ -3,6 +3,7 @@ import pytest
 
 from udesign.errors import InvalidInputError, ResourceLimitError
 from udesign.linalg import (
+    assert_unitary,
     class_projector,
     class_projector_coords,
     coord_basis,
@@ -80,6 +81,26 @@ class TestMaxEntangledKet:
             max_entangled_ket(np.ones((2, 2)))
         with pytest.raises(InvalidInputError):
             max_entangled_ket(np.ones((2, 3)))
+        with pytest.raises(InvalidInputError, match='square matrix'):
+            max_entangled_ket(np.stack([np.eye(2), X]))
+
+
+class TestAssertUnitary:
+    def test_stack_names_its_first_bad_element(self):
+        stack = haar_unitaries(3, 5, make_rng(12))
+        stack[1] *= 1 + 1e-6
+        stack[3] *= 2.0
+        with pytest.raises(InvalidInputError, match=r'^element 1 is not unitary: \|\|U†U - I\|\| = 3\.46'):
+            assert_unitary(stack)
+        assert assert_unitary(stack[[0, 2, 4]]).shape == (3, 3, 3)
+
+    def test_single_matrix_and_shape_messages(self):
+        with pytest.raises(InvalidInputError, match=r'^matrix is not unitary'):
+            assert_unitary(2 * np.eye(2))
+        with pytest.raises(InvalidInputError, match=r'^matrix is not unitary: .* = nan'):
+            assert_unitary(np.full((2, 2), np.nan))
+        with pytest.raises(InvalidInputError, match='square matrix or a stack'):
+            assert_unitary(np.eye(2)[None, None])
 
 
 class TestPermutationOperator:

@@ -48,7 +48,6 @@ from .linalg import (
     max_entangled_ket,
     partial_trace,
     permutation_operator,
-    subspace_projectors,
     swap_operator,
 )
 from .povm import (

@@ -58,7 +58,6 @@ class ChannelEstimate:
 
     dim: int
     process: np.ndarray        # (d², d²)
-    linear_estimate: bool = True
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         return apply_process_matrix(self.process, np.asarray(a, dtype=complex), self.dim)
@@ -181,15 +180,14 @@ def channel_gallery(name: str, d: int, rng: np.random.Generator | None = None,
                     param=None) -> QuantumChannel:
     """Named channel constructions used by the simulator and the CLI.
 
-    name ∈ {identity, fixed_unitary, random_unitary, random_unital_mix,
-    depolarizing, random_general}; `param` carries U, k or p where needed.
+    name ∈ {identity, random_unitary, random_unital_mix, depolarizing,
+    random_general}; `param` carries k or p where needed, and the first two
+    take none.
     """
+    if param is not None and name in ('identity', 'random_unitary'):
+        raise InvalidInputError(f"channel {name!r} takes no parameter, got {param!r}")
     if name == 'identity':
         return QuantumChannel.from_kraus([np.eye(d, dtype=complex)])
-    if name == 'fixed_unitary':
-        if param is None:
-            raise InvalidInputError("fixed_unitary needs the unitary as parameter")
-        return QuantumChannel.from_kraus([np.asarray(param, dtype=complex)])
     if name == 'depolarizing':
         if param is None:
             raise InvalidInputError("depolarizing needs a parameter p in [0, 1]")

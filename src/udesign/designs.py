@@ -25,6 +25,7 @@ from .linalg import (
     PHASE_REAL,
     PHASE_TIE,
     assert_unitary,
+    check_cert_threshold,
     permutation_operator,
     swap_operator,
 )
@@ -252,6 +253,7 @@ def certify(s: WeightedUnitarySet, t: int, atol_cert: float = ATOL_CERT) -> Desi
     numbers and bottoms out near 1e-16, so a gap of about 0 can hide a
     residual of about 1e-8.  PASS means gap <= ``atol_cert``.
     """
+    check_cert_threshold(atol_cert, 'atol_cert')
     pot = frame_potential(s, t)
     g = float(gamma(t, s.dim))
     gap = pot - g

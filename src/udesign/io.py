@@ -7,6 +7,7 @@ Matrices are stored row-major as nested lists of [re, im] pairs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -72,6 +73,13 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.stack([np.real(m), np.imag(m)], -1).tolist()
 
 
+def _holds_bool(rows, depth: int) -> bool:
+    """Whether nested lists hold a bool (JSON true/false), which numpy reads as 1 or 0."""
+    for _ in range(depth - 1):
+        rows = itertools.chain.from_iterable(rows)
+    return bool in set(map(type, rows))
+
+
 def matrix_from_json(rows, context: str = 'matrix') -> np.ndarray:
     """Inverse of :func:`matrix_to_json`; every entry must be exactly two JSON
     numbers.  The pairs are viewed as complex128: the same bits as complex(re, im)."""
@@ -79,7 +87,8 @@ def matrix_from_json(rows, context: str = 'matrix') -> np.ndarray:
         pairs = np.array(rows)
     except ValueError:                      # ragged rows or entries
         pairs = None
-    if pairs is None or pairs.dtype.kind not in 'biuf' or pairs.ndim < 3 or pairs.shape[-1] != 2:
+    if (pairs is None or pairs.dtype.kind not in 'iuf' or pairs.ndim < 3 or pairs.shape[-1] != 2
+            or _holds_bool(rows, pairs.ndim)):
         raise InvalidInputError(f"{context}: entries must be [re, im] pairs")
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 

@@ -13,8 +13,8 @@ Conventions, fixed once for the whole package:
   M there, and the frames and class projectors are built as such.
 * A superoperator's left-right matrix acts in the operator basis
   E_(j,k) = |j><k| (flattened index j*d + k); for a Kraus map it is the
-  process matrix.  Those of frames and class projectors are views W M Wᴴ,
-  W the unitary whose columns are vec of the coordinate basis.
+  process matrix.  The left-right frame and class projector are built from
+  their definitions for callers; no computation of the package reads them.
 * Maximally entangled kets |U> live in C^d ⊗ C^d with component (j,k) equal
   to U_(j,k)/sqrt(d), i.e. |U> = vec(U)/sqrt(d).
 """
@@ -47,6 +47,13 @@ PURITY_SLACK = 1e-12       # float slack on the purity range [1/d², 1] of an er
 ATOL_FILE_WEIGHTS = 1e-6   # weight-sum defect a design file may carry before renormalization
 # Guard on total tensor-product dimension for permutation operators.
 MAX_PERM_DIM = 10_000
+
+
+def check_cert_threshold(value: float, name: str) -> None:
+    """Raise unless a certification threshold (the gap at or below which a set
+    passes) is finite and positive; ``name`` is the caller's word for it."""
+    if not (np.isfinite(value) and value > 0):
+        raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
 
 
 def dag(a: np.ndarray) -> np.ndarray:
@@ -173,15 +180,6 @@ def herm_from_coords(c: np.ndarray) -> np.ndarray:
     return flat.view(complex).reshape(c.shape[:-1] + (dim, dim))
 
 
-@functools.lru_cache(maxsize=None)
-def coord_basis(dim: int) -> np.ndarray:
-    """The unitary W (dim², dim²) with vec(H) = W c(H): column k is vec of the
-    k-th coordinate basis operator.  Built once per dim, read-only."""
-    w = herm_from_coords(np.eye(dim * dim)).reshape(dim * dim, -1).T
-    w.setflags(write=False)
-    return w
-
-
 def max_entangled_ket(u: np.ndarray) -> np.ndarray:
     """Maximally entangled ket (1/sqrt(d)) sum_k U|k> ⊗ |k> for unitary U."""
     u = assert_unitary(u)
@@ -273,22 +271,28 @@ def span_dimension(state_class: str, d: int) -> int:
     return {'uc': (d2 - 1) ** 2 + 1, 'gc': d2 * (d2 - 1) + 1, 'full': d2 * d2}[state_class]
 
 
+def _class_complement(state_class: str, d: int) -> np.ndarray:
+    """Orthonormal Hermitian operators (m, d², d²) spanning the complement of
+    a class span: with b_0 = I/sqrt(d) and B over the traceless rest of
+    :func:`herm_basis`, none for 'full', b_0⊗B for 'gc' (a trace-preserving
+    channel's output has no part there), and also B⊗b_0 for 'uc'."""
+    span_dimension(state_class, d)          # the class-name check
+    basis = herm_basis(d)
+    removed = [np.kron(basis[0], b) for b in basis[1:]] if state_class != 'full' else []
+    if state_class == 'uc':
+        removed += [np.kron(b, basis[0]) for b in basis[1:]]
+    return np.array(removed, dtype=complex).reshape(-1, d * d, d * d)
+
+
 @functools.lru_cache(maxsize=None)
 def class_projector_coords(state_class: str, d: int) -> np.ndarray:
-    """Projector onto span(Q) for a channel-output class, in the Hermitian
-    coordinates of C^d ⊗ C^d; real symmetric, built once per (class, d) and
-    read-only.  With b_0 = I/sqrt(d) and B over the traceless rest of
-    :func:`herm_basis`: 'full' is the identity, 'gc' removes the directions
-    b_0⊗B, on which a trace-preserving channel's output has no part, and
-    'uc' also removes B⊗b_0."""
-    span_dimension(state_class, d)          # the class-name check
+    """Projector I - sum_r c(r) c(r)ᵀ onto span(Q) for a channel-output class,
+    r over :func:`_class_complement`, in the Hermitian coordinates of
+    C^d ⊗ C^d; real symmetric, built once per (class, d) and read-only."""
+    removed = _class_complement(state_class, d)
     pi = np.eye(d ** 4)
-    if state_class != 'full':
-        basis = herm_basis(d)
-        removed = [np.kron(basis[0], b) for b in basis[1:]]
-        if state_class == 'uc':
-            removed += [np.kron(b, basis[0]) for b in basis[1:]]
-        c = herm_coords(np.array(removed))
+    if len(removed):
+        c = herm_coords(removed)
         pi -= c.T @ c
     pi.setflags(write=False)
     return pi
@@ -296,19 +300,9 @@ def class_projector_coords(state_class: str, d: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def class_projector(state_class: str, d: int) -> np.ndarray:
-    """Left-right view W Pi Wᴴ of :func:`class_projector_coords` ('full' gives
-    the identity exactly); built once per (class, d) and returned read-only."""
-    if state_class == 'full':
-        pi = np.eye(d ** 4, dtype=complex)
-    else:
-        w = coord_basis(d * d)
-        pi = w @ class_projector_coords(state_class, d) @ dag(w)
+    """Left-right form I - sum_r vec(r) vec(r)† of the same projector ('full'
+    gives the identity exactly); built once per (class, d), read-only."""
+    v = _class_complement(state_class, d).reshape(-1, d ** 4)
+    pi = np.eye(d ** 4, dtype=complex) - v.T @ v.conj()
     pi.setflags(write=False)
     return pi
-
-
-def subspace_projectors(d: int) -> dict[str, np.ndarray]:
-    """Fresh, writable copies of the left-right class projectors: ``pi_uc`` onto
-    the span of b_0⊗b_0 and b_j⊗b_k (j,k > 0) and ``pi_gc`` onto that of b_0⊗b_0
-    and b_j⊗b_k (j > 0, all k); ranks (D-1)² + 1 and D(D-1) + 1 with D = d²."""
-    return {'pi_uc': class_projector('uc', d).copy(), 'pi_gc': class_projector('gc', d).copy()}

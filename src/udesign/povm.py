@@ -11,8 +11,8 @@ yields the canonical reconstruction operators.
 The frame lives in the real Hermitian coordinates of `udesign.linalg`: with
 A the (n, D²) coordinates of the P(x), it is the real symmetric matrix
 Aᵀ diag(tau) A.  Tightness, the spectrum, the duals and the reconstruction
-error are all computed there; `frame_superop` and `canonical_dual` map back
-to the complex left-right and operator forms.
+error are all computed there.  `canonical_dual` returns operators, and
+`frame_superop` builds the complex left-right frame from its definition.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .linalg import (
     PURITY_SLACK,
     bipartite_dim,
     class_projector_coords,
-    coord_basis,
     dag,
     herm_coords,
     herm_from_coords,
@@ -92,7 +91,7 @@ class DiscretePovm:
     def frame(self) -> np.ndarray:
         """The frame superoperator in Hermitian coordinates: the real symmetric
         (D², D²) matrix Aᵀ diag(tau) A, A the coordinates of the P(x).  Built
-        on first use, read-only; :func:`frame_superop` gives its left-right form."""
+        on first use, read-only."""
         scaled = herm_coords(self.povd) * np.sqrt(self.trace_measure)[:, None]
         frame = scaled.T @ scaled
         frame.setflags(write=False)
@@ -118,11 +117,11 @@ def frame_superop(povm: DiscretePovm) -> np.ndarray:
     """Left-right matrix of sum_x tau(x) |P(x)>><<P(x)| (shape (D², D²)).
 
     Positive, left-right Hermitian, fixes |I>> and has trace at most D with
-    equality only for rank-one POVMs.  Built on each call as W F Wᴴ from the
-    coordinate frame F = ``povm.frame``, which the package itself works with.
+    equality only for rank-one POVMs.  Built on each call from that sum; the
+    package itself works with the coordinate frame ``povm.frame``.
     """
-    w = coord_basis(povm.dim)
-    return w @ povm.frame @ dag(w)
+    flat = povm.povd.reshape(len(povm), -1)
+    return (flat.T * povm.trace_measure) @ flat.conj()
 
 
 def _class_span(state_class: str, bigd: int) -> tuple[np.ndarray, int]:
@@ -177,18 +176,14 @@ def _frame_eig(povm: DiscretePovm):
     return evals, evecs, keep
 
 
-def _dual_coords(povm: DiscretePovm, require: str | np.ndarray | None) -> np.ndarray:
+def _dual_coords(povm: DiscretePovm, require: str | None) -> np.ndarray:
     """Hermitian coordinates (n, D²) of the canonical duals; see :func:`canonical_dual`."""
+    if require is not None and not isinstance(require, str):
+        raise InvalidInputError(f"require must name a state class or be None, got {type(require).__name__}")
     evals, evecs, keep = _frame_eig(povm)
     support = evecs[:, keep]
     if require is not None:
-        if isinstance(require, str):
-            pi, required_dim = _class_span(require, povm.dim)
-        else:
-            pi = np.asarray(require)
-            required_dim = int(round(np.real(np.trace(pi))))
-            w = coord_basis(povm.dim)
-            pi = dag(w) @ pi @ w
+        pi, required_dim = _class_span(require, povm.dim)
         # span containment: no part of the required span may lie outside the support
         outside = np.linalg.norm(pi - support @ (support.T @ pi))
         if support.shape[1] < required_dim or outside > ATOL_SPAN:
@@ -196,16 +191,16 @@ def _dual_coords(povm: DiscretePovm, require: str | np.ndarray | None) -> np.nda
     return herm_coords(povm.povd) @ ((support / evals[keep]) @ support.T)
 
 
-def canonical_dual(povm: DiscretePovm, require: str | np.ndarray | None = None) -> np.ndarray:
+def canonical_dual(povm: DiscretePovm, require: str | None = None) -> np.ndarray:
     """Reconstruction operators R(x) of the canonical dual frame.
 
     The frame superoperator is inverted on its support; R(x) is the image of
     P(x) under that restricted inverse, so sum_x tau(x) R(x) = I and
-    tr R(x) = 1.  When ``require`` names a class ('uc', 'gc', 'full') or
-    gives a left-right projector Pi, the support must contain its span
-    (||Pi - B Bᵀ Pi|| <= ``ATOL_SPAN`` for an orthonormal support basis B),
-    otherwise the POVM cannot reconstruct all states of the class and an
-    error is raised.
+    tr R(x) = 1.  When ``require`` names a class ('uc', 'gc', 'full'), the
+    support must contain its span (||Pi - B Bᵀ Pi|| <= ``ATOL_SPAN`` in
+    Hermitian coordinates, Pi the class projector and B an orthonormal
+    support basis), otherwise the POVM cannot reconstruct all states of the
+    class and an error is raised.
     """
     return herm_from_coords(_dual_coords(povm, require))
 
@@ -301,8 +296,8 @@ def simulate(povm: DiscretePovm, channel: QuantumChannel, shots: int, trials: in
     coordinates, the same number).  The report carries the class prediction
     evaluated at the exact purity.
     """
-    if shots < 1 or trials < 1:
-        raise InvalidInputError("shots and trials must both be >= 1")
+    if shots < 1 or trials < 2:
+        raise InvalidInputError("need shots >= 1 and trials >= 2: the standard error needs two trials")
     if state_class is None:
         state_class = 'uc' if channel.unital else 'gc'
     if state_class == 'uc' and not channel.unital:
@@ -326,7 +321,7 @@ def simulate(povm: DiscretePovm, channel: QuantumChannel, shots: int, trials: in
 
 
 def estimate_channel(povm: DiscretePovm, counts: np.ndarray,
-                     require: str | np.ndarray | None = None) -> ChannelEstimate:
+                     require: str | None = None) -> ChannelEstimate:
     """Linear channel estimate from measured counts, positivity not enforced.
 
     The state estimate sum_x p_hat(x) R(x) is mapped to a process matrix

@@ -24,7 +24,7 @@ import numpy as np
 
 from .designs import ATOL_CERT, WeightedUnitarySet, frame_potential, gamma, merge_phase_duplicates
 from .errors import InvalidInputError
-from .linalg import dag, haar_unitaries, herm_basis, log_unitary, make_rng
+from .linalg import check_cert_threshold, dag, haar_unitaries, herm_basis, log_unitary, make_rng
 
 WEIGHT_MODES = ('free', 'uniform', 'per-basis')
 # Cap on trial steps of the residual polish; singular sets need about 15.
@@ -45,8 +45,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.size < 1:
             raise InvalidInputError(f"size must be >= 1, got {self.size}")
-        if self.target_gap <= 0:
-            raise InvalidInputError("target_gap must be positive")
+        check_cert_threshold(self.target_gap, 'target_gap')
         if self.weight_mode not in WEIGHT_MODES:
             raise InvalidInputError(f"weight_mode must be one of {WEIGHT_MODES}")
         if self.weight_mode == 'per-basis' and self.size % self.dim ** 2 != 0:

@@ -39,6 +39,11 @@ def broken_design_docs() -> dict:
                                  "element 3: entries must be [re, im] pairs"),
         'float-overflow-weight': (broken(lambda doc: doc['elements'][3].update(weight=10 ** 400)),
                                   "element 3: weight is too large for a float"),
+        'bool-entry': (broken(lambda doc: doc['elements'][3].update(
+                           matrix=[[[True, False], [False, False]], [[False, False], [True, False]]])),
+                       "element 3: entries must be [re, im] pairs"),
+        'mixed-bool-entry': (broken(lambda doc: doc['elements'][3]['matrix'][0][1].__setitem__(0, False)),
+                             "element 3: entries must be [re, im] pairs"),
         'float-overflow-entry': (broken(lambda doc: doc['elements'][3]['matrix'][0][1].__setitem__(0, 10 ** 400)),
                                  "element 3: entries must be [re, im] pairs"),
     }

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,18 @@ class TestVerify:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, 'design-verify', '--file', str(tmp_path / 'none.json'), '--t', '2')
         assert code == 2
+
+    @pytest.mark.parametrize('tol', ['nan', '-1', '0', 'inf'])
+    def test_threshold_must_be_finite_and_positive(self, capsys, tmp_path, tol):
+        design = tmp_path / 'd.json'
+        run(capsys, 'design-gallery', '--name', 'pu2_11pt', '--out', str(design))
+        code, stdout, err = run(capsys, 'design-verify', '--file', str(design), '--t', '2', '--tol', tol)
+        assert code == 2 and stdout == ''
+        assert err.startswith('error: atol_cert must be finite and positive') and err.count('\n') == 1
+        code, _, err = run(capsys, 'design-search', '--dim', '2', '--size', '4', '--t', '1',
+                           '--target-gap', tol, '--out', str(tmp_path / 's.json'))
+        assert code == 2 and err.startswith('error: target_gap must be finite and positive')
+        assert not (tmp_path / 's.json').exists()
 
 
 class TestSearch:
@@ -263,6 +276,24 @@ class TestTomo:
         assert code in (0, 1)
 
 
+    def test_one_trial_is_a_usage_error_without_warnings(self, capsys, tmp_path, design_file):
+        csv = tmp_path / 'r.csv'
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter('always')
+            code, stdout, err = run(capsys, 'tomo', '--design', str(design_file),
+                                    '--channel', 'depolarizing:0.5', '--shots', '100',
+                                    '--trials', '1', '--csv', str(csv))
+        assert code == 2 and stdout == '' and not caught
+        assert err.startswith('error: need shots >= 1 and trials >= 2') and err.count('\n') == 1
+        assert not csv.exists()
+
+    @pytest.mark.parametrize('spec', ['identity:7', 'random_unitary:3'])
+    def test_parameter_on_a_parameterless_channel_is_a_usage_error(self, capsys, tmp_path, design_file, spec):
+        code, _, err = run(capsys, 'tomo', '--design', str(design_file), '--channel', spec,
+                           '--shots', '100', '--trials', '10', '--csv', str(tmp_path / 'r.csv'))
+        assert code == 2 and err.startswith('error: channel') and 'takes no parameter' in err
+
+
 class TestParserReuse:
     def test_repeat_calls_write_identical_files(self, capsys, tmp_path):
         design = tmp_path / 'd.json'
@@ -370,6 +401,23 @@ def test_public_names_unchanged():
         'muub_check', 'outcome_probabilities', 'parametrize', 'partial_trace', 'permutation_operator',
         'povm_from_design', 'predicted_error', 'process_matrix', 'pu2_muub_family', 'quat_to_unitary',
         'reconstruct', 'refine', 'rotate_channel', 'sample_counts', 'save_design', 'search', 'simulate',
-        'subspace_projectors', 'swap_operator', 'theta_from_set', 'tight_check', 'uniform_set',
+        'swap_operator', 'theta_from_set', 'tight_check', 'uniform_set',
         'unitary_operator_frame',
     }
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark's tracer patches each TRACED '<layer>.<function>' by name; read
+    # its list from the file, without running it, so that removing one fails here
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / 'bench' / 'spans.py'
+    spec = importlib.util.spec_from_file_location('bench_spans', path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    for target in spans.TRACED:
+        layer, func = target.split('.')
+        assert callable(getattr(importlib.import_module(f'udesign.{layer}'), func, None)), target

@@ -187,6 +187,11 @@ class TestCertify:
             bad = certify(noisy, 2)
             assert not bad.passed and bad.moment_residual > np.sqrt(1e-8) * 4
 
+    @pytest.mark.parametrize('tol', [float('nan'), float('inf'), -1.0, 0.0])
+    def test_threshold_must_be_finite_and_positive(self, tol):
+        with pytest.raises(InvalidInputError, match='atol_cert must be finite and positive'):
+            certify(gallery('pu2_11pt'), 2, atol_cert=tol)
+
     def test_hierarchy_designs_descend(self):
         for name, t in (('pu2_11pt', 2), ('pu2_clifford12', 2), ('pu2_clifford24', 3)):
             s = gallery(name)

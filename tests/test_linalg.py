@@ -6,7 +6,6 @@ from udesign.linalg import (
     assert_unitary,
     class_projector,
     class_projector_coords,
-    coord_basis,
     dag,
     haar_unitaries,
     haar_unitary,
@@ -18,7 +17,6 @@ from udesign.linalg import (
     partial_trace,
     permutation_operator,
     span_dimension,
-    subspace_projectors,
     swap_operator,
     vec,
 )
@@ -195,55 +193,76 @@ class TestMakeRng:
             make_rng(seed)
 
 
+def class_pairs(state_class, d):
+    """Index pairs (j, k) of the b_j⊗b_k spanning a class span, b = herm_basis(d)."""
+    d2 = d * d
+    return {
+        'uc': [(0, 0)] + [(j, k) for j in range(1, d2) for k in range(1, d2)],
+        'gc': [(0, 0)] + [(j, k) for j in range(1, d2) for k in range(d2)],
+        'full': [(j, k) for j in range(d2) for k in range(d2)],
+    }[state_class]
+
+
+def class_span_basis(state_class, d):
+    """The operators b_j⊗b_k of :func:`class_pairs`, shape (delta, d², d²)."""
+    basis = herm_basis(d)
+    return np.array([np.kron(basis[j], basis[k]) for j, k in class_pairs(state_class, d)])
+
+
 class TestSubspaceProjectors:
+    """The class-span projectors: class_projector_coords, and the left-right class_projector
+    against its basis-sum definition."""
+
     def test_ranks_d2(self):
-        projs = subspace_projectors(2)
-        assert np.linalg.matrix_rank(projs['pi_uc'], tol=1e-8) == 10
-        assert np.linalg.matrix_rank(projs['pi_gc'], tol=1e-8) == 13
+        assert np.linalg.matrix_rank(class_projector_coords('uc', 2), tol=1e-8) == 10
+        assert np.linalg.matrix_rank(class_projector_coords('gc', 2), tol=1e-8) == 13
 
     def test_ranks_match_dimension_formulas_d3(self):
-        projs = subspace_projectors(3)
         d2 = 9
-        assert np.linalg.matrix_rank(projs['pi_uc'], tol=1e-8) == (d2 - 1) ** 2 + 1
-        assert np.linalg.matrix_rank(projs['pi_gc'], tol=1e-8) == d2 * (d2 - 1) + 1
+        for state_class, delta in (('uc', (d2 - 1) ** 2 + 1), ('gc', d2 * (d2 - 1) + 1), ('full', d2 * d2)):
+            pi = class_projector_coords(state_class, 3)
+            assert np.linalg.matrix_rank(pi, tol=1e-8) == delta == span_dimension(state_class, 3)
 
-    @pytest.mark.parametrize('key', ['pi_uc', 'pi_gc'])
-    def test_idempotent_and_hermitian(self, key):
-        p = subspace_projectors(2)[key]
-        assert np.linalg.norm(p @ p - p) <= 1e-10
-        assert np.linalg.norm(p - dag(p)) <= 1e-10
+    @pytest.mark.parametrize('state_class', ['uc', 'gc'], ids=['pi_uc', 'pi_gc'])
+    def test_idempotent_and_hermitian(self, state_class):
+        for d in (2, 3):
+            # a real symmetric idempotent is an orthogonal projector: positive, eigenvalues 0 and 1
+            p = class_projector_coords(state_class, d)
+            assert np.linalg.norm(p @ p - p) <= 1e-10
+            assert np.array_equal(p, p.T)
+            assert np.linalg.eigvalsh(p).min() >= -1e-12
+            # both classes contain the maximally mixed state: |I>> is fixed
+            ident = herm_coords(np.eye(d * d))
+            assert np.abs(p @ ident - ident).max() <= 1e-14
 
     def test_unital_span_nested_in_general_span(self):
-        projs = subspace_projectors(2)
-        assert np.linalg.norm(projs['pi_uc'] @ projs['pi_gc'] - projs['pi_uc']) <= 1e-10
+        pi_uc, pi_gc = class_projector_coords('uc', 2), class_projector_coords('gc', 2)
+        assert np.linalg.norm(pi_uc @ pi_gc - pi_uc) <= 1e-10
 
     @pytest.mark.parametrize('d', [2, 3])
     def test_closed_form_matches_basis_sum(self, d):
-        # definition: sum of vec(b_j⊗b_k)vec(b_j⊗b_k)† over the class's pairs
-        basis = herm_basis(d)
-        pairs = {
-            'pi_uc': [(0, 0)] + [(j, k) for j in range(1, d * d) for k in range(1, d * d)],
-            'pi_gc': [(0, 0)] + [(j, k) for j in range(1, d * d) for k in range(d * d)],
-        }
-        projs = subspace_projectors(d)
-        for key, index_pairs in pairs.items():
-            vs = np.array([vec(np.kron(basis[j], basis[k])) for j, k in index_pairs])
-            assert np.linalg.norm(projs[key] - vs.T @ vs.conj()) <= 1e-12
+        # definition of the left-right form: sum of vec(b_j⊗b_k)vec(b_j⊗b_k)† over the class's pairs
+        for state_class in ('uc', 'gc'):
+            vs = class_span_basis(state_class, d).reshape(-1, d ** 4)
+            assert np.linalg.norm(class_projector(state_class, d) - vs.T @ vs.conj()) <= 1e-12
 
 
 class TestClassProjector:
     @pytest.mark.parametrize('d', [2, 3])
     def test_cached_read_only_and_equal_to_subspace_projectors(self, d):
-        projs = subspace_projectors(d)
+        # the left-right form acts on Hermitian operators as the coordinate projector does
+        rng = make_rng(60 + d)
+        m = rng.standard_normal((4, d * d, d * d)) + 1j * rng.standard_normal((4, d * d, d * d))
+        h = m + dag(m)
         for state_class in ('uc', 'gc'):
             pi = class_projector(state_class, d)
             assert class_projector(state_class, d) is pi
-            assert np.array_equal(pi, projs['pi_' + state_class])
+            image = (h.reshape(4, -1) @ pi.T).reshape(h.shape)
+            expected = herm_coords(h) @ class_projector_coords(state_class, d)
+            assert np.abs(herm_coords(image) - expected).max() <= 1e-13
+            assert np.abs(image - dag(image)).max() <= 1e-13
             with pytest.raises(ValueError):
                 pi[0, 0] = 0.0
-        # the dict of subspace_projectors stays fresh and writable
-        again = subspace_projectors(d)
-        assert again['pi_uc'] is not projs['pi_uc'] and again['pi_uc'].flags.writeable
 
     @pytest.mark.parametrize('d', [2, 3])
     def test_full_class_is_identity(self, d):
@@ -278,11 +297,12 @@ class TestHermCoords:
 
     @pytest.mark.parametrize('d', [2, 3, 4])
     def test_coord_basis_is_unitary_and_orthonormal_hermitian(self, d):
-        w = coord_basis(d)
-        assert coord_basis(d) is w and not w.flags.writeable
-        assert np.abs(dag(w) @ w - np.eye(d * d)).max() <= 1e-15
-        ops = w.T.reshape(-1, d, d)
+        # the operators with unit coordinate vectors: Hermitian, and orthonormal, so
+        # the matrix of their vecs is unitary; c(H) reads H against them
+        ops = herm_from_coords(np.eye(d * d))
         assert np.array_equal(ops, dag(ops))
+        w = ops.reshape(d * d, -1).T
+        assert np.abs(dag(w) @ w - np.eye(d * d)).max() <= 1e-15
         rng = make_rng(50 + d)
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         assert np.abs(w @ herm_coords(m + dag(m)) - vec(m + dag(m))).max() <= 1e-14
@@ -296,22 +316,15 @@ class TestClassProjectorCoords:
     @pytest.mark.parametrize('d', [2, 3])
     @pytest.mark.parametrize('state_class', ['uc', 'gc', 'full'])
     def test_basis_change_of_class_projector(self, d, state_class):
-        # Wᴴ (sum of vec(b_j⊗b_k)vec(b_j⊗b_k)† over the class's pairs) W, with no
-        # call into the projector builders
+        # the basis sum of the definition read in Hermitian coordinates: sum of
+        # c(b_j⊗b_k)c(b_j⊗b_k)ᵀ over the class's pairs, with no call into the builders
         pi = class_projector_coords(state_class, d)
         assert class_projector_coords(state_class, d) is pi
         assert pi.dtype == float and not pi.flags.writeable
-        basis, d2 = herm_basis(d), d * d
-        pairs = {
-            'uc': [(0, 0)] + [(j, k) for j in range(1, d2) for k in range(1, d2)],
-            'gc': [(0, 0)] + [(j, k) for j in range(1, d2) for k in range(d2)],
-            'full': [(j, k) for j in range(d2) for k in range(d2)],
-        }[state_class]
-        vs = np.array([vec(np.kron(basis[j], basis[k])) for j, k in pairs])
-        w = coord_basis(d2)
-        assert np.abs(dag(w) @ (vs.T @ vs.conj()) @ w - pi).max() <= 1e-14
+        cs = herm_coords(class_span_basis(state_class, d))
+        assert np.abs(cs.T @ cs - pi).max() <= 1e-14
         assert np.abs(pi @ pi - pi).max() <= 1e-13 and np.array_equal(pi, pi.T)
-        assert round(np.trace(pi)) == span_dimension(state_class, d) == len(pairs)
+        assert round(np.trace(pi)) == span_dimension(state_class, d) == len(cs)
 
     def test_unknown_class_raises(self):
         with pytest.raises(InvalidInputError, match='unknown state class'):

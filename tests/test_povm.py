@@ -27,12 +27,14 @@ from udesign.errors import (
 )
 from udesign.linalg import (
     class_projector,
-    coord_basis,
+    class_projector_coords,
     dag,
     haar_unitaries,
     haar_unitary,
+    herm_coords,
     make_rng,
     partial_trace,
+    span_dimension,
     vec,
 )
 from udesign.povm import (
@@ -144,6 +146,19 @@ class TestFrameSuperop:
         expected = np.einsum('x,xi,xj->ij', povm.trace_measure, flat, flat.conj())
         assert np.linalg.norm(frame_superop(povm) - expected) <= 1e-12
 
+    @pytest.mark.parametrize('d', [2, 3])
+    def test_coordinate_frame_positive_fixes_identity_with_class_rank(self, d):
+        # a uc-tight design's frame: positive, fixes |I>>, support = the uc span
+        povm = povm_from_design(gallery('pu2_11pt')) if d == 2 else qutrit_clifford_povm()
+        frame = povm.frame
+        evals = np.linalg.eigvalsh(frame)
+        assert evals.min() >= -1e-12
+        assert (evals > 1e-10 * evals.max()).sum() == span_dimension('uc', d)
+        ident = herm_coords(np.eye(d * d))
+        assert np.abs(frame @ ident - ident).max() <= 1e-12
+        pi = class_projector_coords('uc', d)
+        assert np.abs(pi @ frame - frame).max() <= 1e-12
+
     def test_trace_bounded_by_dimension(self):
         # non-rank-one POVM: trace strictly below D
         blob = np.eye(4) * 0.5
@@ -168,11 +183,15 @@ class TestFrameSuperop:
         simulate(povm, depolarizing_channel(0.5, 2), 100, 5, make_rng(1))
         lr = frame_superop(povm)
         assert len(builds) == 1
-        # the coordinate frame is real symmetric and shared; the left-right form is built from it
+        # the coordinate frame is real symmetric and shared; the left-right form, built
+        # on each call, acts on Hermitian operators as it does
         frame = povm.frame
         assert frame.dtype == float and frame.shape == (16, 16) and np.array_equal(frame, frame.T)
-        w = coord_basis(4)
-        assert np.abs(lr - w @ frame @ dag(w)).max() <= 1e-15 and lr is not frame_superop(povm)
+        m = make_rng(2).standard_normal((3, 4, 4)) + 1j * make_rng(3).standard_normal((3, 4, 4))
+        h = m + dag(m)
+        image = (h.reshape(3, -1) @ lr.T).reshape(h.shape)
+        assert np.abs(herm_coords(image) - herm_coords(h) @ frame).max() <= 1e-14
+        assert lr is not frame_superop(povm)
         with pytest.raises(ValueError):
             frame[0, 0] = 0.0
 
@@ -311,22 +330,26 @@ class TestCanonicalDual:
             canonical_dual(povm, require='uc')
         assert err.value.support_dim == 9 and err.value.required_dim == 10
 
-    def test_projector_requirement_accepted(self, povm11):
-        duals = canonical_dual(povm11, require=class_projector('uc', 2))
-        assert duals.shape == (11, 4, 4)
+    def test_projector_requirement_rejected(self, povm11):
+        # require names a class; a projector in either form is refused before any work
+        for pi in (class_projector('uc', 2), class_projector_coords('uc', 2)):
+            with pytest.raises(InvalidInputError, match='require must name a state class'):
+                canonical_dual(povm11, require=pi)
+            with pytest.raises(InvalidInputError, match='require must name a state class'):
+                estimate_channel(povm11, np.ones(11), require=pi)
 
     def test_required_span_must_lie_inside_the_support(self):
-        # support span{I}; the required line vec(I + (E01 + E10)/2) has full rank against
-        # it but leaves the support, so a rank test alone would accept it
-        povm = DiscretePovm.from_elements([np.eye(2) / 2, np.eye(2) / 2])
-        line = vec(np.eye(2) + 0.5 * np.array([[0, 1], [1, 0]], dtype=complex))
-        line /= np.linalg.norm(line)
+        # the rows of a random 10x4 isometry: the support has dimension 10 = delta_uc but
+        # does not contain the uc span, so a rank test alone would accept it
+        iso = haar_unitaries(10, 1, make_rng(5))[0][:, :4]
+        povm = DiscretePovm.from_elements(np.einsum('xa,xb->xab', iso, iso.conj()))
         with pytest.raises(NotInformationallyCompleteError) as err:
-            canonical_dual(povm, require=np.outer(line, line.conj()))
-        assert err.value.support_dim == 1 and err.value.required_dim == 1
-        ident = vec(np.eye(2, dtype=complex)) / np.sqrt(2)
-        duals = canonical_dual(povm, require=np.outer(ident, ident.conj()))
-        assert np.abs(duals - np.eye(2) / 2).max() <= 1e-15
+            canonical_dual(povm, require='uc')
+        assert err.value.support_dim == err.value.required_dim == 10
+        # without a requirement the duals still reconstruct inside the support
+        duals = canonical_dual(povm)
+        total = np.einsum('x,xij->ij', povm.trace_measure, duals)
+        assert np.linalg.norm(total - np.eye(4)) <= 1e-9
 
 
 class TestDualOptimality:
@@ -494,6 +517,13 @@ class TestSimulate:
         with pytest.raises(InvalidInputError):
             simulate(povm11, channel, 100, 10, make_rng(2), state_class='uc')
 
+    def test_simulate_needs_two_trials_for_the_standard_error(self, povm11):
+        channel = depolarizing_channel(0.5, 2)
+        for trials in (0, 1):
+            with pytest.raises(InvalidInputError, match='standard error needs two trials'):
+                simulate(povm11, channel, 100, trials, make_rng(2))
+        assert np.isfinite(simulate(povm11, channel, 100, 2, make_rng(2)).std_err)
+
     def test_general_channel_needs_gc_support(self, povm11):
         channel = random_general_channel(3, 2, make_rng(3))
         with pytest.raises(NotInformationallyCompleteError):
@@ -527,7 +557,6 @@ class TestEstimateChannel:
         channel = channel_gallery('identity', 2)
         probs = outcome_probabilities(povm11, jamiolkowski(channel))
         estimate = estimate_channel(povm11, probs * 10 ** 9, require='uc')
-        assert estimate.linear_estimate
         assert channel_distance(estimate, channel) <= 1e-9
 
     def test_finite_sample_distance_identity(self, povm11):

@@ -203,8 +203,9 @@ class TestSearch:
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             SearchConfig(dim=2, size=0, t=2)
-        with pytest.raises(InvalidInputError):
-            SearchConfig(dim=2, size=4, t=2, target_gap=0.0)
+        for gap in (0.0, -1.0, float('nan'), float('inf')):
+            with pytest.raises(InvalidInputError, match='target_gap must be finite and positive'):
+                SearchConfig(dim=2, size=4, t=2, target_gap=gap)
         with pytest.raises(InvalidInputError):
             SearchConfig(dim=2, size=6, t=2, weight_mode='per-basis')
         with pytest.raises(InvalidInputError):

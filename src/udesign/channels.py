@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NotChannelImageError
-from .linalg import ATOL_ALG, ATOL_KRAUS, CP_FLOOR, bipartite_dim, dag, haar_unitary, partial_trace, unvec
+from .errors import InvalidInputError, NotChannelImageError, ResourceLimitError
+from .linalg import (ATOL_ALG, ATOL_KRAUS, CP_FLOOR, MAX_KRAUS, bipartite_dim, dag, haar_unitaries,
+                     partial_trace, unvec)
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,8 @@ def _weyl_basis(d: int) -> np.ndarray:
 
 def depolarizing_channel(p: float, d: int) -> QuantumChannel:
     """A -> p·A + (1-p)·tr(A)·I/d, Kraus form over the shift-clock basis."""
+    if p is None:                   # the channel grammar's `depolarizing` without `:p`
+        raise InvalidInputError("depolarizing needs a parameter p in [0, 1]")
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"depolarizing parameter must lie in [0, 1], got {p}")
     basis = _weyl_basis(d)
@@ -156,19 +159,26 @@ def depolarizing_channel(p: float, d: int) -> QuantumChannel:
     return QuantumChannel.from_kraus(coeff[:, None, None] * basis)
 
 
-def random_unital_mix(k: int, d: int, rng: np.random.Generator) -> QuantumChannel:
-    """Probabilistic mixture of k Haar unitaries with flat-Dirichlet weights."""
+def _check_kraus_count(k: int, what: str) -> None:
+    # before any draw, so a refused k leaves the generator untouched
     if k < 1:
-        raise InvalidInputError(f"need at least one unitary, got k={k}")
+        raise InvalidInputError(f"need at least one {what}, got k={k}")
+    if k > MAX_KRAUS:
+        raise ResourceLimitError(f"Kraus count k = {k} exceeds the guard {MAX_KRAUS}")
+
+
+def random_unital_mix(k: int, d: int, rng: np.random.Generator) -> QuantumChannel:
+    """Probabilistic mixture of k Haar unitaries with flat-Dirichlet weights;
+    1 <= k <= ``MAX_KRAUS``."""
+    _check_kraus_count(k, 'unitary')
     probs = rng.dirichlet(np.ones(k))
-    kraus = [np.sqrt(r) * haar_unitary(d, rng) for r in probs]
-    return QuantumChannel.from_kraus(kraus)
+    return QuantumChannel.from_kraus(np.sqrt(probs)[:, None, None] * haar_unitaries(d, k, rng))
 
 
 def random_general_channel(k: int, d: int, rng: np.random.Generator) -> QuantumChannel:
-    """k Gaussian Kraus operators, polar-normalized so sum B†B = I."""
-    if k < 1:
-        raise InvalidInputError(f"need at least one Kraus operator, got k={k}")
+    """k Gaussian Kraus operators, polar-normalized so sum B†B = I;
+    1 <= k <= ``MAX_KRAUS``."""
+    _check_kraus_count(k, 'Kraus operator')
     raw = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
     gram = np.einsum('kba,kbc->ac', raw.conj(), raw)
     evals, evecs = np.linalg.eigh(gram)
@@ -176,40 +186,37 @@ def random_general_channel(k: int, d: int, rng: np.random.Generator) -> QuantumC
     return QuantumChannel.from_kraus(raw @ inv_sqrt)
 
 
-def channel_gallery(name: str, d: int, rng: np.random.Generator | None = None,
-                    param=None) -> QuantumChannel:
-    """Named channel constructions used by the simulator and the CLI.
+# The channel grammar `name` or `name:param`, one row per kind in help order: parameter letter
+# (None: takes none), its type and default, whether the kind draws from an rng, builder(param, d, rng).
+_CHANNELS = {
+    'identity': (None, int, None, False, lambda _, d, rng: QuantumChannel.from_kraus(np.eye(d)[None])),
+    'random_unitary': (None, int, None, True,
+                       lambda _, d, rng: QuantumChannel.from_kraus(haar_unitaries(d, 1, rng))),
+    'random_unital_mix': ('k', int, 3, True, random_unital_mix),
+    'depolarizing': ('p', float, None, False, lambda p, d, rng: depolarizing_channel(p, d)),
+    'random_general': ('k', int, 2, True, random_general_channel),
+}
+CHANNEL_FORMS = tuple(name + (f':{row[0]}' if row[0] else '') for name, row in _CHANNELS.items())
 
-    name ∈ {identity, random_unitary, random_unital_mix, depolarizing,
-    random_general}; `param` carries k or p where needed, and the first two
-    take none.
-    """
-    if param is not None and name in ('identity', 'random_unitary'):
+
+def channel_gallery(name: str, d: int, rng: np.random.Generator | None = None, param=None) -> QuantumChannel:
+    """The channel of one kind in ``CHANNEL_FORMS``; ``param`` is the k or p of
+    the kinds that name one, and the random kinds need ``rng``."""
+    if name not in _CHANNELS:
+        raise InvalidInputError(f"unknown channel name {name!r}")
+    letter, parse, default, random, build = _CHANNELS[name]
+    if param is not None and letter is None:
         raise InvalidInputError(f"channel {name!r} takes no parameter, got {param!r}")
-    if name == 'identity':
-        return QuantumChannel.from_kraus([np.eye(d, dtype=complex)])
-    if name == 'depolarizing':
-        if param is None:
-            raise InvalidInputError("depolarizing needs a parameter p in [0, 1]")
-        return depolarizing_channel(float(param), d)
-    if rng is None:
+    if random and rng is None:
         raise InvalidInputError(f"channel {name!r} is random and needs an rng")
-    if name == 'random_unitary':
-        return QuantumChannel.from_kraus([haar_unitary(d, rng)])
-    if name == 'random_unital_mix':
-        return random_unital_mix(int(param if param is not None else 3), d, rng)
-    if name == 'random_general':
-        return random_general_channel(int(param if param is not None else 2), d, rng)
-    raise InvalidInputError(f"unknown channel name {name!r}")
+    return build(default if param is None else parse(param), d, rng)
 
 
 def channel_from_spec(spec: str, d: int, rng: np.random.Generator | None = None) -> QuantumChannel:
-    """Parse the CLI channel grammar `name` or `name:param`."""
+    """Parse the CLI channel grammar `name` or `name:param` (``CHANNEL_FORMS``)."""
     name, _, raw = spec.partition(':')
-    param = None
-    if raw:
-        try:
-            param = float(raw) if name == 'depolarizing' else int(raw)
-        except ValueError as exc:
-            raise InvalidInputError(f"bad channel parameter {raw!r} in {spec!r}") from exc
+    try:
+        param = (_CHANNELS[name][1] if name in _CHANNELS else int)(raw) if raw else None
+    except ValueError as exc:
+        raise InvalidInputError(f"bad channel parameter {raw!r} in {spec!r}") from exc
     return channel_gallery(name, d, rng=rng, param=param)

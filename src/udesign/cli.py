@@ -4,7 +4,7 @@ Subcommands: design-verify, design-gallery, design-search, tomo, gamma.
 Exit codes: 0 success/pass, 1 certified fail / not converged / statistical
 mismatch, 2 usage or IO error, 3 numerical guard tripped.  With a fixed seed
 every run writes byte-identical files; UDESIGN_SEED serves as the fallback
-seed when --seed is absent.
+seed when --seed is absent.  Defaults, choices and thresholds are the library's.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .channels import channel_from_spec
+from .channels import CHANNEL_FORMS, channel_from_spec
 from .designs import (
     ATOL_CERT,
     GALLERY_CERTIFIED_T,
@@ -27,9 +27,9 @@ from .designs import (
 )
 from .errors import InvalidInputError, ResourceLimitError, UDesignError
 from .io import dumps, load_design, save_design, write_report, write_search_log
-from .linalg import STATE_CLASSES, make_rng
+from .linalg import STATE_CLASSES, Z_GATE, make_rng
 from .povm import povm_from_design, simulate, tight_check
-from .search import SearchConfig, search
+from .search import WEIGHT_MODES, SearchConfig, search
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -82,7 +82,7 @@ def _cmd_design_search(args) -> int:
                           seed=seed, target_gap=args.target_gap,
                           weight_mode=args.weights)
     trace = search(config)
-    final_gap = float(trace.gap_history[-1]) if len(trace.gap_history) else float('inf')
+    final_gap = float(trace.gap_history[-1])
     certified_t = args.t if trace.converged else None
     save_design(trace.result, args.out, certified_t=certified_t)
     write_search_log(str(args.out) + '.log.jsonl', trace.gap_history)
@@ -111,7 +111,7 @@ def _cmd_tomo(args) -> int:
     print(f"predicted:      {report.predicted:.6e}   purity: {report.purity:.6g}")
     print(f"z-score: {z:+.3f}")
     print(f"wrote {args.csv} and {mirror}")
-    return EXIT_PASS if abs(z) <= 5.0 else EXIT_FAIL
+    return EXIT_PASS if abs(z) <= Z_GATE else EXIT_FAIL
 
 
 def _cmd_gamma(args) -> int:
@@ -145,18 +145,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--size', type=int, required=True)
     p.add_argument('--t', type=int, required=True)
     p.add_argument('--seed', type=int, default=None)
-    p.add_argument('--restarts', type=int, default=20)
-    p.add_argument('--max-iter', type=int, default=2000)
-    p.add_argument('--weights', choices=('free', 'uniform', 'per-basis'), default='free')
-    p.add_argument('--target-gap', type=float, default=ATOL_CERT)
+    p.add_argument('--restarts', type=int, default=SearchConfig.restarts)
+    p.add_argument('--max-iter', type=int, default=SearchConfig.max_iterations)
+    p.add_argument('--weights', choices=WEIGHT_MODES, default=SearchConfig.weight_mode)
+    p.add_argument('--target-gap', type=float, default=SearchConfig.target_gap)
     p.add_argument('--out', required=True)
     p.set_defaults(func=_cmd_design_search)
 
     p = sub.add_parser('tomo', help='simulate ancilla-assisted process tomography')
     p.add_argument('--design', required=True)
-    p.add_argument('--channel', required=True,
-                   help="`name` or `name:param`: identity, random_unitary, "
-                        "random_unital_mix:k, depolarizing:p, random_general:k")
+    p.add_argument('--channel', required=True, help='`name` or `name:param`: ' + ', '.join(CHANNEL_FORMS))
     p.add_argument('--shots', type=int, required=True)
     p.add_argument('--trials', type=int, default=200)
     p.add_argument('--seed', type=int, default=None)

@@ -26,6 +26,7 @@ from .linalg import (
     PHASE_TIE,
     assert_unitary,
     check_cert_threshold,
+    check_dim,
     permutation_operator,
     swap_operator,
 )
@@ -64,8 +65,9 @@ def canonical_phase(u: np.ndarray) -> np.ndarray:
 class WeightedUnitarySet:
     """Finite weighted subset of PU(d): unitaries with positive weights.
 
-    Weights must be positive and sum to one; elements are phase-canonicalized
-    on construction.  Phase-distinctness is an ingestion-level invariant,
+    ``dim`` must be an integer >= 2 (:func:`check_dim`), weights must be
+    positive and sum to one; elements are phase-canonicalized on
+    construction.  Phase-distinctness is an ingestion-level invariant,
     checked by :func:`assert_phase_distinct` at the file boundary and after
     group closure (optimizer-internal sets may transiently contain
     phase-equivalent copies).
@@ -76,6 +78,7 @@ class WeightedUnitarySet:
     weights: np.ndarray      # (n,)
 
     def __post_init__(self):
+        check_dim(self.dim)
         unitaries = np.asarray(self.unitaries, dtype=complex)
         weights = np.asarray(self.weights, dtype=float)
         if unitaries.ndim != 3 or unitaries.shape[1:] != (self.dim, self.dim):
@@ -306,7 +309,8 @@ def group_closure(generators, max_order: int = 10_000) -> WeightedUnitarySet:
 
 def unitary_operator_frame(n: int, d: int) -> WeightedUnitarySet:
     """Unweighted 1-design of n >= d² unitaries with matrix elements
-    <j|U_m|k> = exp(2πi jk/d + 2πi (j + kd) m/n)/sqrt(d)."""
+    <j|U_m|k> = exp(2πi jk/d + 2πi (j + kd) m/n)/sqrt(d); d must be an integer >= 2."""
+    check_dim(d)
     if n < d * d:
         raise InvalidInputError(f"a 1-design needs at least d² = {d * d} elements, got n={n}")
     j, k, m = np.arange(d)[:, None], np.arange(d)[None, :], np.arange(n)[:, None, None]

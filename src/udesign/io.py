@@ -16,7 +16,7 @@ import numpy as np
 
 from .designs import WeightedUnitarySet, assert_phase_distinct
 from .errors import InvalidInputError
-from .linalg import ATOL_FILE_WEIGHTS
+from .linalg import ATOL_FILE_WEIGHTS, check_dim
 from .povm import TomographyReport
 
 REPORT_FIELDS = ('class', 'd', 'N', 'trials', 'empirical_mean', 'std_err',
@@ -117,8 +117,7 @@ def design_from_json(doc: dict) -> tuple[WeightedUnitarySet, int | None]:
         if field not in doc:
             raise InvalidInputError(f"design file is missing the {field!r} field")
     dim = doc['dim']
-    if not isinstance(dim, int) or dim < 2:
-        raise InvalidInputError(f"'dim' must be an integer >= 2, got {dim!r}")
+    check_dim(dim)
     elements = doc['elements']
     if not isinstance(elements, list) or not elements:
         raise InvalidInputError("'elements' must be a non-empty list")

@@ -45,8 +45,11 @@ PHASE_TIE = 1e-12          # canonical_phase: relative tie on the largest modulu
 PHASE_REAL = 1e-14         # canonical_phase: relative imaginary part of a pivot read as real
 PURITY_SLACK = 1e-12       # float slack on the purity range [1/d², 1] of an error prediction
 ATOL_FILE_WEIGHTS = 1e-6   # weight-sum defect a design file may carry before renormalization
-# Guard on total tensor-product dimension for permutation operators.
+Z_GATE = 5.0               # |z| of tomo's mean error against the class prediction above which the run fails
+# Resource guards: total tensor-product dimension of a permutation operator,
+# and Kraus count k of a random channel, checked before anything is drawn.
 MAX_PERM_DIM = 10_000
+MAX_KRAUS = 1_000
 
 
 def check_cert_threshold(value: float, name: str) -> None:
@@ -54,6 +57,13 @@ def check_cert_threshold(value: float, name: str) -> None:
     passes) is finite and positive; ``name`` is the caller's word for it."""
     if not (np.isfinite(value) and value > 0):
         raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_dim(dim) -> None:
+    """Raise unless ``dim`` is an integer >= 2: the dimension rule of every
+    weighted set, read by the set constructor, the gallery and the file reader."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 2:
+        raise InvalidInputError(f"'dim' must be an integer >= 2, got {dim!r}")
 
 
 def dag(a: np.ndarray) -> np.ndarray:

@@ -33,6 +33,10 @@ POLISH_MAX_STEPS = 50
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Search parameters, checked before any work: size, max_iterations and
+    restarts at least 1, target_gap finite and positive, weight_mode one of
+    ``WEIGHT_MODES``.  The CLI reads its defaults and choices here."""
+
     dim: int
     size: int
     t: int
@@ -43,8 +47,9 @@ class SearchConfig:
     weight_mode: str = 'free'
 
     def __post_init__(self):
-        if self.size < 1:
-            raise InvalidInputError(f"size must be >= 1, got {self.size}")
+        for name in ('size', 'max_iterations', 'restarts'):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
         check_cert_threshold(self.target_gap, 'target_gap')
         if self.weight_mode not in WEIGHT_MODES:
             raise InvalidInputError(f"weight_mode must be one of {WEIGHT_MODES}")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from udesign.channels import (
+    CHANNEL_FORMS,
     ChannelEstimate,
     QuantumChannel,
     apply_process_matrix,
@@ -16,8 +17,8 @@ from udesign.channels import (
     random_unital_mix,
     rotate_channel,
 )
-from udesign.errors import InvalidInputError, NotChannelImageError
-from udesign.linalg import dag, haar_unitary, make_rng, partial_trace, unvec, vec
+from udesign.errors import InvalidInputError, NotChannelImageError, ResourceLimitError
+from udesign.linalg import MAX_KRAUS, dag, haar_unitary, make_rng, partial_trace, unvec, vec
 
 
 def random_state(d, rng):
@@ -170,6 +171,45 @@ class TestGallery:
     def test_parameterless_channels_refuse_a_parameter(self, spec):
         with pytest.raises(InvalidInputError, match='takes no parameter'):
             channel_from_spec(spec, 2, rng=make_rng(1))
+
+    @pytest.mark.parametrize('build', [
+        lambda k, rng: random_unital_mix(k, 2, rng),
+        lambda k, rng: random_general_channel(k, 2, rng),
+        lambda k, rng: channel_gallery('random_general', 3, rng=rng, param=k),
+        lambda k, rng: channel_from_spec(f'random_unital_mix:{k}', 3, rng=rng),
+        lambda k, rng: channel_from_spec(f'random_general:{k}', 2, rng=rng),
+    ])
+    @pytest.mark.parametrize('k', [MAX_KRAUS + 1, 2 * MAX_KRAUS])
+    def test_kraus_count_above_the_guard_is_refused_before_any_draw(self, build, k):
+        rng = make_rng(8)
+        with pytest.raises(ResourceLimitError, match=f'^Kraus count k = {k} exceeds the guard {MAX_KRAUS}$'):
+            build(k, rng)
+        # the generator was not advanced: its next draw is a fresh generator's first
+        assert rng.standard_normal(4).tobytes() == make_rng(8).standard_normal(4).tobytes()
+
+    @pytest.mark.parametrize('d', [2, 3])
+    @pytest.mark.parametrize('k', [1, 2, 3, 4])
+    def test_unital_mix_draws_one_haar_stack(self, d, k):
+        # the reference: the Dirichlet weights, then k successive Haar draws
+        rng = make_rng(100 * d + k)
+        probs = rng.dirichlet(np.ones(k))
+        reference = np.array([np.sqrt(r) * haar_unitary(d, rng) for r in probs])
+        channel = random_unital_mix(k, d, make_rng(100 * d + k))
+        assert channel.kraus.tobytes() == reference.tobytes()
+
+    def test_help_forms_list_every_kind(self):
+        assert CHANNEL_FORMS == ('identity', 'random_unitary', 'random_unital_mix:k',
+                                 'depolarizing:p', 'random_general:k')
+        for form in CHANNEL_FORMS:
+            name, _, letter = form.partition(':')
+            param = {'k': 2, 'p': 0.5}.get(letter)
+            assert channel_gallery(name, 2, rng=make_rng(0), param=param).dim == 2
+
+    def test_unknown_name_is_named_before_the_missing_rng(self):
+        with pytest.raises(InvalidInputError, match="^unknown channel name 'nope'$"):
+            channel_gallery('nope', 2)
+        with pytest.raises(InvalidInputError, match="^bad channel parameter 'x' in 'nope:x'$"):
+            channel_from_spec('nope:x', 2)
 
 
 class TestChannelTypes:

@@ -65,6 +65,23 @@ class TestGallery:
         code, _, _ = run(capsys, 'design-gallery', '--name', 'nope', '--out', str(tmp_path / 'x.json'))
         assert code == 2
 
+    @pytest.mark.parametrize('dim', [-1, 0, 1, 2, 3])
+    @pytest.mark.parametrize('n', [0, 4, 5, 9])
+    def test_every_written_file_loads_back(self, capsys, tmp_path, n, dim):
+        # a size or dimension the set refuses is one error line and no file
+        out = tmp_path / 'x.json'
+        code, _, err = run(capsys, 'design-gallery', '--name', 'utof', '--n', str(n), '--dim', str(dim),
+                           '--out', str(out))
+        if code == 0:
+            s, certified = load_design(out)
+            assert (len(s), s.dim, certified) == (n, dim, 1)
+        else:
+            assert code == 2 and err.startswith('error: ') and err.count('\n') == 1
+            assert not out.exists()
+        assert code == (0 if dim >= 2 and n >= dim * dim else 2)
+        if dim < 2:
+            assert err == f"error: 'dim' must be an integer >= 2, got {dim}\n"
+
 
 class TestVerify:
     def test_pass_and_fail_levels(self, capsys, tmp_path):
@@ -123,6 +140,15 @@ class TestSearch:
         gaps = [r['gap'] for r in records]
         assert all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 1e-6
+
+    @pytest.mark.parametrize('flag,field', [('--restarts', 'restarts'), ('--max-iter', 'max_iterations')])
+    @pytest.mark.parametrize('value', ['0', '-1', '-5'])
+    def test_restarts_and_iterations_below_one_are_usage_errors(self, capsys, tmp_path, flag, field, value):
+        out = tmp_path / 's.json'
+        code, stdout, err = run(capsys, 'design-search', '--dim', '2', '--size', '4', '--t', '1',
+                                flag, value, '--out', str(out))
+        assert (code, stdout, err) == (2, '', f"error: {field} must be >= 1, got {value}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_enumeration_guard_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, 'design-search', '--dim', '2', '--size', '4',
@@ -293,6 +319,24 @@ class TestTomo:
                            '--shots', '100', '--trials', '10', '--csv', str(tmp_path / 'r.csv'))
         assert code == 2 and err.startswith('error: channel') and 'takes no parameter' in err
 
+    @pytest.mark.parametrize('spec', ['random_unital_mix:1001', 'random_general:1001', 'random_general:2000'])
+    def test_kraus_count_above_the_guard_exits_3(self, capsys, tmp_path, design_file, spec):
+        csv = tmp_path / 'r.csv'
+        code, stdout, err = run(capsys, 'tomo', '--design', str(design_file), '--channel', spec,
+                                '--shots', '100', '--trials', '10', '--csv', str(csv))
+        k = spec.partition(':')[2]
+        assert (code, stdout, err) == (3, '', f"guard: Kraus count k = {k} exceeds the guard 1000\n")
+        assert not csv.exists()
+
+    def test_exit_code_reads_the_z_gate(self, capsys, tmp_path, design_file, monkeypatch):
+        argv = ['tomo', '--design', str(design_file), '--channel', 'depolarizing:0.25',
+                '--shots', '2000', '--trials', '20', '--seed', '5', '--csv', str(tmp_path / 'r.csv')]
+        code, stdout, _ = run(capsys, *argv)
+        z = float(stdout.split('z-score: ')[1].split()[0])
+        assert code == 0 and 0 < abs(z) <= 5.0
+        monkeypatch.setattr('udesign.cli.Z_GATE', abs(z) / 2)
+        assert run(capsys, *argv)[0] == 1
+
 
 class TestParserReuse:
     def test_repeat_calls_write_identical_files(self, capsys, tmp_path):
@@ -382,6 +426,20 @@ def test_search_and_verify_defaults_share_the_certification_tolerance():
     assert verify.tol == ATOL_CERT
     assert found.target_gap == ATOL_CERT
     assert SearchConfig(dim=2, size=4, t=1).target_gap == ATOL_CERT
+
+
+def test_parser_takes_defaults_and_choices_from_the_library(capsys):
+    from udesign.channels import CHANNEL_FORMS
+    from udesign.search import WEIGHT_MODES, SearchConfig
+
+    found = build_parser().parse_args(['design-search', '--dim', '2', '--size', '4', '--t', '1', '--out', 'f.json'])
+    library = SearchConfig(dim=2, size=4, t=1)
+    assert (found.restarts, found.max_iter, found.weights) == \
+        (library.restarts, library.max_iterations, library.weight_mode)
+    assert main(['design-search', '--help']) == 0
+    assert '{' + ','.join(WEIGHT_MODES) + '}' in capsys.readouterr().out
+    assert main(['tomo', '--help']) == 0
+    assert '`name` or `name:param`: ' + ', '.join(CHANNEL_FORMS) in ' '.join(capsys.readouterr().out.split())
 
 
 def test_public_names_unchanged():

@@ -461,6 +461,16 @@ class TestWeightedUnitarySet:
         with pytest.raises(InvalidInputError):
             WeightedUnitarySet(2, [np.ones((2, 2))], [1.0])
 
+    @pytest.mark.parametrize('dim', [1, 0, -2, 2.0, True])
+    def test_dimension_must_be_an_integer_of_at_least_two(self, dim):
+        with pytest.raises(InvalidInputError, match=f"^'dim' must be an integer >= 2, got {dim!r}$"):
+            WeightedUnitarySet(dim, np.ones((1, 1, 1)), [1.0])
+
+    @pytest.mark.parametrize('n,d', [(4, 1), (0, 0), (5, 0), (3, -1)])
+    def test_operator_frame_checks_the_dimension_first(self, n, d):
+        with pytest.raises(InvalidInputError, match=f"^'dim' must be an integer >= 2, got {d}$"):
+            unitary_operator_frame(n, d)
+
     def test_phase_canonicalization_applied_on_ingestion(self):
         s = uniform_set(2, [np.exp(1j * 0.7) * np.eye(2)])
         assert np.allclose(s.unitaries[0], np.eye(2))

@@ -211,6 +211,13 @@ class TestSearch:
         with pytest.raises(InvalidInputError):
             SearchConfig(dim=2, size=4, t=2, weight_mode='sorted')
 
+    @pytest.mark.parametrize('field', ['restarts', 'max_iterations'])
+    @pytest.mark.parametrize('value', [0, -1, -5])
+    def test_restarts_and_iterations_must_be_positive(self, field, value):
+        with pytest.raises(InvalidInputError, match=f'^{field} must be >= 1, got {value}$'):
+            SearchConfig(dim=2, size=4, t=1, **{field: value})
+        assert getattr(SearchConfig(dim=2, size=4, t=1, **{field: 1}), field) == 1
+
 
 def povm_defect(s):
     povm = povm_from_design(s)

@@ -42,6 +42,7 @@ _PAULI = {
 }
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _PHASE = np.array([[1, 0], [0, 1j]], dtype=complex)
+_GOLDEN = (1 + np.sqrt(5)) / 2
 
 
 def canonical_phase(u: np.ndarray) -> np.ndarray:
@@ -181,8 +182,9 @@ def gamma(t: int, d: int) -> int:
     subsequence longer than d.  Equals t! once d >= t, and the Catalan
     number (2t)!/(t!(t+1)!) at d = 2.
     """
-    if t < 1 or d < 2:
-        raise InvalidInputError(f"need t >= 1 and d >= 2, got t={t}, d={d}")
+    if t < 1:
+        raise InvalidInputError(f"t must be >= 1, got {t}")
+    check_dim(d)
     if t > MAX_GAMMA_T:
         raise ResourceLimitError(f"gamma enumeration capped at t <= {MAX_GAMMA_T}, got t={t}")
     if d >= t:
@@ -199,8 +201,7 @@ def haar_moment(t: int, d: int) -> np.ndarray:
     operators P_3412, P_4321, P_4312, P_3421 with coefficients 1/(d²-1) and
     -1/(d(d²-1)).
     """
-    if d < 2:
-        raise InvalidInputError(f"dimension must be >= 2, got {d}")
+    check_dim(d)
     if t == 1:
         return swap_operator(d) / d
     if t == 2:
@@ -333,33 +334,6 @@ def _pu2_11pt() -> WeightedUnitarySet:
     return WeightedUnitarySet(2, unitaries, weights)
 
 
-def _pu2_600cell() -> WeightedUnitarySet:
-    # 120 vertices of the 600-cell: unit-quaternion permutations of
-    # (±1,0,0,0), (±1/2,±1/2,±1/2,±1/2) and even permutations of
-    # (0, ±1/2, ±phi/2, ±1/(2 phi)); antipodal pairs collapse to 60 points.
-    phi = (1 + np.sqrt(5)) / 2
-    verts = []
-    for i in range(4):
-        for sign in (1.0, -1.0):
-            v = [0.0] * 4
-            v[i] = sign
-            verts.append(v)
-    for signs in itertools.product((0.5, -0.5), repeat=4):
-        verts.append(list(signs))
-    base = (0.0, 0.5, phi / 2, 1 / (2 * phi))
-    for perm in itertools.permutations(range(4)):
-        inversions = sum(1 for i in range(4) for j in range(i + 1, 4) if perm[i] > perm[j])
-        if inversions % 2:
-            continue
-        pattern = [base[j] for j in perm]
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            it = iter(signs)
-            verts.append([x * (next(it) if x != 0.0 else 1.0) for x in pattern])
-    # one vertex per antipodal pair: the one whose first nonzero coordinate is positive
-    points = [v for v in verts if next(x for x in v if x != 0.0) > 0]
-    return uniform_set(2, np.array([quat_to_unitary(p) for p in points]))
-
-
 def pu2_muub_family() -> list[WeightedUnitarySet]:
     """The three mutually unbiased unitary bases inside the 12-point design.
 
@@ -388,7 +362,8 @@ _GALLERY = {
     'pu2_11pt': (lambda n, dim: _pu2_11pt(), 2),
     'pu2_clifford12': (lambda n, dim: group_closure([_HADAMARD @ _PHASE, _PHASE @ _PHASE]), 2),
     'pu2_clifford24': (lambda n, dim: group_closure([_HADAMARD, _PHASE]), 3),
-    'pu2_600cell': (lambda n, dim: _pu2_600cell(), 5),
+    'pu2_600cell': (lambda n, dim: group_closure(
+        [quat_to_unitary(np.array(q) / 2) for q in ((1, 1, 1, 1), (_GOLDEN, 0, 1, 1 / _GOLDEN))]), 5),
 }
 GALLERY_NAMES = tuple(_GALLERY)
 GALLERY_CERTIFIED_T = {name: t for name, (_, t) in _GALLERY.items()}
@@ -400,7 +375,8 @@ def gallery(name: str, n: int | None = None, dim: int | None = None) -> Weighted
     utof(n, d) is an unweighted 1-design for any n >= d²; pu2_11pt is the
     minimal weighted PU(2) 2-design; pu2_clifford12 (the closure of <HR, R²>)
     and pu2_clifford24 (the projective Clifford group <H, R>) are unweighted
-    2- and 3-designs; pu2_600cell is the 60-point 5-design from the 600-cell.
+    2- and 3-designs; pu2_600cell, the 60-point 5-design from the 600-cell, is
+    the closure of the unit quaternions (1, 1, 1, 1)/2 and (phi, 0, 1, 1/phi)/2.
     ``n`` and ``dim`` are read by utof only.
     """
     if name not in _GALLERY:

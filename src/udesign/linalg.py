@@ -60,8 +60,8 @@ def check_cert_threshold(value: float, name: str) -> None:
 
 
 def check_dim(dim) -> None:
-    """Raise unless ``dim`` is an integer >= 2: the dimension rule of every
-    weighted set, read by the set constructor, the gallery and the file reader."""
+    """Raise unless ``dim`` is an integer >= 2: the package's one dimension
+    rule, for weighted sets, design files, searches, bases and moments."""
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 2:
         raise InvalidInputError(f"'dim' must be an integer >= 2, got {dim!r}")
 
@@ -124,8 +124,7 @@ def herm_basis(d: int) -> np.ndarray:
     finally the d-1 diagonal traceless operators.  All elements satisfy
     tr(b_j b_k) = delta_jk, and every element but the first is traceless.
     """
-    if d < 2:
-        raise InvalidInputError(f"dimension must be >= 2, got {d}")
+    check_dim(d)
     ops = [np.eye(d, dtype=complex) / np.sqrt(d)]
     for j in range(d):
         for k in range(j + 1, d):

@@ -332,6 +332,5 @@ def estimate_channel(povm: DiscretePovm, counts: np.ndarray,
     if counts.shape != (len(povm),) or counts.sum() <= 0:
         raise InvalidInputError("counts must hold one nonnegative total per outcome")
     d = bipartite_dim(povm.dim, "channel estimation")
-    duals = canonical_dual(povm, require=require)
-    rho_hat = reconstruct(duals, counts / counts.sum())
+    rho_hat = herm_from_coords((counts / counts.sum()) @ _dual_coords(povm, require))
     return ChannelEstimate(dim=d, process=d * rho_hat)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import ATOL_CERT, WeightedUnitarySet, frame_potential, gamma, merge_phase_duplicates
+from .designs import ATOL_CERT, WeightedUnitarySet, certify, gamma, merge_phase_duplicates
 from .errors import InvalidInputError
-from .linalg import check_cert_threshold, dag, haar_unitaries, herm_basis, log_unitary, make_rng
+from .linalg import check_cert_threshold, check_dim, dag, haar_unitaries, herm_basis, log_unitary, make_rng
 
 WEIGHT_MODES = ('free', 'uniform', 'per-basis')
 # Cap on trial steps of the residual polish; singular sets need about 15.
@@ -33,9 +33,10 @@ POLISH_MAX_STEPS = 50
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search parameters, checked before any work: size, max_iterations and
-    restarts at least 1, target_gap finite and positive, weight_mode one of
-    ``WEIGHT_MODES``.  The CLI reads its defaults and choices here."""
+    """Search parameters, checked before any work: dim an integer >= 2
+    (:func:`check_dim`), t, size, max_iterations and restarts at least 1,
+    target_gap finite and positive, weight_mode one of ``WEIGHT_MODES``.
+    The CLI reads its defaults and choices here."""
 
     dim: int
     size: int
@@ -47,6 +48,9 @@ class SearchConfig:
     weight_mode: str = 'free'
 
     def __post_init__(self):
+        check_dim(self.dim)
+        if self.t < 1:
+            raise InvalidInputError(f"t must be >= 1, got {self.t}")
         for name in ('size', 'max_iterations', 'restarts'):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -81,9 +85,7 @@ def _weights_from_logits(logits: np.ndarray, mode: str, d: int) -> np.ndarray:
     if mode == 'uniform':
         return np.full(n, 1.0 / n)
     if mode == 'per-basis':
-        block = d * d
-        tied = np.repeat(logits.reshape(-1, block).mean(axis=1), block)
-        logits = tied
+        logits = np.repeat(logits.reshape(-1, d * d).mean(axis=1), d * d)
     shifted = np.exp(logits - logits.max())
     return shifted / shifted.sum()
 
@@ -205,17 +207,55 @@ def _package(theta: np.ndarray, config: SearchConfig) -> WeightedUnitarySet:
     return merge_phase_duplicates(raw)
 
 
+def _residual_jacobian(unitaries: np.ndarray, weights: np.ndarray, free_weights: bool):
+    """Jacobian of the 1-design residual R (as floats) in the steps :func:`_polish`
+    takes from the set: the column of a step along A_k at element x is
+    d w_x (a f† + f a†) with f = vec(U_x), a = vec(i A_k U_x), and that of
+    weight logit y is d w_y (P_y - sum_x w_x P_x), P = f f†.  It is applied,
+    never stored, so memory stays O(n d²) rather than O(n d⁶)."""
+    from scipy.sparse.linalg import LinearOperator
+
+    n, d = unitaries.shape[:2]
+    gens = _generators(d)[1:]               # the identity only shifts a phase
+    m = len(gens)
+    flat = unitaries.reshape(n, -1)
+
+    def matvec(v):
+        v = np.ravel(v)
+        a = (1j * np.einsum('xk,kab->xab', v[:n * m].reshape(n, m), gens) @ unitaries).reshape(n, -1)
+        half = d * (weights * a.T) @ flat.conj()
+        dr = half + half.conj().T
+        if free_weights:
+            dl = v[n * m:]
+            dr += d * (weights * (dl - weights @ dl) * flat.T) @ flat.conj()
+        return dr.reshape(-1).view(float)
+
+    def rmatvec(u):
+        # <column, H> = Re tr(column† H); with K = H + H† and Z_x = unvec(K f_x),
+        # the step rows are d w_x Re(a† K f) = d w_x Im tr(A_k Z_x U_x†) and the
+        # weight rows d w_y (q_y - w·q), q_y = Re(f_y† H f_y)
+        h = np.ascontiguousarray(np.ravel(u), dtype=float).view(complex).reshape(d * d, d * d)
+        kf = flat @ (h + h.conj().T).T
+        z = kf.reshape(n, d, d) @ dag(unitaries)
+        rows = [(d * weights[:, None] * np.imag(np.einsum('kab,xba->xk', gens, z))).reshape(-1)]
+        if free_weights:
+            q = 0.5 * np.real(np.einsum('xi,xi->x', flat.conj(), kf))
+            rows.append(d * weights * (q - weights @ q))
+        return np.concatenate(rows)
+
+    shape = (2 * d ** 4, n * m + (n if free_weights else 0))
+    return LinearOperator(shape, matvec=matvec, rmatvec=rmatvec, dtype=float)
+
+
 def _polish(s: WeightedUnitarySet, free_weights: bool) -> WeightedUnitarySet:
     """Drive the 1-design residual R = d sum_x w_x vec(U_x)vec(U_x)† - I,
     which equals the POVM defect sum F - I, to float precision.
 
-    Each element moves by a Cayley step C(G_x) U_x with G_x a combination of
-    the traceless generators, so it stays unitary; free weights move through
-    a softmax on their logs, so they stay positive and normalized.  The
-    Jacobian is closed form: the column of a step along A_k at element x is
-    d w_x (a f† + f a†) with f = vec(U_x) and a = vec(dU_x), and the column
-    of weight logit y is d w_y (P_y - sum_x w_x P_x).  It is applied as an
-    operator and never stored, so memory stays O(n d²) rather than O(n d⁶).
+    Each step starts from the current set.  Element x moves to C(G_x) U_x,
+    with C the Cayley map and G_x a combination of the traceless generators,
+    so it stays unitary; free weights move to the softmax of log w + delta,
+    so they stay positive and normalized.  The Jacobian is
+    :func:`_residual_jacobian` at the current set.
 
     Each step is a Gauss-Newton step damped by |R| (Levenberg-Marquardt with
     the Yamashita-Fukushima parameter |R|², solved by LSMR), which keeps
@@ -225,87 +265,48 @@ def _polish(s: WeightedUnitarySet, free_weights: bool) -> WeightedUnitarySet:
     |R| <= 8 eps d², an absolute test (before SciPy 1.16, scipy's
     least_squares offers only relative ones).
     """
-    from scipy.sparse.linalg import LinearOperator, lsmr
+    from scipy.sparse.linalg import lsmr
 
     d, n = s.dim, len(s)
-    gens = _generators(d)[1:]               # the identity only shifts a phase
+    gens = _generators(d)[1:]
     m = len(gens)
     eye = np.eye(d)
-    base, log_w = s.unitaries, np.log(s.weights)
 
-    def unpack(p):
-        g = np.einsum('xk,kab->xab', p[:n * m].reshape(n, m), gens)
-        inv = np.linalg.inv(eye - 0.5j * g)
-        cayley = inv @ (eye + 0.5j * g)
-        logits = log_w + p[n * m:] if free_weights else log_w
-        w = np.exp(logits - logits.max())
-        return inv, cayley, (cayley @ base).reshape(n, -1), w / w.sum()
-
-    def residual(p):
-        _, _, flat, w = unpack(p)
-        r = d * (w * flat.T) @ flat.conj() - np.eye(d * d)
-        return r.reshape(-1).view(float)
-
-    def jacobian(p):
-        inv, cayley, flat, w = unpack(p)
-        # dC(G)/dp_xk = inv_x (i A_k / 2) lift_x; at p = 0 this is i A_k U_x
-        lift = (cayley + eye) @ base
-        lift_h, inv_h = np.conj(np.swapaxes(lift, 1, 2)), np.conj(np.swapaxes(inv, 1, 2))
-
-        def matvec(v):
-            v = np.ravel(v)
-            dg = np.einsum('xk,kab->xab', v[:n * m].reshape(n, m), gens)
-            a = (0.5j * inv @ dg @ lift).reshape(n, -1)
-            half = d * (w * a.T) @ flat.conj()
-            dr = half + half.conj().T
-            if free_weights:
-                dl = v[n * m:]
-                dr += d * (w * (dl - w @ dl) * flat.T) @ flat.conj()
-            return dr.reshape(-1).view(float)
-
-        def rmatvec(u):
-            # <column, H> = Re tr(column† H); with K = H + H†, the step rows
-            # are d w_x Re(a† K f) and the weight rows d w_y (q_y - w·q),
-            # q_y = Re(f_y† H f_y)
-            h = np.ascontiguousarray(np.ravel(u), dtype=float).view(complex).reshape(d * d, d * d)
-            kf = flat @ (h + h.conj().T).T
-            z = inv_h @ kf.reshape(n, d, d) @ lift_h
-            rows = [(d * w[:, None] * np.real(-0.5j * np.einsum('kab,xba->xk', gens, z))).reshape(-1)]
-            if free_weights:
-                q = 0.5 * np.real(np.einsum('xi,xi->x', flat.conj(), kf))
-                rows.append(d * w * (q - w @ q))
-            return np.concatenate(rows)
-
-        return LinearOperator((2 * d ** 4, len(p)), matvec=matvec, rmatvec=rmatvec, dtype=float)
+    def residual(u, w):
+        flat = u.reshape(n, -1)
+        return (d * (w * flat.T) @ flat.conj() - np.eye(d * d)).reshape(-1).view(float)
 
     floor = 8 * np.finfo(float).eps * d * d
-    p = np.zeros(n * m + (n if free_weights else 0))
-    r = residual(p)
+    u, w = s.unitaries, s.weights
+    r = residual(u, w)
     norm, boost = np.linalg.norm(r), 1.0
     for _ in range(POLISH_MAX_STEPS):
         if norm <= floor:
             break
-        step = lsmr(jacobian(p), -r, damp=boost * norm, atol=1e-10, btol=1e-10)[0]
-        trial = residual(p + step)
+        step = lsmr(_residual_jacobian(u, w, free_weights), -r, damp=boost * norm,
+                    atol=1e-10, btol=1e-10)[0]
+        g = np.einsum('xk,kab->xab', step[:n * m].reshape(n, m), gens)
+        trial_u = np.linalg.solve(eye - 0.5j * g, (eye + 0.5j * g) @ u)
+        trial_w = _weights_from_logits(np.log(w) + step[n * m:], 'free', d) if free_weights else w
+        trial = residual(trial_u, trial_w)
         if np.linalg.norm(trial) < norm:
-            p, r, norm = p + step, trial, np.linalg.norm(trial)
+            u, w, r, norm = trial_u, trial_w, trial, np.linalg.norm(trial)
             boost = max(boost / 4, 1.0)
         else:
             boost *= 10
-    _, _, flat, w = unpack(p)
-    return WeightedUnitarySet(d, flat.reshape(n, d, d), w)
+    return WeightedUnitarySet(d, u, w)
 
 
 def _finish(s: WeightedUnitarySet, gap: float, config: SearchConfig, history: list[float],
             start: float, best_restart: int) -> SearchTrace:
-    # A converged set is polished unless that would lift its gap above target.
+    # A converged set is replaced by its polish when certify passes the polish at target_gap.
     converged = bool(gap <= config.target_gap)
     if converged:
         polished = _polish(s, free_weights=config.weight_mode == 'free')
-        if frame_potential(polished, config.t) - float(gamma(config.t, config.dim)) <= config.target_gap:
+        if certify(polished, config.t, config.target_gap).passed:
             s = polished
     return SearchTrace(
-        gap_history=np.minimum.accumulate(np.asarray(history)),
+        gap_history=np.asarray(history),
         result=s,
         converged=converged,
         wall_time=time.perf_counter() - start,
@@ -322,10 +323,10 @@ def search(config: SearchConfig) -> SearchTrace:
     reported through the flag, never raised.
 
     A converged result is polished to a 1-design residual at float precision
-    (see :func:`_polish`) without lifting its gap above ``target_gap``, so
-    :func:`povm_from_design` accepts every converged result.  Weights stay
-    fixed in the ``uniform`` and ``per-basis`` modes.  ``gap_history`` traces
-    the L-BFGS restarts only.
+    (see :func:`_polish`), and the polish is kept when :func:`certify` passes
+    it at ``target_gap``, so :func:`povm_from_design` accepts every converged
+    result.  Weights stay fixed in the ``uniform`` and ``per-basis`` modes.
+    ``gap_history`` traces the L-BFGS restarts only.
     """
     start = time.perf_counter()
     children = make_rng(config.seed).spawn(config.restarts)
@@ -345,17 +346,16 @@ def search(config: SearchConfig) -> SearchTrace:
 def refine(s: WeightedUnitarySet, config: SearchConfig) -> SearchTrace:
     """Local refinement from an existing set; never worse than the input.
 
-    A converged result is polished as in :func:`search`; the polish may move
-    its gap, but never above ``target_gap``.
+    The input gap is :func:`certify`'s.  A converged result is polished as in
+    :func:`search`.
     """
     if s.dim != config.dim or len(s) != config.size:
         raise InvalidInputError(
             f"set has dim={s.dim}, n={len(s)} but config expects dim={config.dim}, n={config.size}")
     start = time.perf_counter()
-    input_gap = frame_potential(s, config.t) - float(gamma(config.t, config.dim))
-    theta0 = theta_from_set(s)
+    input_gap = certify(s, config.t, config.target_gap).gap
     history = [input_gap]
-    gap, theta = _minimize_from(theta0, config, history)
+    gap, theta = _minimize_from(theta_from_set(s), config, history)
     if gap <= input_gap:
         result = _package(theta, config)
     else:                                   # line search never accepts ascent, but keep the contract explicit

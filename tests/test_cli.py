@@ -150,6 +150,14 @@ class TestSearch:
         assert (code, stdout, err) == (2, '', f"error: {field} must be >= 1, got {value}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize('dim,t,message', [
+        ('1', '1', "'dim' must be an integer >= 2, got 1"), ('2', '0', 't must be >= 1, got 0')])
+    def test_dimension_and_t_are_checked_before_any_work(self, capsys, tmp_path, dim, t, message):
+        code, stdout, err = run(capsys, 'design-search', '--dim', dim, '--size', '4', '--t', t,
+                                '--out', str(tmp_path / 's.json'))
+        assert (code, stdout, err) == (2, '', f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_enumeration_guard_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, 'design-search', '--dim', '2', '--size', '4',
                            '--t', '11', '--seed', '1', '--restarts', '1',
@@ -406,6 +414,17 @@ def test_tomo_run_loads_no_scipy(tmp_path):
                          capture_output=True, text=True, check=True,
                          env={**os.environ, 'PYTHONPATH': os.pathsep.join(sys.path)})
     assert out.stdout.strip().splitlines()[-1] == '[0, 0, 2] []'
+
+
+def test_readme_python_example_runs(tmp_path):
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    blocks = (root / 'README.md').read_text().split('```python\n')[1:]
+    assert len(blocks) == 1
+    out = subprocess.run([sys.executable, '-c', blocks[0].split('```')[0]], capture_output=True, text=True,
+                         cwd=tmp_path, env={**os.environ, 'PYTHONPATH': str(root / 'src')})
+    assert out.returncode == 0, out.stderr
 
 
 def test_cli_import_loads_no_scipy_solvers():

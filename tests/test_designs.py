@@ -104,6 +104,13 @@ class TestGamma:
         with pytest.raises(ResourceLimitError):
             gamma(10, 2)
 
+    def test_t_and_dimension_checks(self):
+        with pytest.raises(InvalidInputError, match='^t must be >= 1, got 0$'):
+            gamma(0, 2)
+        for call in (lambda: gamma(2, 1), lambda: haar_moment(1, 1)):
+            with pytest.raises(InvalidInputError, match="^'dim' must be an integer >= 2, got 1$"):
+                call()
+
 
 class TestHaarMoment:
     def test_t1_is_scaled_swap(self):

@@ -53,7 +53,7 @@ class TestHermBasis:
             assert np.allclose(basis[k], dag(basis[k]))
 
     def test_rejects_d1(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^'dim' must be an integer >= 2, got 1$"):
             herm_basis(1)
 
 

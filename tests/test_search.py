@@ -6,10 +6,11 @@ import pytest
 
 from udesign.designs import certify, frame_potential, gallery, gamma
 from udesign.errors import InvalidInputError
-from udesign.linalg import dag, haar_unitary, make_rng
+from udesign.linalg import dag, haar_unitaries, haar_unitary, herm_basis, make_rng
 from udesign.povm import povm_from_design
 from udesign.search import (
     SearchConfig,
+    _residual_jacobian,
     objective_and_gradient,
     parametrize,
     refine,
@@ -211,6 +212,15 @@ class TestSearch:
         with pytest.raises(InvalidInputError):
             SearchConfig(dim=2, size=4, t=2, weight_mode='sorted')
 
+    @pytest.mark.parametrize('dim', [1, 0, 2.5])
+    def test_dim_below_two_or_fractional_is_refused(self, dim):
+        with pytest.raises(InvalidInputError, match=f"^'dim' must be an integer >= 2, got {dim}$"):
+            SearchConfig(dim=dim, size=4, t=1)
+
+    def test_t_must_be_positive(self):
+        with pytest.raises(InvalidInputError, match='^t must be >= 1, got 0$'):
+            SearchConfig(dim=2, size=4, t=0)
+
     @pytest.mark.parametrize('field', ['restarts', 'max_iterations'])
     @pytest.mark.parametrize('value', [0, -1, -5])
     def test_restarts_and_iterations_must_be_positive(self, field, value):
@@ -228,10 +238,13 @@ class TestConvergedSetsBuildPovms:
     # The gap bottoms out near 1e-16 while the 1-design residual, which is the
     # POVM defect, can still be near 1e-8; converged results are polished so
     # that povm_from_design accepts them with its 1e-8 guard unchanged.
-    @pytest.mark.parametrize('dim, size, t', [(2, 11, 2), (3, 9, 1)])
-    def test_converged_search_builds_povm_and_certifies(self, dim, size, t):
+    @pytest.mark.parametrize('dim, size, t, mode', [
+        pytest.param(2, 11, 2, 'free', id='2-11-2'), pytest.param(3, 9, 1, 'free', id='3-9-1'),
+        pytest.param(2, 12, 2, 'uniform', id='2-12-2-uniform'),
+        pytest.param(2, 12, 2, 'per-basis', id='2-12-2-per-basis')])
+    def test_converged_search_builds_povm_and_certifies(self, dim, size, t, mode):
         for seed in range(301, 309):
-            trace = search(SearchConfig(dim=dim, size=size, t=t, seed=seed))
+            trace = search(SearchConfig(dim=dim, size=size, t=t, seed=seed, weight_mode=mode))
             assert trace.converged
             assert povm_defect(trace.result) <= 1e-12
             assert certify(trace.result, t).passed
@@ -240,6 +253,53 @@ class TestConvergedSetsBuildPovms:
         trace = search(SearchConfig(dim=2, size=9, t=1, seed=5, restarts=4, target_gap=1e-12))
         assert trace.converged
         assert povm_defect(trace.result) <= 1e-12
+
+
+def random_set(d, n, rng):
+    weights = rng.uniform(0.5, 1.5, n)
+    return haar_unitaries(d, n, rng), weights / weights.sum()
+
+
+def residual_matrix(unitaries, weights):
+    d = unitaries.shape[-1]
+    flat = unitaries.reshape(len(unitaries), -1)
+    return d * (weights * flat.T) @ flat.conj() - np.eye(d * d)
+
+
+class TestPolishJacobian:
+    # LSMR reads the polish Jacobian only through its hand-written products
+    @pytest.mark.parametrize('d', [2, 3])
+    @pytest.mark.parametrize('free_weights', [True, False])
+    def test_adjoint_matches_forward(self, d, free_weights):
+        rng = make_rng(12)
+        jac = _residual_jacobian(*random_set(d, d * d + 2, rng), free_weights)
+        for _ in range(5):
+            v, r = rng.standard_normal(jac.shape[1]), rng.standard_normal(jac.shape[0])
+            forward, adjoint = (jac @ v) @ r, v @ jac.rmatvec(r)
+            assert abs(forward - adjoint) <= 1e-12 * np.linalg.norm(jac @ v) * np.linalg.norm(r)
+
+    @pytest.mark.parametrize('d', [2, 3])
+    @pytest.mark.parametrize('free_weights', [True, False])
+    def test_forward_matches_central_differences(self, d, free_weights):
+        # oracle: R along U_x -> exp(i eps G_x) U_x, G_x = sum_k v_xk sqrt(d) b_k over the
+        # traceless basis elements, and log w -> log w + eps delta through a softmax
+        import scipy.linalg
+
+        rng = make_rng(13)
+        n = d * d + 2
+        unitaries, weights = random_set(d, n, rng)
+        jac = _residual_jacobian(unitaries, weights, free_weights)
+        v = rng.standard_normal(jac.shape[1])
+        gens = np.einsum('xk,kab->xab', v[:n * (d * d - 1)].reshape(n, -1), np.sqrt(d) * herm_basis(d)[1:])
+
+        def moved(eps):
+            u = np.array([scipy.linalg.expm(1j * eps * g) @ x for g, x in zip(gens, unitaries)])
+            logits = np.log(weights) + (eps * v[n * (d * d - 1):] if free_weights else 0.0)
+            return residual_matrix(u, np.exp(logits) / np.exp(logits).sum())
+
+        eps = 1e-6
+        numeric = ((moved(eps) - moved(-eps)) / (2 * eps)).reshape(-1).view(float)
+        assert np.linalg.norm(jac @ v - numeric) <= 1e-7 * np.linalg.norm(numeric)
 
 
 class TestRefine:

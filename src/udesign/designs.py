@@ -22,17 +22,16 @@ from .linalg import (
     ATOL_ALG,
     ATOL_CERT,
     DEDUP_TOL,
+    MAX_GAMMA_T,
     PHASE_REAL,
     PHASE_TIE,
     assert_unitary,
     check_cert_threshold,
     check_dim,
+    check_entries,
     permutation_operator,
     swap_operator,
 )
-
-# Enumeration guard for gamma(t, d): S_t is enumerated exhaustively.
-MAX_GAMMA_T = 9
 
 _PAULI = {
     'I': np.eye(2, dtype=complex),
@@ -310,10 +309,12 @@ def group_closure(generators, max_order: int = 10_000) -> WeightedUnitarySet:
 
 def unitary_operator_frame(n: int, d: int) -> WeightedUnitarySet:
     """Unweighted 1-design of n >= d² unitaries with matrix elements
-    <j|U_m|k> = exp(2πi jk/d + 2πi (j + kd) m/n)/sqrt(d); d must be an integer >= 2."""
+    <j|U_m|k> = exp(2πi jk/d + 2πi (j + kd) m/n)/sqrt(d); d must be an integer >= 2,
+    and n·d² at most ``MAX_ENTRIES``."""
     check_dim(d)
     if n < d * d:
         raise InvalidInputError(f"a 1-design needs at least d² = {d * d} elements, got n={n}")
+    check_entries(int(n) * int(d) ** 2, 'the operator frame n·d²')
     j, k, m = np.arange(d)[:, None], np.arange(d)[None, :], np.arange(n)[:, None, None]
     phase = 2 * np.pi * (j * k / d + (j + k * d) * m / n)
     return uniform_set(d, np.exp(1j * phase) / np.sqrt(d))

@@ -46,10 +46,14 @@ PHASE_REAL = 1e-14         # canonical_phase: relative imaginary part of a pivot
 PURITY_SLACK = 1e-12       # float slack on the purity range [1/d², 1] of an error prediction
 ATOL_FILE_WEIGHTS = 1e-6   # weight-sum defect a design file may carry before renormalization
 Z_GATE = 5.0               # |z| of tomo's mean error against the class prediction above which the run fails
-# Resource guards: total tensor-product dimension of a permutation operator,
-# and Kraus count k of a random channel, checked before anything is drawn.
+# Resource guards, each checked before anything is drawn or allocated: total
+# tensor-product dimension of a permutation operator, Kraus count k of a random
+# channel, t of the exhaustive S_t enumeration in gamma(t, d), and the entries of
+# the largest array a search, an operator frame or a tomography simulation holds.
 MAX_PERM_DIM = 10_000
 MAX_KRAUS = 1_000
+MAX_GAMMA_T = 9
+MAX_ENTRIES = 10_000_000
 
 
 def check_cert_threshold(value: float, name: str) -> None:
@@ -57,6 +61,13 @@ def check_cert_threshold(value: float, name: str) -> None:
     passes) is finite and positive; ``name`` is the caller's word for it."""
     if not (np.isfinite(value) and value > 0):
         raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_entries(count: int, what: str) -> None:
+    """Raise ``ResourceLimitError`` when an array of ``count`` entries, ``what``
+    in the caller's words, would exceed ``MAX_ENTRIES``."""
+    if count > MAX_ENTRIES:
+        raise ResourceLimitError(f"{what} = {count} entries exceeds the guard {MAX_ENTRIES}")
 
 
 def check_dim(dim) -> None:
@@ -120,29 +131,24 @@ def herm_basis(d: int) -> np.ndarray:
 
     Generalized Gell-Mann construction: the first element is I/sqrt(d); then
     the symmetric pairs (E_jk + E_kj)/sqrt(2) for j < k, the antisymmetric
-    pairs i(E_kj - E_jk)/sqrt(2) (sign fixed so d=2 yields Y exactly), and
-    finally the d-1 diagonal traceless operators.  All elements satisfy
-    tr(b_j b_k) = delta_jk, and every element but the first is traceless.
+    pairs i(E_kj - E_jk)/sqrt(2) (sign fixed so d=2 yields Y exactly), both in
+    row-major pair order, and finally the d-1 diagonal traceless operators.
+    All elements satisfy tr(b_j b_k) = delta_jk, and every element but the
+    first is traceless.
     """
     check_dim(d)
-    ops = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1 / np.sqrt(2)
-            ops.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j / np.sqrt(2)
-            m[k, j] = 1j / np.sqrt(2)
-            ops.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(l), np.arange(l)] = 1.0
-        m[l, l] = -l
-        ops.append(m / np.sqrt(l * (l + 1)))
-    return np.array(ops)
+    j, k = np.triu_indices(d, 1)
+    sym, anti = 1 + np.arange(len(j)), 1 + len(j) + np.arange(len(j))
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[0, range(d), range(d)] = 1 / np.sqrt(d)
+    basis[sym, j, k] = basis[sym, k, j] = 1 / np.sqrt(2)
+    basis[anti, j, k], basis[anti, k, j] = -1j / np.sqrt(2), 1j / np.sqrt(2)
+    l = np.arange(1, d)                     # element d² - d + l: ones in slots 0..l-1, then -l
+    scale = 1 / np.sqrt(l * (l + 1))        # a reciprocal, as numpy's complex division takes it
+    rows, slots = np.nonzero(np.arange(d) < l[:, None])
+    basis[d * d - d + 1 + rows, slots, slots] = scale[rows]
+    basis[d * d - d + l, l, l] = -l * scale
+    return basis
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,16 +216,9 @@ def permutation_operator(images: tuple[int, ...] | list[int], d: int) -> np.ndar
         raise InvalidInputError(f"not a permutation of 1..{n}: {images}")
     if d ** n > MAX_PERM_DIM:
         raise ResourceLimitError(f"d^n = {d ** n} exceeds the guard {MAX_PERM_DIM}")
-    inverse = np.empty(n, dtype=int)
-    for m, s in enumerate(images):
-        inverse[s - 1] = m
-    dim = d ** n
-    digits = np.indices((d,) * n).reshape(n, dim).T     # column index -> digit tuple
-    place = d ** np.arange(n - 1, -1, -1)
-    rows = digits[:, inverse] @ place                   # P|k> = |k∘sigma^{-1}>
-    op = np.zeros((dim, dim))
-    op[rows, np.arange(dim)] = 1.0
-    return op
+    # P|k> = |k∘sigma^{-1}>: column axis q of the result is the identity's axis images[q] - 1
+    axes = tuple(range(n)) + tuple(n + s - 1 for s in images)
+    return np.eye(d ** n).reshape((d,) * 2 * n).transpose(axes).reshape(d ** n, d ** n)
 
 
 def swap_operator(d: int) -> np.ndarray:

@@ -39,6 +39,7 @@ from .linalg import (
     PROB_SUM_TOL,
     PURITY_SLACK,
     bipartite_dim,
+    check_entries,
     class_projector_coords,
     dag,
     herm_coords,
@@ -88,11 +89,18 @@ class DiscretePovm:
         return self.elements.shape[0]
 
     @cached_property
+    def coords(self) -> np.ndarray:
+        """Hermitian coordinates A (n, D²) of the P(x); built on first use, read-only."""
+        coords = herm_coords(self.povd)
+        coords.setflags(write=False)
+        return coords
+
+    @cached_property
     def frame(self) -> np.ndarray:
         """The frame superoperator in Hermitian coordinates: the real symmetric
-        (D², D²) matrix Aᵀ diag(tau) A, A the coordinates of the P(x).  Built
-        on first use, read-only."""
-        scaled = herm_coords(self.povd) * np.sqrt(self.trace_measure)[:, None]
+        (D², D²) matrix Aᵀ diag(tau) A, A = :attr:`coords`.  Built on first
+        use, read-only."""
+        scaled = self.coords * np.sqrt(self.trace_measure)[:, None]
         frame = scaled.T @ scaled
         frame.setflags(write=False)
         return frame
@@ -131,6 +139,11 @@ def _class_span(state_class: str, bigd: int) -> tuple[np.ndarray, int]:
     return class_projector_coords(state_class, d), span_dimension(state_class, d)
 
 
+def _tight_dual_norm(delta: int, bigd: int) -> float:
+    """(delta-1)²/(D-1) + 1, the dual-frame norm of a tight rank-one POVM; an integer for every class."""
+    return (delta - 1) ** 2 / (bigd - 1) + 1
+
+
 @dataclass(frozen=True)
 class TightReport:
     state_class: str
@@ -166,7 +179,7 @@ def tight_check(povm: DiscretePovm, state_class: str) -> TightReport:
         frame_trace=float(np.trace(frame)),
         frame_trace_sq=float(np.vdot(frame, frame)),     # Tr(F²) of the symmetric F
         span_dim=delta,
-        dual_norm_bound=(delta - 1) ** 2 / (bigd - 1) + 1,
+        dual_norm_bound=_tight_dual_norm(delta, bigd),
     )
 
 
@@ -188,7 +201,7 @@ def _dual_coords(povm: DiscretePovm, require: str | None) -> np.ndarray:
         outside = np.linalg.norm(pi - support @ (support.T @ pi))
         if support.shape[1] < required_dim or outside > ATOL_SPAN:
             raise NotInformationallyCompleteError(support.shape[1], required_dim)
-    return herm_coords(povm.povd) @ ((support / evals[keep]) @ support.T)
+    return povm.coords @ ((support / evals[keep]) @ support.T)
 
 
 def canonical_dual(povm: DiscretePovm, require: str | None = None) -> np.ndarray:
@@ -249,18 +262,19 @@ def reconstruct(duals: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
 def predicted_error(d: int, purity: float, shots: int, state_class: str) -> float:
     """Optimal mean-squared reconstruction error for a class of channel outputs.
 
-    Per shot count N this is (d⁴ + d² - 1 - tr σ²)/N for arbitrary bipartite
-    states, (d⁴ - d² + 1/d² - tr σ²)/N for general-channel outputs and
-    (d⁴ - 3d² + 3 - tr σ²)/N for unital-channel outputs: the tight dual-frame
-    norm per unit trace, ((δ-1)² + D - 1)/(D(D-1)) with D = d² and δ the
-    class span dimension, less the purity.
+    The prediction is the tight dual-frame norm (δ-1)²/(D-1) + 1 (the
+    ``dual_norm_bound`` of :func:`tight_check`, D = d² and δ the class span
+    dimension) divided by D, less the purity, per shot count N: (d⁴ + d² - 1
+    - tr σ²)/N for arbitrary bipartite states, (d⁴ - d² + 1/d² - tr σ²)/N for
+    general-channel outputs and (d⁴ - 3d² + 3 - tr σ²)/N for unital-channel
+    outputs.
     """
     if shots < 1:
         raise InvalidInputError(f"shot count must be >= 1, got {shots}")
     if not (1.0 / d ** 2 - PURITY_SLACK <= purity <= 1.0 + PURITY_SLACK):
         raise InvalidInputError(f"purity {purity} outside [1/d², 1]")
-    delta, bigd = span_dimension(state_class, d), d * d
-    return (((delta - 1) ** 2 + bigd - 1) / (bigd * (bigd - 1)) - purity) / shots
+    bigd = d * d
+    return (_tight_dual_norm(span_dimension(state_class, d), bigd) / bigd - purity) / shots
 
 
 @dataclass(frozen=True)
@@ -294,10 +308,12 @@ def simulate(povm: DiscretePovm, channel: QuantumChannel, shots: int, trials: in
     dual restricted to the class span, and its squared Frobenius error against
     the exact output state is recorded (as the squared distance of Hermitian
     coordinates, the same number).  The report carries the class prediction
-    evaluated at the exact purity.
+    evaluated at the exact purity.  The counts and estimates, trials × max(n, D²)
+    entries, must fit in ``MAX_ENTRIES``.
     """
     if shots < 1 or trials < 2:
         raise InvalidInputError("need shots >= 1 and trials >= 2: the standard error needs two trials")
+    check_entries(trials * max(len(povm), povm.dim ** 2), 'trials × max(outcomes, D²)')
     if state_class is None:
         state_class = 'uc' if channel.unital else 'gc'
     if state_class == 'uc' and not channel.unital:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .designs import ATOL_CERT, WeightedUnitarySet, certify, gamma, merge_phase_duplicates
 from .errors import InvalidInputError
-from .linalg import check_cert_threshold, check_dim, dag, haar_unitaries, herm_basis, log_unitary, make_rng
+from .linalg import (check_cert_threshold, check_dim, check_entries, dag, haar_unitaries, herm_basis,
+                     log_unitary, make_rng)
 
 WEIGHT_MODES = ('free', 'uniform', 'per-basis')
 # Cap on trial steps of the residual polish; singular sets need about 15.
@@ -35,6 +36,7 @@ POLISH_MAX_STEPS = 50
 class SearchConfig:
     """Search parameters, checked before any work: dim an integer >= 2
     (:func:`check_dim`), t, size, max_iterations and restarts at least 1,
+    the d⁴ generator entries and the n² overlaps at most ``MAX_ENTRIES``,
     target_gap finite and positive, weight_mode one of ``WEIGHT_MODES``.
     The CLI reads its defaults and choices here."""
 
@@ -54,6 +56,7 @@ class SearchConfig:
         for name in ('size', 'max_iterations', 'restarts'):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_entries(max(int(self.dim) ** 4, int(self.size) ** 2), 'the larger of the d⁴ generators and n² overlaps')
         check_cert_threshold(self.target_gap, 'target_gap')
         if self.weight_mode not in WEIGHT_MODES:
             raise InvalidInputError(f"weight_mode must be one of {WEIGHT_MODES}")

@@ -46,4 +46,12 @@ def broken_design_docs() -> dict:
                              "element 3: entries must be [re, im] pairs"),
         'float-overflow-entry': (broken(lambda doc: doc['elements'][3]['matrix'][0][1].__setitem__(0, 10 ** 400)),
                                  "element 3: entries must be [re, im] pairs"),
+        'array-document': (broken(lambda doc: None)['elements'], "design file must hold a JSON object"),
+        'empty-elements': (broken(lambda doc: doc.update(elements=[])), "'elements' must be a non-empty list"),
+        'object-elements': (broken(lambda doc: doc.update(elements=doc['elements'][0])),
+                            "'elements' must be a non-empty list"),
+        'missing-weight': (broken(lambda doc: doc['elements'][3].pop('weight')),
+                           "element 3: need 'weight' and 'matrix' fields"),
+        'missing-matrix': (broken(lambda doc: doc['elements'][3].pop('matrix')),
+                           "element 3: need 'weight' and 'matrix' fields"),
     }

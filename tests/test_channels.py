@@ -106,6 +106,10 @@ class TestProcessMatrix:
         dist = channel_distance(a, b)
         assert abs(dist - np.linalg.norm(jamiolkowski(a) - jamiolkowski(b))) <= 1e-10
 
+    def test_channel_distance_needs_one_dimension(self):
+        with pytest.raises(InvalidInputError, match='^channel dimensions differ$'):
+            channel_distance(depolarizing_channel(0.5, 2), depolarizing_channel(0.5, 3))
+
     def test_ordinary_action_via_matrix_matches_kraus(self):
         rng = make_rng(33)
         channel = random_general_channel(3, 2, rng)
@@ -154,6 +158,9 @@ class TestGallery:
     def test_parameter_validation(self):
         with pytest.raises(InvalidInputError):
             depolarizing_channel(1.5, 2)
+        for build in (lambda: depolarizing_channel(None, 2), lambda: channel_from_spec('depolarizing', 2)):
+            with pytest.raises(InvalidInputError, match=r'^depolarizing needs a parameter p in \[0, 1\]$'):
+                build()
         with pytest.raises(InvalidInputError):
             random_unital_mix(0, 2, make_rng(0))
         with pytest.raises(InvalidInputError):
@@ -208,6 +215,9 @@ class TestGallery:
     def test_unknown_name_is_named_before_the_missing_rng(self):
         with pytest.raises(InvalidInputError, match="^unknown channel name 'nope'$"):
             channel_gallery('nope', 2)
+        for name in ('random_unitary', 'random_unital_mix', 'random_general'):
+            with pytest.raises(InvalidInputError, match=f"^channel '{name}' is random and needs an rng$"):
+                channel_gallery(name, 2)
         with pytest.raises(InvalidInputError, match="^bad channel parameter 'x' in 'nope:x'$"):
             channel_from_spec('nope:x', 2)
 
@@ -216,6 +226,11 @@ class TestChannelTypes:
     def test_from_kraus_rejects_non_trace_preserving(self):
         with pytest.raises(InvalidInputError):
             QuantumChannel.from_kraus([np.eye(2) * 0.5])
+
+    @pytest.mark.parametrize('ops', [np.eye(2), np.ones((1, 2, 3))], ids=['one-matrix', 'non-square'])
+    def test_from_kraus_needs_a_stack_of_square_matrices(self, ops):
+        with pytest.raises(InvalidInputError, match=r'^Kraus stack must have shape \(k, d, d\), got'):
+            QuantumChannel.from_kraus(ops)
 
     def test_unital_flag_detection(self):
         assert QuantumChannel.from_kraus([np.eye(2)]).unital

@@ -10,6 +10,7 @@ import pytest
 from udesign.cli import build_parser, main
 from udesign.designs import ATOL_CERT, gallery
 from udesign.io import load_design, save_design
+from udesign import linalg
 
 from helpers import broken_design_docs
 
@@ -60,6 +61,14 @@ class TestGallery:
                            '--n', '3', '--dim', '2', '--out', str(tmp_path / 'x.json'))
         assert code == 2
         assert 'error' in err
+
+    def test_operator_frame_above_the_entries_guard_exits_3(self, capsys, tmp_path):
+        n = linalg.MAX_ENTRIES // 4 + 1
+        code, stdout, err = run(capsys, 'design-gallery', '--name', 'utof', '--n', str(n), '--dim', '2',
+                                '--out', str(tmp_path / 'u.json'))
+        assert (code, stdout) == (3, '')
+        assert err == f"guard: the operator frame n·d² = {4 * n} entries exceeds the guard {linalg.MAX_ENTRIES}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_name_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, 'design-gallery', '--name', 'nope', '--out', str(tmp_path / 'x.json'))
@@ -164,6 +173,14 @@ class TestSearch:
                            '--out', str(tmp_path / 'g.json'))
         assert code == 3
         assert 'guard' in err
+
+    def test_entries_guard_exits_3_before_any_work(self, capsys, tmp_path):
+        code, stdout, err = run(capsys, 'design-search', '--dim', '100', '--size', '10000', '--t', '2',
+                                '--out', str(tmp_path / 's.json'))
+        assert (code, stdout) == (3, '')
+        assert err == ("guard: the larger of the d⁴ generators and n² overlaps = 100000000 entries "
+                       f"exceeds the guard {linalg.MAX_ENTRIES}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_eleven_point_free_weights_converges(self, capsys, tmp_path):
         out = tmp_path / 'n11.json'
@@ -336,6 +353,15 @@ class TestTomo:
         assert (code, stdout, err) == (3, '', f"guard: Kraus count k = {k} exceeds the guard 1000\n")
         assert not csv.exists()
 
+    def test_trials_above_the_entries_guard_exit_3(self, capsys, tmp_path, design_file):
+        # pu2_11pt: 11 outcomes and D² = 16 estimate coordinates per trial
+        trials = linalg.MAX_ENTRIES // 16 + 1
+        code, stdout, err = run(capsys, 'tomo', '--design', str(design_file), '--channel', 'identity',
+                                '--shots', '100', '--trials', str(trials), '--csv', str(tmp_path / 'r.csv'))
+        assert (code, stdout) == (3, '')
+        assert err == f"guard: trials × max(outcomes, D²) = {16 * trials} entries exceeds the guard {linalg.MAX_ENTRIES}\n"
+        assert not (tmp_path / 'r.csv').exists()
+
     def test_exit_code_reads_the_z_gate(self, capsys, tmp_path, design_file, monkeypatch):
         argv = ['tomo', '--design', str(design_file), '--channel', 'depolarizing:0.25',
                 '--shots', '2000', '--trials', '20', '--seed', '5', '--csv', str(tmp_path / 'r.csv')]
@@ -425,6 +451,16 @@ def test_readme_python_example_runs(tmp_path):
     out = subprocess.run([sys.executable, '-c', blocks[0].split('```')[0]], capture_output=True, text=True,
                          cwd=tmp_path, env={**os.environ, 'PYTHONPATH': str(root / 'src')})
     assert out.returncode == 0, out.stderr
+
+
+def test_module_entry_point_runs_in_a_fresh_interpreter():
+    # `python -m udesign.cli` reaches the same main() as the `udesign` console script
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / 'src'
+    out = subprocess.run([sys.executable, '-m', 'udesign.cli', 'gamma', '--t', '3', '--dim', '2'],
+                         capture_output=True, text=True, env={**os.environ, 'PYTHONPATH': str(src)})
+    assert (out.returncode, out.stdout, out.stderr) == (0, '5\n', '')
 
 
 def test_cli_import_loads_no_scipy_solvers():

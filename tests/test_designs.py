@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from udesign import linalg
 from udesign.designs import (
     GALLERY_CERTIFIED_T,
     GALLERY_NAMES,
+    DesignCertificate,
     WeightedUnitarySet,
     assert_phase_distinct,
     canonical_phase,
@@ -25,6 +27,7 @@ from udesign.designs import (
 )
 from udesign.errors import InvalidInputError, ResourceLimitError
 from udesign.linalg import (
+    ATOL_CERT,
     dag,
     haar_unitaries,
     make_rng,
@@ -101,8 +104,8 @@ class TestGamma:
         assert gamma(4, 3) == 23
 
     def test_enumeration_guard(self):
-        with pytest.raises(ResourceLimitError):
-            gamma(10, 2)
+        with pytest.raises(ResourceLimitError, match=f'capped at t <= {linalg.MAX_GAMMA_T}, got t=10$'):
+            gamma(linalg.MAX_GAMMA_T + 1, 2)
 
     def test_t_and_dimension_checks(self):
         with pytest.raises(InvalidInputError, match='^t must be >= 1, got 0$'):
@@ -194,6 +197,12 @@ class TestCertify:
             bad = certify(noisy, 2)
             assert not bad.passed and bad.moment_residual > np.sqrt(1e-8) * 4
 
+    def test_gap_below_its_float_floor_is_numerical_trouble(self):
+        fields = dict(t=1, potential=1.0, gamma=1.0, moment_residual=None, passed=True)
+        assert DesignCertificate(gap=-ATOL_CERT, **fields).gap == -ATOL_CERT
+        with pytest.raises(InvalidInputError, match='^potential gap -2.000e-08 violates the lower bound'):
+            DesignCertificate(gap=-2 * ATOL_CERT, **fields)
+
     @pytest.mark.parametrize('tol', [float('nan'), float('inf'), -1.0, 0.0])
     def test_threshold_must_be_finite_and_positive(self, tol):
         with pytest.raises(InvalidInputError, match='atol_cert must be finite and positive'):
@@ -246,6 +255,8 @@ class TestQuaternionMap:
     def test_rejects_non_unit_vector(self):
         with pytest.raises(InvalidInputError):
             quat_to_unitary([1, 1, 0, 0])
+        with pytest.raises(InvalidInputError, match=r'^expected a 4-vector, got shape \(3,\)$'):
+            quat_to_unitary([1, 0, 0])
 
 
 class TestGallery:
@@ -259,6 +270,13 @@ class TestGallery:
     def test_utof_minimal_size_guard(self):
         with pytest.raises(InvalidInputError):
             unitary_operator_frame(3, 2)
+
+    def test_utof_entries_guard_is_checked_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 100)
+        assert len(unitary_operator_frame(25, 2)) == 25
+        for build in (lambda: unitary_operator_frame(26, 2), lambda: gallery('utof', n=26, dim=2)):
+            with pytest.raises(ResourceLimitError, match='^the operator frame n·d² = 104 entries exceeds the guard 100$'):
+                build()
 
     def test_minimal_one_design_is_orthogonal_basis_with_uniform_weights(self):
         s = unitary_operator_frame(4, 2)
@@ -420,9 +438,14 @@ class TestMuub:
         assert not report.mutually_unbiased
         assert report.max_unbiasedness_defect == pytest.approx(3.0, abs=1e-9)
 
-    def test_rejects_wrong_basis_size(self):
-        with pytest.raises(InvalidInputError):
-            muub_check([uniform_set(2, [np.eye(2), X, Y])])
+    @pytest.mark.parametrize('bases,message', [
+        (lambda: [uniform_set(2, [np.eye(2), X, Y])], 'a unitary operator basis for d=2 has d²=4 elements, got 3'),
+        (lambda: [], 'need at least one basis'),
+        (lambda: [pu2_muub_family()[0], unitary_operator_frame(9, 3)], 'all bases must share one dimension'),
+    ], ids=['basis-size', 'empty', 'mixed-dimensions'])
+    def test_rejects_malformed_families(self, bases, message):
+        with pytest.raises(InvalidInputError, match=f'^{message}$'):
+            muub_check(bases())
 
     def test_matches_basis_pair_loops(self):
         # reference: one Gram product per basis and per pair of bases
@@ -455,6 +478,12 @@ class TestWeightedUnitarySet:
             WeightedUnitarySet(2, [np.eye(2)], [0.5])
         with pytest.raises(InvalidInputError):
             WeightedUnitarySet(2, [np.eye(2), X], [1.5, -0.5])
+        with pytest.raises(InvalidInputError, match='^one weight per element required$'):
+            WeightedUnitarySet(2, [np.eye(2), X], [1.0])
+
+    def test_unitaries_must_form_an_n_by_dim_by_dim_stack(self):
+        with pytest.raises(InvalidInputError, match=r'^unitaries must have shape \(n, 2, 2\), got \(2, 2\)$'):
+            WeightedUnitarySet(2, np.eye(2), [1.0])
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(InvalidInputError, match='finite'):

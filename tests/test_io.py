@@ -44,6 +44,11 @@ class TestDumps:
             with pytest.raises(InvalidInputError):
                 dumps({'row': [bad]}, compact=True)
 
+    @pytest.mark.parametrize('obj', [object(), {1, 2}, b'bytes'], ids=['object', 'set', 'bytes'])
+    def test_rejects_types_outside_its_vocabulary(self, obj):
+        with pytest.raises(InvalidInputError, match=f'^cannot serialize {type(obj).__name__}$'):
+            dumps({'field': [1.0, obj]})
+
     def test_float_rows_match_format_spec(self):
         bits = make_rng(5).integers(-2 ** 63, 2 ** 63 - 1, size=20000, dtype=np.int64).view(np.float64)
         values = bits[np.isfinite(bits)].tolist() + [0.0, -0.0, 5e-324, 1e16, 0.1, -1 / 3]

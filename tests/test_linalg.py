@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from udesign import linalg
 from udesign.errors import InvalidInputError, ResourceLimitError
 from udesign.linalg import (
+    MAX_PERM_DIM,
     assert_unitary,
     class_projector,
     class_projector_coords,
@@ -30,7 +34,48 @@ def random_complex(d, rng):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
+def herm_basis_loops(d):
+    """Reference: the Gell-Mann basis appended one matrix at a time."""
+    ops = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = m[k, j] = 1 / np.sqrt(2)
+            ops.append(m)
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1j / np.sqrt(2)
+            m[k, j] = 1j / np.sqrt(2)
+            ops.append(m)
+    for l in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        m[np.arange(l), np.arange(l)] = 1.0
+        m[l, l] = -l
+        ops.append(m / np.sqrt(l * (l + 1)))
+    return np.array(ops)
+
+
+def permutation_operator_loops(images, d):
+    """Reference: P|k> = |k∘sigma^{-1}> written out digit by digit."""
+    n = len(images)
+    inverse = np.empty(n, dtype=int)
+    for m, s in enumerate(images):
+        inverse[s - 1] = m
+    dim = d ** n
+    digits = np.indices((d,) * n).reshape(n, dim).T
+    rows = digits[:, inverse] @ (d ** np.arange(n - 1, -1, -1))
+    op = np.zeros((dim, dim))
+    op[rows, np.arange(dim)] = 1.0
+    return op
+
+
 class TestHermBasis:
+    @pytest.mark.parametrize('d', range(2, 9))
+    def test_bit_identical_to_the_loop_construction(self, d):
+        # signed zeros included: the i(E_kj - E_jk) entries carry -0.0 real parts
+        assert herm_basis(d).tobytes() == herm_basis_loops(d).tobytes()
+
     def test_d2_is_normalized_pauli_set(self):
         basis = herm_basis(2)
         expected = [np.eye(2), X, Y, Z]
@@ -129,6 +174,13 @@ class TestPermutationOperator:
         p = permutation_operator((3, 1, 2), 2)
         lhs = p @ np.kron(c, np.kron(a, b)) @ dag(p)
         assert np.allclose(lhs, np.kron(a, np.kron(b, c)))
+
+    @pytest.mark.parametrize('d', [2, 3, 4])
+    def test_bit_identical_to_the_digit_construction(self, d):
+        cases = [p for n in range(1, 5) if d ** n <= MAX_PERM_DIM for p in itertools.permutations(range(1, n + 1))]
+        assert len(cases) == 33
+        for images in cases:
+            assert permutation_operator(images, d).tobytes() == permutation_operator_loops(images, d).tobytes()
 
     def test_dimension_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -338,6 +390,11 @@ class TestPartialTrace:
         assert np.allclose(partial_trace(np.kron(a, b), (2, 3), axis=1), a * np.trace(b))
         assert np.allclose(partial_trace(np.kron(a, b), (2, 3), axis=0), b * np.trace(a))
 
+    @pytest.mark.parametrize('axis', [2, -1])
+    def test_rejects_an_axis_other_than_0_or_1(self, axis):
+        with pytest.raises(InvalidInputError, match='^axis must be 0 or 1$'):
+            partial_trace(np.eye(4), (2, 2), axis=axis)
+
     def test_linearity(self):
         rng = make_rng(10)
         m1, m2 = random_complex(4, rng), random_complex(4, rng)
@@ -354,3 +411,10 @@ def test_vec_inner_product_is_hilbert_schmidt():
 
 def test_swap_operator_alias():
     assert np.allclose(swap_operator(2), permutation_operator((2, 1), 2))
+
+
+def test_entries_guard_flips_at_its_value():
+    limit = linalg.MAX_ENTRIES
+    linalg.check_entries(limit, 'at the guard')
+    with pytest.raises(ResourceLimitError, match=f'^n² = {limit + 1} entries exceeds the guard {limit}$'):
+        linalg.check_entries(limit + 1, 'n²')

@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 
+from udesign import linalg, povm as povm_module
 from udesign.channels import (
     channel_distance,
     channel_gallery,
@@ -24,6 +25,7 @@ from udesign.errors import (
     InvalidInputError,
     NotAPovmError,
     NotInformationallyCompleteError,
+    ResourceLimitError,
 )
 from udesign.linalg import (
     class_projector,
@@ -102,6 +104,15 @@ class TestPovmFromDesign:
         with pytest.raises(NotAPovmError) as err:
             povm_from_design(pair)
         assert err.value.residual > 0.1
+
+    @pytest.mark.parametrize('elements,message', [
+        (np.eye(2), r'^POVM elements must have shape \(n, D, D\), got \(2, 2\)$'),
+        (np.ones((2, 2, 3)) / 2, r'^POVM elements must have shape \(n, D, D\), got \(2, 2, 3\)$'),
+        ([np.eye(2), np.zeros((2, 2))], '^every element must have positive trace$'),
+    ], ids=['one-matrix', 'non-square', 'zero-element'])
+    def test_malformed_elements_rejected(self, elements, message):
+        with pytest.raises(InvalidInputError, match=message):
+            DiscretePovm.from_elements(elements)
 
     def test_first_non_psd_element_is_named(self):
         elements = [np.diag([1.0, 0.5]), np.diag([0.2, -0.1]), np.diag([-0.2, 0.6])]
@@ -194,6 +205,26 @@ class TestFrameSuperop:
         assert lr is not frame_superop(povm)
         with pytest.raises(ValueError):
             frame[0, 0] = 0.0
+
+
+def test_coordinates_built_once_and_read_only(monkeypatch):
+    # the frame and the duals read one (n, D²) coordinate array per POVM
+    shapes = []
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return herm_coords(a)
+
+    monkeypatch.setattr(povm_module, 'herm_coords', counted)
+    povm = povm_from_design(gallery('pu2_11pt'))
+    tight_check(povm, 'uc')
+    canonical_dual(povm, require='uc')
+    simulate(povm, depolarizing_channel(0.5, 2), 100, 5, make_rng(1))
+    estimate_channel(povm, np.ones(len(povm)), require='uc')
+    assert shapes.count((11, 4, 4)) == 1
+    assert povm.coords.tobytes() == herm_coords(povm.povd).tobytes()
+    with pytest.raises(ValueError):
+        povm.coords[0, 0] = 0.0
 
 
 class TestCoordinateParity:
@@ -412,6 +443,15 @@ class TestPredictedError:
         with pytest.raises(InvalidInputError):
             predicted_error(2, 1.0, 0, 'uc')
 
+    @pytest.mark.parametrize('d', [2, 3])
+    def test_reads_the_dual_norm_bound_of_tight_check(self, d):
+        povm = povm_from_design(gallery('pu2_11pt')) if d == 2 else qutrit_clifford_povm()
+        for state_class in ('uc', 'gc', 'full'):
+            bound = tight_check(povm, state_class).dual_norm_bound
+            for purity in (1.0 / d ** 2, 0.37, 1.0):
+                for shots in (1, 7, 4000):
+                    assert predicted_error(d, purity, shots, state_class) == (bound / d ** 2 - purity) / shots
+
     @pytest.mark.parametrize('d', [2, 3, 4])
     def test_class_polynomials_bit_for_bit(self, d):
         polys = {'full': d ** 4 + d ** 2 - 1, 'gc': d ** 4 - d ** 2 + 1.0 / d ** 2, 'uc': d ** 4 - 3 * d ** 2 + 3}
@@ -523,6 +563,16 @@ class TestSimulate:
             with pytest.raises(InvalidInputError, match='standard error needs two trials'):
                 simulate(povm11, channel, 100, trials, make_rng(2))
         assert np.isfinite(simulate(povm11, channel, 100, 2, make_rng(2)).std_err)
+
+    def test_entries_guard_is_checked_before_any_draw(self, povm11, monkeypatch):
+        # trials × max(n, D²): the 11 outcomes of pu2_11pt, but D² = 16 estimate coordinates
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 160)
+        channel = depolarizing_channel(0.5, 2)
+        assert simulate(povm11, channel, 100, 10, make_rng(2)).trials == 10
+        rng = make_rng(2)
+        with pytest.raises(ResourceLimitError, match=r'^trials × max\(outcomes, D²\) = 176 entries exceeds the guard 160$'):
+            simulate(povm11, channel, 100, 11, rng)
+        assert rng.standard_normal(4).tobytes() == make_rng(2).standard_normal(4).tobytes()
 
     def test_general_channel_needs_gc_support(self, povm11):
         channel = random_general_channel(3, 2, make_rng(3))

@@ -4,12 +4,14 @@ import importlib
 import numpy as np
 import pytest
 
-from udesign.designs import certify, frame_potential, gallery, gamma
-from udesign.errors import InvalidInputError
+from udesign import linalg
+from udesign.designs import WeightedUnitarySet, certify, frame_potential, gallery, gamma
+from udesign.errors import InvalidInputError, ResourceLimitError
 from udesign.linalg import dag, haar_unitaries, haar_unitary, herm_basis, make_rng
 from udesign.povm import povm_from_design
 from udesign.search import (
     SearchConfig,
+    _polish,
     _residual_jacobian,
     objective_and_gradient,
     parametrize,
@@ -17,6 +19,8 @@ from udesign.search import (
     search,
     theta_from_set,
 )
+
+from helpers import expm_hermitian
 
 
 def central_difference_gradient(theta, dim, size, t, mode='free', step=1e-5):
@@ -228,6 +232,16 @@ class TestSearch:
             SearchConfig(dim=2, size=4, t=1, **{field: value})
         assert getattr(SearchConfig(dim=2, size=4, t=1, **{field: 1}), field) == 1
 
+    @pytest.mark.parametrize('dim,size', [(100, 10_000), (57, 4), (2, 3163), (np.int64(60_000), 4)])
+    def test_generators_and_overlaps_above_the_entries_guard_are_refused(self, dim, size):
+        # d⁴ = 10,556,001 at d = 57 and n² = 10,004,569 at n = 3163; d = 56 and n = 3162 fit.
+        # d⁴ at d = 60,000 overflows int64, so it is counted in Python integers
+        entries = max(int(dim) ** 4, size ** 2)
+        with pytest.raises(ResourceLimitError, match=f'^the larger of the d⁴ generators and n² overlaps = {entries} '
+                                                     f'entries exceeds the guard {linalg.MAX_ENTRIES}$'):
+            SearchConfig(dim=dim, size=size, t=2)
+        assert SearchConfig(dim=min(dim, 56), size=min(size, 3162), t=2).size == min(size, 3162)
+
 
 def povm_defect(s):
     povm = povm_from_design(s)
@@ -300,6 +314,29 @@ class TestPolishJacobian:
         eps = 1e-6
         numeric = ((moved(eps) - moved(-eps)) / (2 * eps)).reshape(-1).view(float)
         assert np.linalg.norm(jac @ v - numeric) <= 1e-7 * np.linalg.norm(numeric)
+
+
+def test_polish_retries_a_rejected_step_with_more_damping(monkeypatch):
+    # the first LSMR step is scaled up a thousandfold, so |R| grows and the step
+    # is refused; the retry must solve with ten times the damping at the same set
+    import scipy.sparse.linalg
+
+    lsmr, damps = scipy.sparse.linalg.lsmr, []
+
+    def overshoot_once(op, b, damp, **kwargs):
+        damps.append(damp)
+        step, *rest = lsmr(op, b, damp=damp, **kwargs)
+        return (step * (1e3 if len(damps) == 1 else 1.0), *rest)
+
+    monkeypatch.setattr(scipy.sparse.linalg, 'lsmr', overshoot_once)
+    s = gallery('pu2_11pt')
+    rng = make_rng(14)
+    moved = np.array([expm_hermitian(1e-4 * (g + dag(g))) @ u
+                      for g, u in zip(rng.standard_normal((11, 2, 2)) + 1j * rng.standard_normal((11, 2, 2)),
+                                      s.unitaries)])
+    polished = _polish(WeightedUnitarySet(2, moved, s.weights), free_weights=True)
+    assert len(damps) > 2 and damps[1] == 10 * damps[0]
+    assert np.linalg.norm(residual_matrix(polished.unitaries, polished.weights)) <= 8 * np.finfo(float).eps * 4
 
 
 class TestRefine:

@@ -32,7 +32,7 @@ from .errors import InvalidInputError, ResourceLimitError
 # here, one name per purpose.  Solver settings stay with the solvers in `search`.
 ATOL_ALG = 1e-9            # algebraic identities: unitarity, weight sums, trace preservation, MUUB overlaps
 EIG_CUTOFF = 1e-10         # relative eigenvalue cutoff for restricted inversion of superoperators
-ATOL_CERT = 1e-8           # frame-potential gap that certifies a t-design (and the MUUB Welch sum)
+ATOL_CERT = 1e-8           # frame-potential gap that certifies a t-design
 DEDUP_TOL = 1e-6           # U, V are phase-equivalent when |tr(U†V)|² >= d² - DEDUP_TOL
 ATOL_POVM = 1e-8           # normalization defect ||sum F - I|| of a design's POVM
 ATOL_TIGHT = 1e-8          # residual of a frame superoperator against the tight form of its class
@@ -46,11 +46,9 @@ PHASE_REAL = 1e-14         # canonical_phase: relative imaginary part of a pivot
 PURITY_SLACK = 1e-12       # float slack on the purity range [1/d², 1] of an error prediction
 ATOL_FILE_WEIGHTS = 1e-6   # weight-sum defect a design file may carry before renormalization
 Z_GATE = 5.0               # |z| of tomo's mean error against the class prediction above which the run fails
-# Resource guards, each checked before anything is drawn or allocated: total
-# tensor-product dimension of a permutation operator, Kraus count k of a random
-# channel, t of the exhaustive S_t enumeration in gamma(t, d), and the entries of
-# the largest array a search, an operator frame or a tomography simulation holds.
-MAX_PERM_DIM = 10_000
+# Resource guards, each checked before anything is drawn or allocated: Kraus count k of a random
+# channel, t of the exhaustive S_t enumeration in gamma(t, d), and the entries of the largest array
+# a search, operator frame, permutation or moment operator, design POVM or tomography run holds.
 MAX_KRAUS = 1_000
 MAX_GAMMA_T = 9
 MAX_ENTRIES = 10_000_000
@@ -208,14 +206,14 @@ def permutation_operator(images: tuple[int, ...] | list[int], d: int) -> np.ndar
 
     ``images`` lists the permutation in one-line notation with 1-based
     entries; ``(2, 1)`` gives the swap T with tr[(A⊗B)T] = tr(AB), and the
-    operators compose like the permutations they carry.
+    operators compose like the permutations they carry.  Its (d^n)² entries
+    must fit in ``MAX_ENTRIES``.
     """
     images = tuple(int(s) for s in images)
     n = len(images)
     if sorted(images) != list(range(1, n + 1)):
         raise InvalidInputError(f"not a permutation of 1..{n}: {images}")
-    if d ** n > MAX_PERM_DIM:
-        raise ResourceLimitError(f"d^n = {d ** n} exceeds the guard {MAX_PERM_DIM}")
+    check_entries(int(d) ** (2 * n), 'the permutation operator (d^n)²')
     # P|k> = |k∘sigma^{-1}>: column axis q of the result is the identity's axis images[q] - 1
     axes = tuple(range(n)) + tuple(n + s - 1 for s in images)
     return np.eye(d ** n).reshape((d,) * 2 * n).transpose(axes).reshape(d ** n, d ** n)
@@ -260,7 +258,9 @@ def log_unitary(u: np.ndarray) -> np.ndarray:
     return (q * phases) @ dag(q)
 
 
-STATE_CLASSES = ('uc', 'gc', 'full')   # outputs of unital channels, of all channels, all states
+# outputs of unital channels, of all channels, all states -> removed families (_class_complement)
+_REMOVED_FAMILIES = {'uc': 2, 'gc': 1, 'full': 0}
+STATE_CLASSES = tuple(_REMOVED_FAMILIES)
 
 
 def bipartite_dim(bigd: int, what: str) -> int:
@@ -272,23 +272,22 @@ def bipartite_dim(bigd: int, what: str) -> int:
 
 
 def span_dimension(state_class: str, d: int) -> int:
-    """Dimension of span(Q) for a channel-output class on C^d ⊗ C^d."""
+    """Dimension d⁴ - k(d² - 1) of span(Q) for a channel-output class on C^d ⊗ C^d,
+    k its removed families: (d²-1)² + 1 for 'uc', d²(d²-1) + 1 for 'gc', d⁴ for 'full'."""
     if state_class not in STATE_CLASSES:
         raise InvalidInputError(f"unknown state class {state_class!r}")
-    d2 = d * d
-    return {'uc': (d2 - 1) ** 2 + 1, 'gc': d2 * (d2 - 1) + 1, 'full': d2 * d2}[state_class]
+    return d ** 4 - _REMOVED_FAMILIES[state_class] * (d * d - 1)
 
 
 def _class_complement(state_class: str, d: int) -> np.ndarray:
     """Orthonormal Hermitian operators (m, d², d²) spanning the complement of
     a class span: with b_0 = I/sqrt(d) and B over the traceless rest of
-    :func:`herm_basis`, none for 'full', b_0⊗B for 'gc' (a trace-preserving
-    channel's output has no part there), and also B⊗b_0 for 'uc'."""
+    :func:`herm_basis`, the first k of the families b_0⊗B (a trace-preserving
+    channel's output has no part there) and B⊗b_0 (nor a unital one's)."""
     span_dimension(state_class, d)          # the class-name check
     basis = herm_basis(d)
-    removed = [np.kron(basis[0], b) for b in basis[1:]] if state_class != 'full' else []
-    if state_class == 'uc':
-        removed += [np.kron(b, basis[0]) for b in basis[1:]]
+    families = [lambda b: np.kron(basis[0], b), lambda b: np.kron(b, basis[0])]
+    removed = [family(b) for family in families[:_REMOVED_FAMILIES[state_class]] for b in basis[1:]]
     return np.array(removed, dtype=complex).reshape(-1, d * d, d * d)
 
 

@@ -112,9 +112,11 @@ def povm_from_design(s: WeightedUnitarySet) -> DiscretePovm:
     The element sum equals the identity exactly when the set is a weighted
     1-design; a normalization defect beyond ``ATOL_POVM`` is raised as an error.
     Each element is tau(x) times a rank-one projector, so positivity follows
-    from tau > 0 (checked) and needs no eigenvalue test.
+    from tau > 0 (checked) and needs no eigenvalue test.  The (n, D, D)
+    elements and the D² × D² frame, D = d², must fit in ``MAX_ENTRIES``.
     """
     d = s.dim
+    check_entries(max(len(s), int(d) ** 4) * int(d) ** 4, 'the POVM elements and frame max(n, D²)·D²')
     kets = s.unitaries.reshape(len(s), -1) / np.sqrt(d)    # |U> = vec(U)/sqrt(d)
     tau = d * d * s.weights
     elements = (tau[:, None] * kets)[:, :, None] * kets[:, None, :].conj()

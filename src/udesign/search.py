@@ -2,16 +2,16 @@
 
 A candidate set is parametrized totally: each unitary is the exponential of
 a Hermitian combination of the scaled basis generators, and weights are the
-normalized exponentials of free logits.  The objective is the frame-potential
-gap, which vanishes exactly on designs, minimized by multi-restart L-BFGS
-with an analytic gradient (the eigendecomposition form of the exponential's
-derivative keeps it exact for degenerate spectra).
+softmax of logits tied by the weight mode's self-adjoint map.  The objective
+is the frame-potential gap, which vanishes exactly on designs, minimized by
+multi-restart L-BFGS with an analytic gradient (the eigendecomposition form
+of the exponential's derivative keeps it exact for degenerate spectra).
 
 The gap is the square of the moment residual and is computed by cancellation,
 so it bottoms out near 1e-16 while the residual may still be near 1e-8.  A
 converged result is therefore polished in linear units: damped
-Gauss-Newton steps drive its 1-design residual, the POVM normalization
-defect, to float precision.
+Gauss-Newton steps, taken through the same exponential chart, drive its
+1-design residual, the POVM normalization defect, to float precision.
 """
 
 from __future__ import annotations
@@ -27,7 +27,14 @@ from .errors import InvalidInputError
 from .linalg import (check_cert_threshold, check_dim, check_entries, dag, haar_unitaries, herm_basis,
                      log_unitary, make_rng)
 
-WEIGHT_MODES = ('free', 'uniform', 'per-basis')
+# Weight mode -> self-adjoint linear tie T(logits, d) applied before the softmax, so T
+# is also the chain rule of the logit gradient: identity, zero, or d²-block means.
+_TIES = {
+    'free': lambda logits, d: logits,
+    'uniform': lambda logits, d: np.zeros_like(logits),
+    'per-basis': lambda logits, d: np.repeat(logits.reshape(-1, d * d).mean(axis=1), d * d),
+}
+WEIGHT_MODES = tuple(_TIES)
 # Cap on trial steps of the residual polish; singular sets need about 15.
 POLISH_MAX_STEPS = 50
 
@@ -84,20 +91,15 @@ def _generators(d: int) -> np.ndarray:
 
 
 def _weights_from_logits(logits: np.ndarray, mode: str, d: int) -> np.ndarray:
-    n = len(logits)
-    if mode == 'uniform':
-        return np.full(n, 1.0 / n)
-    if mode == 'per-basis':
-        logits = np.repeat(logits.reshape(-1, d * d).mean(axis=1), d * d)
+    logits = _TIES[mode](logits, d)
     shifted = np.exp(logits - logits.max())
     return shifted / shifted.sum()
 
 
 def _unitaries_from_theta(theta_u: np.ndarray, gens: np.ndarray):
     # U = V e^{iλ} V† from the eigendecomposition of sum_k theta_k A_k
-    n, d2 = theta_u.shape
-    d = gens.shape[-1]
-    evals, v = np.linalg.eigh((theta_u @ gens.reshape(d2, d2)).reshape(n, d, d))
+    n, d = len(theta_u), gens.shape[-1]
+    evals, v = np.linalg.eigh((theta_u @ gens.reshape(len(gens), d * d)).reshape(n, d, d))
     phases = np.exp(1j * evals)
     return (v * phases[:, None, :]) @ dag(v), evals, phases, v
 
@@ -166,15 +168,8 @@ def objective_and_gradient(theta: np.ndarray, dim: int, size: int, t: int,
     back_t = v.conj() @ middle @ np.swapaxes(v, 1, 2)     # (V Mᵀ V†)ᵀ
     grad_u = np.real(back_t.reshape(size, d2) @ gens.reshape(d2, d2).T)
 
-    if weight_mode == 'uniform':
-        grad_w = np.zeros(size)
-    else:
-        dpot_dw = 2.0 * abs2_t @ w
-        grad_w = w * (dpot_dw - np.dot(w, dpot_dw))
-        if weight_mode == 'per-basis':
-            # logits enter through a block mean, so the chain rule block-averages
-            block = dim * dim
-            grad_w = np.repeat(grad_w.reshape(-1, block).mean(axis=1), block)
+    dpot_dw = 2.0 * abs2_t @ w
+    grad_w = _TIES[weight_mode](w * (dpot_dw - np.dot(w, dpot_dw)), dim)    # a self-adjoint tie is its chain rule
     return gap, np.concatenate([grad_u.reshape(-1), grad_w])
 
 
@@ -254,9 +249,9 @@ def _polish(s: WeightedUnitarySet, free_weights: bool) -> WeightedUnitarySet:
     """Drive the 1-design residual R = d sum_x w_x vec(U_x)vec(U_x)† - I,
     which equals the POVM defect sum F - I, to float precision.
 
-    Each step starts from the current set.  Element x moves to C(G_x) U_x,
-    with C the Cayley map and G_x a combination of the traceless generators,
-    so it stays unitary; free weights move to the softmax of log w + delta,
+    Each step starts from the current set.  Element x moves to exp(iG_x) U_x
+    through the objective's chart, with G_x a combination of the traceless
+    generators, so it stays unitary; free weights move to the softmax of log w + delta,
     so they stay positive and normalized.  The Jacobian is
     :func:`_residual_jacobian` at the current set.
 
@@ -273,7 +268,6 @@ def _polish(s: WeightedUnitarySet, free_weights: bool) -> WeightedUnitarySet:
     d, n = s.dim, len(s)
     gens = _generators(d)[1:]
     m = len(gens)
-    eye = np.eye(d)
 
     def residual(u, w):
         flat = u.reshape(n, -1)
@@ -288,8 +282,7 @@ def _polish(s: WeightedUnitarySet, free_weights: bool) -> WeightedUnitarySet:
             break
         step = lsmr(_residual_jacobian(u, w, free_weights), -r, damp=boost * norm,
                     atol=1e-10, btol=1e-10)[0]
-        g = np.einsum('xk,kab->xab', step[:n * m].reshape(n, m), gens)
-        trial_u = np.linalg.solve(eye - 0.5j * g, (eye + 0.5j * g) @ u)
+        trial_u = _unitaries_from_theta(step[:n * m].reshape(n, m), gens)[0] @ u
         trial_w = _weights_from_logits(np.log(w) + step[n * m:], 'free', d) if free_weights else w
         trial = residual(trial_u, trial_w)
         if np.linalg.norm(trial) < norm:

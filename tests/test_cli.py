@@ -111,6 +111,16 @@ class TestVerify:
         doc = json.loads(report.read_text())
         assert doc['pass'] is True and doc['gap'] <= 1e-9
 
+    def test_moment_residual_beyond_the_entries_guard_is_null(self, capsys, tmp_path, monkeypatch):
+        # pu2_11pt at t = 2 needs 256 entries for its moments; the verdict still reads the gap
+        design, report = tmp_path / 'd.json', tmp_path / 'report.json'
+        run(capsys, 'design-gallery', '--name', 'pu2_11pt', '--out', str(design))
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 255)
+        code, stdout, err = run(capsys, 'design-verify', '--file', str(design), '--t', '2', '--json', str(report))
+        assert (code, err) == (0, '') and 'moment residual' not in stdout and stdout.endswith('PASS\n')
+        doc = json.loads(report.read_text())
+        assert doc['moment_residual'] is None and doc['pass'] is True
+
     def test_truncated_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / 'bad.json'
         bad.write_text('{"dim": 2, "elements": [')
@@ -360,6 +370,15 @@ class TestTomo:
                                 '--shots', '100', '--trials', str(trials), '--csv', str(tmp_path / 'r.csv'))
         assert (code, stdout) == (3, '')
         assert err == f"guard: trials × max(outcomes, D²) = {16 * trials} entries exceeds the guard {linalg.MAX_ENTRIES}\n"
+        assert not (tmp_path / 'r.csv').exists()
+
+    def test_povm_above_the_entries_guard_exits_3(self, capsys, tmp_path, design_file, monkeypatch):
+        # pu2_11pt: the 16 × 16 frame has 256 entries
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 255)
+        code, stdout, err = run(capsys, 'tomo', '--design', str(design_file), '--channel', 'identity',
+                                '--shots', '100', '--trials', '10', '--csv', str(tmp_path / 'r.csv'))
+        assert (code, stdout) == (3, '')
+        assert err == "guard: the POVM elements and frame max(n, D²)·D² = 256 entries exceeds the guard 255\n"
         assert not (tmp_path / 'r.csv').exists()
 
     def test_exit_code_reads_the_z_gate(self, capsys, tmp_path, design_file, monkeypatch):

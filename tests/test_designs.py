@@ -197,6 +197,20 @@ class TestCertify:
             bad = certify(noisy, 2)
             assert not bad.passed and bad.moment_residual > np.sqrt(1e-8) * 4
 
+    @pytest.mark.parametrize('s,t,count', [(gallery('pu2_11pt'), 2, 256), (unitary_operator_frame(20, 2), 1, 80)],
+                             ids=['moments', 'powers'])
+    def test_moment_residual_is_none_beyond_the_entries_guard(self, monkeypatch, s, t, count):
+        # the powers and the moment hold max(n, d^2t)·d^2t entries, as many as or more than
+        # each permutation operator of haar_moment
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', count)
+        assert certify(s, t).moment_residual <= 1e-7
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', count - 1)
+        with pytest.raises(ResourceLimitError, match=rf'^the moment operator max\(n, d\^2t\)·d\^2t = {count} entries '
+                                                     rf'exceeds the guard {count - 1}$'):
+            design_moment(s, t)
+        cert = certify(s, t)
+        assert cert.moment_residual is None and cert.passed and cert.gap <= 1e-9
+
     def test_gap_below_its_float_floor_is_numerical_trouble(self):
         fields = dict(t=1, potential=1.0, gamma=1.0, moment_residual=None, passed=True)
         assert DesignCertificate(gap=-ATOL_CERT, **fields).gap == -ATOL_CERT

@@ -6,7 +6,6 @@ import pytest
 from udesign import linalg
 from udesign.errors import InvalidInputError, ResourceLimitError
 from udesign.linalg import (
-    MAX_PERM_DIM,
     assert_unitary,
     class_projector,
     class_projector_coords,
@@ -177,7 +176,8 @@ class TestPermutationOperator:
 
     @pytest.mark.parametrize('d', [2, 3, 4])
     def test_bit_identical_to_the_digit_construction(self, d):
-        cases = [p for n in range(1, 5) if d ** n <= MAX_PERM_DIM for p in itertools.permutations(range(1, n + 1))]
+        cases = [p for n in range(1, 5) if d ** (2 * n) <= linalg.MAX_ENTRIES
+                 for p in itertools.permutations(range(1, n + 1))]
         assert len(cases) == 33
         for images in cases:
             assert permutation_operator(images, d).tobytes() == permutation_operator_loops(images, d).tobytes()
@@ -185,6 +185,14 @@ class TestPermutationOperator:
     def test_dimension_guard(self):
         with pytest.raises(ResourceLimitError):
             permutation_operator(tuple(range(1, 8)), 4)
+
+    def test_entries_guard_flips_at_its_value(self, monkeypatch):
+        # (d^n)² entries: 3 factors of C^2 give 64
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 64)
+        assert permutation_operator((3, 1, 2), 2).shape == (8, 8)
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 63)
+        with pytest.raises(ResourceLimitError, match=r'^the permutation operator \(d\^n\)² = 64 entries exceeds the guard 63$'):
+            permutation_operator((3, 1, 2), 2)
 
     def test_rejects_non_permutation(self):
         with pytest.raises(InvalidInputError):
@@ -381,6 +389,24 @@ class TestClassProjectorCoords:
     def test_unknown_class_raises(self):
         with pytest.raises(InvalidInputError, match='unknown state class'):
             class_projector_coords('xx', 2)
+        with pytest.raises(InvalidInputError, match='unknown state class'):
+            span_dimension('xx', 2)
+
+    @pytest.mark.parametrize('d', [2, 3, 4])
+    def test_bit_identical_to_the_per_class_construction(self, d):
+        # reference: the removed directions listed class by class, b_0⊗B for gc and uc, then B⊗b_0 for uc
+        basis = herm_basis(d)
+        for state_class in ('uc', 'gc', 'full'):
+            removed = [np.kron(basis[0], b) for b in basis[1:]] if state_class != 'full' else []
+            if state_class == 'uc':
+                removed += [np.kron(b, basis[0]) for b in basis[1:]]
+            pi = np.eye(d ** 4)
+            if removed:
+                c = herm_coords(np.array(removed).reshape(-1, d * d, d * d))
+                pi -= c.T @ c
+            assert class_projector_coords(state_class, d).tobytes() == pi.tobytes()
+            delta = {'uc': (d * d - 1) ** 2 + 1, 'gc': d * d * (d * d - 1) + 1, 'full': d ** 4}[state_class]
+            assert span_dimension(state_class, d) == delta
 
 
 class TestPartialTrace:

@@ -15,6 +15,7 @@ from udesign.channels import (
 )
 from udesign.designs import (
     WeightedUnitarySet,
+    certify,
     gallery,
     group_closure,
     pu2_muub_family,
@@ -76,11 +77,16 @@ def nonuniform_muub_povm():
     return povm_from_design(WeightedUnitarySet(2, unitaries, weights))
 
 
-def qutrit_clifford_povm():
-    """The 216-element qutrit Clifford group, a 2-design, as a POVM on C^3 ⊗ C^3."""
+def qutrit_clifford():
+    """The 216-element qutrit Clifford group, a 2-design."""
     omega = np.exp(2j * np.pi / 3)
     fourier = np.array([[omega ** (j * k) for k in range(3)] for j in range(3)]) / np.sqrt(3)
-    return povm_from_design(group_closure([fourier, np.diag([1, 1, omega])]))
+    return group_closure([fourier, np.diag([1, 1, omega])])
+
+
+def qutrit_clifford_povm():
+    """The qutrit Clifford group as a POVM on C^3 ⊗ C^3."""
+    return povm_from_design(qutrit_clifford())
 
 
 class TestPovmFromDesign:
@@ -323,6 +329,31 @@ class TestTightCheck:
                 canonical_dual(povm, require=state_class)
 
 
+class TestCrossStageIdentities:
+    """certify's moment residuals read at the POVM stage: at t = 1 the residual times d is the
+    POVM defect ||sum F - I||, and at t = 2 it is tight_check's uc residual."""
+
+    @pytest.mark.parametrize('build', [lambda: gallery('pu2_11pt'), qutrit_clifford], ids=['pu2_11pt', 'qutrit216'])
+    def test_near_designs(self, build):
+        s = build()
+        w = s.weights * (1 + 1e-9 * make_rng(7).standard_normal(len(s)))
+        s = WeightedUnitarySet(s.dim, s.unitaries, w / w.sum())
+        povm = povm_from_design(s)
+        defect = np.linalg.norm(povm.elements.sum(axis=0) - np.eye(povm.dim))
+        assert 1e-10 < defect < 1e-8           # above the float floor, inside ATOL_POVM
+        assert certify(s, 1).moment_residual * s.dim == pytest.approx(defect, rel=1e-5)
+        assert certify(s, 2).moment_residual == pytest.approx(tight_check(povm, 'uc').residual, rel=1e-5)
+
+    def test_one_design_that_is_no_two_design(self):
+        s = unitary_operator_frame(9, 3)
+        povm = povm_from_design(s)
+        defect = np.linalg.norm(povm.elements.sum(axis=0) - np.eye(povm.dim))
+        assert certify(s, 1).moment_residual * 3 <= 1e-13 and defect <= 1e-13
+        residual = tight_check(povm, 'uc').residual
+        assert certify(s, 2).moment_residual == pytest.approx(residual, rel=1e-12)
+        assert residual == pytest.approx(np.sqrt(7), rel=1e-12)
+
+
 class TestCanonicalDual:
     def test_11pt_closed_form(self, povm11):
         duals = canonical_dual(povm11, require='uc')
@@ -477,6 +508,17 @@ class TestGuardBoundaries:
             with pytest.raises(NotAPovmError) as err:
                 povm_from_design(s)
             assert err.value.residual == pytest.approx(defect, rel=1e-6)
+
+    @pytest.mark.parametrize('s,count', [(gallery('pu2_11pt'), 256), (unitary_operator_frame(20, 2), 320)],
+                             ids=['frame', 'elements'])
+    def test_design_povm_entries(self, monkeypatch, s, count):
+        # max(n, D²)·D²: the 16 × 16 frame of pu2_11pt, the 20 elements of 16 entries of utof(20, 2)
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', count)
+        assert len(povm_from_design(s)) == len(s)
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', count - 1)
+        with pytest.raises(ResourceLimitError, match=rf'^the POVM elements and frame max\(n, D²\)·D² = {count} entries '
+                                                     rf'exceeds the guard {count - 1}$'):
+            povm_from_design(s)
 
     def test_tight_check_flips_at_its_tolerance(self):
         # shifting weight e between two MUUBs keeps the union complete and

@@ -10,7 +10,9 @@ from udesign.errors import InvalidInputError, ResourceLimitError
 from udesign.linalg import dag, haar_unitaries, haar_unitary, herm_basis, make_rng
 from udesign.povm import povm_from_design
 from udesign.search import (
+    WEIGHT_MODES,
     SearchConfig,
+    _TIES,
     _polish,
     _residual_jacobian,
     objective_and_gradient,
@@ -84,6 +86,15 @@ class TestParametrize:
         for a, b in zip(s.unitaries, s2.unitaries):
             assert abs(np.vdot(a, b)) ** 2 == pytest.approx(4.0, abs=1e-10)
         assert np.allclose(s.weights, s2.weights, atol=1e-12)
+
+
+@pytest.mark.parametrize('mode', WEIGHT_MODES)
+@pytest.mark.parametrize('d', [2, 3])
+def test_weight_ties_are_self_adjoint(mode, d):
+    # <Ta, b> = <a, Tb>, so the gradient pulls the logit gradient back through T itself
+    a, b = make_rng(d).standard_normal((2, 3 * d * d))
+    tie = _TIES[mode]
+    assert np.dot(tie(a, d), b) == pytest.approx(np.dot(a, tie(b, d)), rel=1e-14, abs=1e-15)
 
 
 class TestGradient:

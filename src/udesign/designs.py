@@ -104,9 +104,8 @@ class WeightedUnitarySet:
         return self.unitaries.shape[0]
 
     def gram(self) -> np.ndarray:
-        """Matrix of overlaps tr(U(x)† U(y))."""
-        flat = self.unitaries.reshape(len(self), -1)
-        return flat.conj() @ flat.T
+        """Matrix of overlaps tr(U(x)† U(y)), n² entries at most ``MAX_ENTRIES``."""
+        return _overlaps(self.unitaries, self.unitaries)
 
 
 def uniform_set(dim: int, unitaries) -> WeightedUnitarySet:
@@ -116,11 +115,17 @@ def uniform_set(dim: int, unitaries) -> WeightedUnitarySet:
     return WeightedUnitarySet(dim, unitaries, np.full(n, 1.0 / n))
 
 
+def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) matrix of tr(A†B) over stacks (n, d, d), (m, d, d), the one
+    overlap kernel of the package; its n·m entries must fit in ``MAX_ENTRIES``."""
+    check_entries(len(a) * len(b), 'the overlaps n·m')
+    d2 = a.shape[-1] ** 2
+    return a.reshape(len(a), d2).conj() @ b.reshape(len(b), d2).T
+
+
 def _phase_equivalent(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, m) mask of |tr(A†B)|² >= d² - DEDUP_TOL over stacks (n, d, d), (m, d, d)."""
-    d2 = a.shape[-1] ** 2
-    overlap = a.reshape(len(a), d2).conj() @ b.reshape(len(b), d2).T
-    return np.abs(overlap) ** 2 >= d2 - DEDUP_TOL
+    return np.abs(_overlaps(a, b)) ** 2 >= a.shape[-1] ** 2 - DEDUP_TOL
 
 
 def _first_seen(u: np.ndarray) -> np.ndarray:
@@ -153,7 +158,8 @@ def merge_phase_duplicates(s: WeightedUnitarySet) -> WeightedUnitarySet:
 
 
 def frame_potential(s: WeightedUnitarySet, t: int) -> float:
-    """Double sum sum_{x,y} w(x) w(y) |tr(U(x)† U(y))|^(2t)."""
+    """Double sum sum_{x,y} w(x) w(y) |tr(U(x)† U(y))|^(2t); its n² overlaps
+    must fit in ``MAX_ENTRIES``."""
     if t < 1:
         raise InvalidInputError(f"t must be >= 1, got {t}")
     overlap2 = np.abs(s.gram()) ** 2
@@ -258,6 +264,7 @@ def certify(s: WeightedUnitarySet, t: int, atol_cert: float = ATOL_CERT) -> Desi
     numbers and bottoms out near 1e-16, so a gap of about 0 can hide a
     residual of about 1e-8.  PASS means gap <= ``atol_cert``, also where the
     residual is None: at t > 2 and when the moments exceed ``MAX_ENTRIES``.
+    The potential's n² overlaps must fit in ``MAX_ENTRIES``.
     """
     check_cert_threshold(atol_cert, 'atol_cert')
     pot = frame_potential(s, t)
@@ -425,12 +432,12 @@ def muub_check(bases: list[WeightedUnitarySet]) -> MuubReport:
         if len(b) != d * d:
             raise InvalidInputError(f"a unitary operator basis for d={d} has d²={d * d} elements, got {len(b)}")
     m = len(bases)
-    flat = np.concatenate([b.unitaries.reshape(d * d, -1) for b in bases])
-    overlap = flat.conj() @ flat.T
+    union = np.concatenate([b.unitaries for b in bases])
+    overlap = _overlaps(union, union)
     same = np.kron(np.eye(m, dtype=bool), np.ones((d * d, d * d), dtype=bool))
     orth_defect = float(np.abs(overlap - d * np.eye(m * d * d))[same].max())
     unbias_defect = float(np.abs(np.abs(overlap[~same]) ** 2 - 1.0).max()) if m > 1 else 0.0
-    cert = certify(uniform_set(d, flat.reshape(-1, d, d)), 2)
+    cert = certify(uniform_set(d, union), 2)
     orthogonal = orth_defect <= ATOL_ALG
     unbiased = unbias_defect <= ATOL_ALG
     return MuubReport(

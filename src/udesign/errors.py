@@ -35,12 +35,12 @@ class NotChannelImageError(InvalidInputError):
 
 
 class NotInformationallyCompleteError(InvalidInputError):
-    """POVM support does not contain the requested reconstruction span."""
+    """The POVM frame compressed to the requested class span has rank below its dimension."""
 
     def __init__(self, support_dim: int, required_dim: int):
         self.support_dim = int(support_dim)
         self.required_dim = int(required_dim)
         super().__init__(
-            f"POVM support has dimension {support_dim}, "
+            f"POVM frame on the class span has rank {support_dim}, "
             f"but reconstruction needs {required_dim}"
         )

@@ -36,7 +36,6 @@ ATOL_CERT = 1e-8           # frame-potential gap that certifies a t-design
 DEDUP_TOL = 1e-6           # U, V are phase-equivalent when |tr(U†V)|² >= d² - DEDUP_TOL
 ATOL_POVM = 1e-8           # normalization defect ||sum F - I|| of a design's POVM
 ATOL_TIGHT = 1e-8          # residual of a frame superoperator against the tight form of its class
-ATOL_SPAN = 1e-8           # ||Pi - B Bᵀ Pi||: part of a required span outside the frame support (canonical_dual)
 CP_FLOOR = 1e-8            # most negative process-matrix eigenvalue still read as completely positive
 ATOL_KRAUS = 1e-7          # trace-preservation residual of Kraus operators re-extracted from a state
 PROB_CLAMP = 1e-12         # Born-probability dips down to -PROB_CLAMP are floored at zero

@@ -4,9 +4,10 @@ The measurement induced by a weighted set has rank-one density operators
 P(x) = |U(x)><U(x)| built from maximally entangled kets, trace measure
 tau(x) = d² w(x) and elements F(x) = tau(x) P(x); the element sum is the
 identity exactly when the set is a 1-design.  The frame superoperator
-F = sum_x tau(x)|P(x)>><<P(x)| decides informational completeness through
-its support and tightness through its spectrum, and its restricted inverse
-yields the canonical reconstruction operators.
+F = sum_x tau(x)|P(x)>><<P(x)| decides tightness through its spectrum; its
+compression Pi F Pi to a class span decides informational completeness for
+the class through its rank, and its restricted inverse yields the canonical
+reconstruction operators.
 
 The frame lives in the real Hermitian coordinates of `udesign.linalg`: with
 A the (n, D²) coordinates of the P(x), it is the real symmetric matrix
@@ -24,15 +25,10 @@ import numpy as np
 
 from .channels import ChannelEstimate, QuantumChannel, jamiolkowski
 from .designs import WeightedUnitarySet
-from .errors import (
-    InvalidInputError,
-    NotAPovmError,
-    NotInformationallyCompleteError,
-)
+from .errors import InvalidInputError, NotAPovmError, NotInformationallyCompleteError
 from .linalg import (
     ATOL_ALG,
     ATOL_POVM,
-    ATOL_SPAN,
     ATOL_TIGHT,
     EIG_CUTOFF,
     PROB_CLAMP,
@@ -185,37 +181,38 @@ def tight_check(povm: DiscretePovm, state_class: str) -> TightReport:
     )
 
 
-def _frame_eig(povm: DiscretePovm):
-    evals, evecs = np.linalg.eigh(povm.frame)
+def _restricted_inverse(frame: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank and support inverse of a positive frame, eigenvalues <= ``EIG_CUTOFF``·max read as zero."""
+    evals, evecs = np.linalg.eigh(frame)
     keep = evals > EIG_CUTOFF * evals.max()
-    return evals, evecs, keep
+    support = evecs[:, keep]
+    return int(keep.sum()), (support / evals[keep]) @ support.T
 
 
 def _dual_coords(povm: DiscretePovm, require: str | None) -> np.ndarray:
     """Hermitian coordinates (n, D²) of the canonical duals; see :func:`canonical_dual`."""
     if require is not None and not isinstance(require, str):
         raise InvalidInputError(f"require must name a state class or be None, got {type(require).__name__}")
-    evals, evecs, keep = _frame_eig(povm)
-    support = evecs[:, keep]
+    frame = povm.frame
     if require is not None:
-        pi, required_dim = _class_span(require, povm.dim)
-        # span containment: no part of the required span may lie outside the support
-        outside = np.linalg.norm(pi - support @ (support.T @ pi))
-        if support.shape[1] < required_dim or outside > ATOL_SPAN:
-            raise NotInformationallyCompleteError(support.shape[1], required_dim)
-    return povm.coords @ ((support / evals[keep]) @ support.T)
+        pi, delta = _class_span(require, povm.dim)
+        frame = pi @ frame @ pi
+    rank, inverse = _restricted_inverse(frame)
+    if require is not None and rank < delta:
+        raise NotInformationallyCompleteError(rank, delta)
+    return povm.coords @ inverse
 
 
 def canonical_dual(povm: DiscretePovm, require: str | None = None) -> np.ndarray:
     """Reconstruction operators R(x) of the canonical dual frame.
 
-    The frame superoperator is inverted on its support; R(x) is the image of
-    P(x) under that restricted inverse, so sum_x tau(x) R(x) = I and
-    tr R(x) = 1.  When ``require`` names a class ('uc', 'gc', 'full'), the
-    support must contain its span (||Pi - B Bᵀ Pi|| <= ``ATOL_SPAN`` in
-    Hermitian coordinates, Pi the class projector and B an orthonormal
-    support basis), otherwise the POVM cannot reconstruct all states of the
-    class and an error is raised.
+    R(x) is the image of P(x) under the frame superoperator F inverted on its
+    support, so sum_x tau(x) R(x) = I and tr R(x) = 1.  When ``require`` names
+    a class ('uc', 'gc', 'full') of span projector Pi and dimension delta, the
+    compressed frame Pi F Pi is inverted instead (Scott, J. Phys. A 39, 13507
+    (2006)): every estimate sum_x p(x) R(x) lies in the span, and unless
+    Pi F Pi has rank delta the class is not fixed by the statistics and an
+    error is raised.
     """
     return herm_from_coords(_dual_coords(povm, require))
 
@@ -223,8 +220,7 @@ def canonical_dual(povm: DiscretePovm, require: str | None = None) -> np.ndarray
 def dual_frame_norm(povm: DiscretePovm, duals: np.ndarray | None = None) -> float:
     """Delta_tau(R) = sum_x tau(x) <<R(x)|R(x)>> = Tr of the inverted frame."""
     if duals is None:
-        evals, _, keep = _frame_eig(povm)
-        return float((1.0 / evals[keep]).sum())
+        return float(np.trace(_restricted_inverse(povm.frame)[1]))
     flat = duals.reshape(len(povm), -1)
     return float(np.real(np.einsum('x,xi,xi->', povm.trace_measure, flat.conj(), flat)))
 
@@ -306,12 +302,13 @@ def simulate(povm: DiscretePovm, channel: QuantumChannel, shots: int, trials: in
     """Simulate repeated tomography of a channel's bipartite output state.
 
     All trials come from one multinomial draw on ``rng`` of ``trials`` count
-    vectors of ``shots`` outcomes; each is reconstructed through the canonical
-    dual restricted to the class span, and its squared Frobenius error against
-    the exact output state is recorded (as the squared distance of Hermitian
-    coordinates, the same number).  The report carries the class prediction
-    evaluated at the exact purity.  The counts and estimates, trials × max(n, D²)
-    entries, must fit in ``MAX_ENTRIES``.
+    vectors of ``shots`` outcomes; each is reconstructed in the class span by
+    ``canonical_dual(povm, state_class)`` ('uc' for unital channels, else
+    'gc'), and its squared Frobenius error against the exact output state is
+    recorded (as the squared distance of Hermitian coordinates, the same
+    number).  The report carries the class prediction evaluated at the exact
+    purity.  The counts and estimates, trials × max(n, D²) entries, must fit
+    in ``MAX_ENTRIES``.
     """
     if shots < 1 or trials < 2:
         raise InvalidInputError("need shots >= 1 and trials >= 2: the standard error needs two trials")
@@ -342,9 +339,9 @@ def estimate_channel(povm: DiscretePovm, counts: np.ndarray,
                      require: str | None = None) -> ChannelEstimate:
     """Linear channel estimate from measured counts, positivity not enforced.
 
-    The state estimate sum_x p_hat(x) R(x) is mapped to a process matrix
-    without projecting onto the physical set, so the estimate's bipartite
-    state equals the linear reconstruction exactly.
+    The state estimate sum_x p_hat(x) R(x), R = ``canonical_dual(povm,
+    require)`` and so in the class span when one is named, is mapped to a
+    process matrix without projecting onto the physical set.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (len(povm),) or counts.sum() <= 0:

@@ -39,6 +39,13 @@ WEIGHT_MODES = tuple(_TIES)
 POLISH_MAX_STEPS = 50
 
 
+def _tie(mode: str):
+    """The tie of a weight mode; a name outside ``WEIGHT_MODES`` is a usage error."""
+    if mode not in WEIGHT_MODES:
+        raise InvalidInputError(f"weight_mode must be one of {WEIGHT_MODES}")
+    return _TIES[mode]
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Search parameters, checked before any work: dim an integer >= 2
@@ -65,8 +72,7 @@ class SearchConfig:
                 raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
         check_entries(max(int(self.dim) ** 4, int(self.size) ** 2), 'the larger of the d⁴ generators and n² overlaps')
         check_cert_threshold(self.target_gap, 'target_gap')
-        if self.weight_mode not in WEIGHT_MODES:
-            raise InvalidInputError(f"weight_mode must be one of {WEIGHT_MODES}")
+        _tie(self.weight_mode)
         if self.weight_mode == 'per-basis' and self.size % self.dim ** 2 != 0:
             raise InvalidInputError("per-basis mode needs size divisible by d²")
 
@@ -91,7 +97,7 @@ def _generators(d: int) -> np.ndarray:
 
 
 def _weights_from_logits(logits: np.ndarray, mode: str, d: int) -> np.ndarray:
-    logits = _TIES[mode](logits, d)
+    logits = _tie(mode)(logits, d)
     shifted = np.exp(logits - logits.max())
     return shifted / shifted.sum()
 
@@ -169,7 +175,7 @@ def objective_and_gradient(theta: np.ndarray, dim: int, size: int, t: int,
     grad_u = np.real(back_t.reshape(size, d2) @ gens.reshape(d2, d2).T)
 
     dpot_dw = 2.0 * abs2_t @ w
-    grad_w = _TIES[weight_mode](w * (dpot_dw - np.dot(w, dpot_dw)), dim)    # a self-adjoint tie is its chain rule
+    grad_w = _tie(weight_mode)(w * (dpot_dw - np.dot(w, dpot_dw)), dim)    # a self-adjoint tie is its chain rule
     return gap, np.concatenate([grad_u.reshape(-1), grad_w])
 
 

@@ -121,6 +121,17 @@ class TestVerify:
         doc = json.loads(report.read_text())
         assert doc['moment_residual'] is None and doc['pass'] is True
 
+    def test_overlaps_guard_exits_3(self, capsys, tmp_path, monkeypatch):
+        # pu2_11pt's 11² = 121 overlaps are counted on load and again by certify
+        design = tmp_path / 'd.json'
+        run(capsys, 'design-gallery', '--name', 'pu2_11pt', '--out', str(design))
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 121)
+        code, stdout, err = run(capsys, 'design-verify', '--file', str(design), '--t', '2')
+        assert (code, err) == (0, '') and stdout.endswith('PASS\n')
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 120)
+        assert run(capsys, 'design-verify', '--file', str(design), '--t', '2') == (
+            3, '', 'guard: the overlaps n·m = 121 entries exceeds the guard 120\n')
+
     def test_truncated_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / 'bad.json'
         bad.write_text('{"dim": 2, "elements": [')

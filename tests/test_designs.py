@@ -26,6 +26,7 @@ from udesign.designs import (
     unitary_operator_frame,
 )
 from udesign.errors import InvalidInputError, ResourceLimitError
+from udesign.io import load_design, save_design
 from udesign.linalg import (
     ATOL_CERT,
     dag,
@@ -128,24 +129,13 @@ class TestHaarMoment:
                 m = haar_moment(t, d)
                 assert np.linalg.norm(m - dag(m)) <= 1e-9
 
-    def test_t2_matches_monte_carlo(self):
-        # oracle: empirical Haar average of U ⊗ U ⊗ U† ⊗ U† over 1e6 samples
-        rng = make_rng(99)
-        total = 10 ** 6
-        batch = 20_000
-        acc = np.zeros((16, 16), dtype=complex)
-        acc_sq = np.zeros((16, 16))
-        for _ in range(total // batch):
-            u = haar_unitaries(2, batch, rng)
-            uu = np.einsum('nab,ncd->nacbd', u, u).reshape(batch, 4, 4)
-            sample = np.einsum('nij,nkl->nikjl', uu, dag(uu)).reshape(batch, 16, 16)
-            acc += sample.sum(axis=0)
-            acc_sq += (np.abs(sample) ** 2).sum(axis=0)
-        mean = acc / total
-        var = acc_sq / total - np.abs(mean) ** 2
-        stderr = np.sqrt(np.maximum(var, 1e-30) / total)
-        deviation = np.abs(mean - haar_moment(2, 2))
-        assert np.all(deviation <= 5 * stderr + 1e-12)
+    @pytest.mark.parametrize('t', [1, 2])
+    @pytest.mark.parametrize('name', ['pu2_clifford12', 'pu2_clifford24', 'qutrit_clifford216'])
+    def test_exact_two_designs_carry_the_haar_moment(self, name, t):
+        # oracle: an exact unitary 2-design's t <= 2 moments are the Haar moments entrywise
+        # (largest difference measured 6.7e-16)
+        s = group_closure(clifford_generators(3)) if name == 'qutrit_clifford216' else gallery(name)
+        assert np.abs(design_moment(s, t) - haar_moment(t, s.dim)).max() <= 1e-13
 
     @pytest.mark.parametrize('d', [2, 3])
     def test_hierarchy_contraction(self, d):
@@ -201,15 +191,22 @@ class TestCertify:
                              ids=['moments', 'powers'])
     def test_moment_residual_is_none_beyond_the_entries_guard(self, monkeypatch, s, t, count):
         # the powers and the moment hold max(n, d^2t)·d^2t entries, as many as or more than
-        # each permutation operator of haar_moment
-        monkeypatch.setattr(linalg, 'MAX_ENTRIES', count)
+        # each permutation operator of haar_moment.  certify also holds the n² overlaps, more
+        # than the powers when n > d^2t: there its overlaps guard trips first
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', max(count, len(s) ** 2))
         assert certify(s, t).moment_residual <= 1e-7
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', count)
+        assert np.linalg.norm(design_moment(s, t) - haar_moment(t, s.dim)) <= 1e-7
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', count - 1)
         with pytest.raises(ResourceLimitError, match=rf'^the moment operator max\(n, d\^2t\)·d\^2t = {count} entries '
                                                      rf'exceeds the guard {count - 1}$'):
             design_moment(s, t)
-        cert = certify(s, t)
-        assert cert.moment_residual is None and cert.passed and cert.gap <= 1e-9
+        if len(s) ** 2 < count:
+            cert = certify(s, t)
+            assert cert.moment_residual is None and cert.passed and cert.gap <= 1e-9
+        else:
+            with pytest.raises(ResourceLimitError, match=f'^the overlaps n·m = {len(s) ** 2} entries'):
+                certify(s, t)
 
     def test_gap_below_its_float_floor_is_numerical_trouble(self):
         fields = dict(t=1, potential=1.0, gamma=1.0, moment_residual=None, passed=True)
@@ -227,6 +224,33 @@ class TestCertify:
             s = gallery(name)
             for lower in range(1, t + 1):
                 assert certify(s, lower).passed
+
+
+class TestOverlapsGuard:
+    """Every n × m overlap matrix is counted against ``MAX_ENTRIES`` before it is built."""
+
+    def test_pu2_11pt_flips_at_its_121_overlaps(self, tmp_path, monkeypatch):
+        s = gallery('pu2_11pt')
+        path = tmp_path / 'd.json'
+        save_design(s, path, certified_t=2)
+        calls = (lambda: certify(s, 2), lambda: load_design(path), lambda: frame_potential(s, 1),
+                 lambda: assert_phase_distinct(s), lambda: merge_phase_duplicates(s))
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 121)
+        for call in calls:
+            call()
+        assert certify(s, 2).passed and len(load_design(path)[0]) == 11
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 120)
+        for call in calls:
+            with pytest.raises(ResourceLimitError, match='^the overlaps n·m = 121 entries exceeds the guard 120$'):
+                call()
+
+    def test_muub_union_flips_at_its_144_overlaps(self, monkeypatch):
+        bases = pu2_muub_family()
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 144)
+        assert muub_check(bases).complete
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 143)
+        with pytest.raises(ResourceLimitError, match='^the overlaps n·m = 144 entries exceeds the guard 143$'):
+            muub_check(bases)
 
 
 def _perturb(s, scale, rng):
@@ -390,6 +414,7 @@ class TestGroupClosure:
     def test_d5_clifford_has_25_times_sl2_5_elements(self):
         s = group_closure(clifford_generators(5))
         assert len(s) == 3000 == 25 * 120          # |SL(2, 5)| = 120
+        assert len(s) ** 2 <= linalg.MAX_ENTRIES   # its 9·10⁶ overlaps stay under the guard
         assert_phase_distinct(s)
         assert certify(s, 2).passed
 

@@ -6,6 +6,7 @@ import pytest
 from udesign import linalg, povm as povm_module
 from udesign.channels import (
     channel_distance,
+    channel_from_spec,
     channel_gallery,
     depolarizing_channel,
     jamiolkowski,
@@ -75,6 +76,25 @@ def nonuniform_muub_povm():
     unitaries = np.concatenate([b.unitaries for b in bases])
     weights = np.concatenate([np.full(4, 1 / 8), np.full(4, 1 / 16), np.full(4, 1 / 16)])
     return povm_from_design(WeightedUnitarySet(2, unitaries, weights))
+
+
+@pytest.fixture(scope='module')
+def povm216():
+    return qutrit_clifford_povm()
+
+
+def mub_povm_c4():
+    """The 20-state MUB measurement of C^4: the common eigenbases of the five
+    commuting Pauli pairs {ZI, IZ}, {XI, IX}, {YI, IY}, {XZ, ZY}, {YZ, ZX},
+    each state weighted 1/5.  Informationally complete, not uc- or gc-tight."""
+    pauli = {'I': np.eye(2), 'X': np.array([[0, 1], [1, 0]]), 'Y': np.array([[0, -1j], [1j, 0]]),
+             'Z': np.diag([1, -1])}
+    states = []
+    for a, b in (('ZI', 'IZ'), ('XI', 'IX'), ('YI', 'IY'), ('XZ', 'ZY'), ('YZ', 'ZX')):
+        pair = [np.kron(pauli[p[0]], pauli[p[1]]) for p in (a, b)]
+        states.extend(np.linalg.eigh(pair[0] + 2 * pair[1])[1].T)    # eigenvalues ±1 ± 2 are distinct
+    states = np.array(states)
+    return DiscretePovm.from_elements(np.einsum('xa,xb->xab', states, states.conj()) / 5)
 
 
 def qutrit_clifford():
@@ -400,18 +420,53 @@ class TestCanonicalDual:
             with pytest.raises(InvalidInputError, match='require must name a state class'):
                 estimate_channel(povm11, np.ones(11), require=pi)
 
-    def test_required_span_must_lie_inside_the_support(self):
-        # the rows of a random 10x4 isometry: the support has dimension 10 = delta_uc but
-        # does not contain the uc span, so a rank test alone would accept it
-        iso = haar_unitaries(10, 1, make_rng(5))[0][:, :4]
+    @pytest.mark.parametrize('d', [2, 3])
+    def test_compressed_frame_of_class_rank_reconstructs_the_class(self, d):
+        # the rows of a random δ_uc x d² isometry: the frame support has dimension δ_uc but is
+        # not the uc span, yet the compressed frame Pi F Pi has rank δ_uc, so the statistics fix
+        # every unital-channel output.  Its condition number (1.3e3 at d = 2, 5.7e5 at d = 3)
+        # scales the errors: reconstruction measured <= 4.4e-12 and <= 2.5e-7 against the bound
+        # 1e-11·cond, the part outside the span <= 7.5e-15 and <= 3.5e-12 against eps·cond.
+        iso = haar_unitaries(span_dimension('uc', d), 1, make_rng(5))[0][:, :d * d]
         povm = DiscretePovm.from_elements(np.einsum('xa,xb->xab', iso, iso.conj()))
+        pi = class_projector_coords('uc', d)
+        evals = np.linalg.eigvalsh(pi @ povm.frame @ pi)
+        support = evals[evals > 1e-10 * evals.max()]
+        assert len(support) == span_dimension('uc', d)
+        cond = support.max() / support.min()
+        duals = canonical_dual(povm, require='uc')
+        for seed in (1, 2, 3):
+            sigma = jamiolkowski(random_unital_mix(3, d, make_rng(seed)))
+            estimate = reconstruct(duals, outcome_probabilities(povm, sigma))
+            assert np.linalg.norm(estimate - sigma) <= 1e-11 * cond
+            c = herm_coords(estimate)
+            assert np.linalg.norm(pi @ c - c) <= np.finfo(float).eps * cond
+        # without a class the duals invert the whole frame and still sum to the identity
+        total = np.einsum('x,xij->ij', povm.trace_measure, canonical_dual(povm))
+        assert np.linalg.norm(total - np.eye(d * d)) <= 1e-9
+
+    @pytest.mark.parametrize('state_class', ['gc', 'full'])
+    def test_qutrit_clifford_is_complete_for_uc_only(self, povm216, state_class):
         with pytest.raises(NotInformationallyCompleteError) as err:
-            canonical_dual(povm, require='uc')
-        assert err.value.support_dim == err.value.required_dim == 10
-        # without a requirement the duals still reconstruct inside the support
-        duals = canonical_dual(povm)
-        total = np.einsum('x,xij->ij', povm.trace_measure, duals)
-        assert np.linalg.norm(total - np.eye(4)) <= 1e-9
+            canonical_dual(povm216, require=state_class)
+        assert err.value.support_dim == 65 and err.value.required_dim == span_dimension(state_class, 3)
+
+    @pytest.mark.parametrize('spec, state_class, whole_frame, compressed', [
+        ('depolarizing:0.3', 'uc', 12.0, 4.5),
+        ('random_general:2', 'gc', 6.75, 3.0),
+    ])
+    def test_mub_measurement_error_above_the_class_law(self, spec, state_class, whole_frame, compressed):
+        # the exact N·E||σ̂ - σ||² = sum_x p(x)|R(x)|² - tr σ² of the 20-state MUB measurement
+        # of C^4, less the class law: the class-compressed duals lower the excess
+        povm = mub_povm_c4()
+        sigma = jamiolkowski(channel_from_spec(spec, 2, rng=make_rng(1)))
+        purity = float(np.real(np.trace(sigma @ sigma)))
+        p = outcome_probabilities(povm, sigma)
+        for require, excess in ((None, whole_frame), (state_class, compressed)):
+            duals = herm_coords(canonical_dual(povm, require=require))
+            assert np.linalg.norm(p @ duals - herm_coords(sigma)) <= 1e-12
+            exact = p @ (duals ** 2).sum(axis=1) - purity
+            assert abs(exact - predicted_error(2, purity, 1, state_class) - excess) <= 1e-9
 
 
 class TestDualOptimality:

@@ -1,5 +1,6 @@
 import copy
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,15 @@ def test_weight_ties_are_self_adjoint(mode, d):
     a, b = make_rng(d).standard_normal((2, 3 * d * d))
     tie = _TIES[mode]
     assert np.dot(tie(a, d), b) == pytest.approx(np.dot(a, tie(b, d)), rel=1e-14, abs=1e-15)
+
+
+def test_unknown_weight_mode_is_a_usage_error_at_every_entry_point():
+    message = re.escape(f"weight_mode must be one of {WEIGHT_MODES}")
+    for call in (lambda: parametrize(np.zeros(5), 2, 1, 'bogus'),
+                 lambda: objective_and_gradient(np.zeros(5), 2, 1, 1, 'bogus'),
+                 lambda: SearchConfig(dim=2, size=1, t=1, weight_mode='bogus')):
+        with pytest.raises(InvalidInputError, match=f'^{message}$'):
+            call()
 
 
 class TestGradient:

@@ -12,6 +12,12 @@ so it bottoms out near 1e-16 while the residual may still be near 1e-8.  A
 converged result is therefore polished in linear units: damped
 Gauss-Newton steps, taken through the same exponential chart, drive its
 1-design residual, the POVM normalization defect, to float precision.
+
+Each L-BFGS run evaluates its objective in one :class:`ObjectiveWorkspace`,
+the n × n buffers it allocates when it starts.  Freed n × n temporaries were
+returned to the system after every call and faulted back in on the next, so
+page faults took about a third of a call at n = 150.  Reusing them changes no
+bit of any result.
 """
 
 from __future__ import annotations
@@ -142,9 +148,32 @@ def theta_from_set(s: WeightedUnitarySet) -> np.ndarray:
     return np.concatenate([_log_coefficients(s.unitaries, s.dim).reshape(-1), np.log(s.weights)])
 
 
+@dataclass(frozen=True)
+class ObjectiveWorkspace:
+    """The n × n buffers of :func:`objective_and_gradient`, allocated once per
+    minimization and overwritten by every evaluation: the overlap Gram T (then
+    the weighted pair matrix), |T|² (then |T|^2t), |T|^(2t-2) and the real
+    weight products t w_x w_y |T_xy|^(2t-2)."""
+
+    overlaps: np.ndarray
+    abs2: np.ndarray
+    lower: np.ndarray
+    outer: np.ndarray
+
+    @classmethod
+    def empty(cls, size: int) -> "ObjectiveWorkspace":
+        return cls(np.empty((size, size), dtype=complex), *np.empty((3, size, size)))
+
+
 def objective_and_gradient(theta: np.ndarray, dim: int, size: int, t: int,
-                           weight_mode: str = 'free') -> tuple[float, np.ndarray]:
-    """Frame-potential gap and its exact gradient in theta."""
+                           weight_mode: str = 'free', *,
+                           workspace: ObjectiveWorkspace | None = None) -> tuple[float, np.ndarray]:
+    """Frame-potential gap and its exact gradient in theta.
+
+    The n × n work runs in ``workspace`` (a fresh one when None), so a
+    minimization that passes one workspace to every evaluation allocates
+    nothing of size n² after the first; the returned gradient is a new array.
+    """
     gens = _generators(dim)
     d2 = dim * dim
     theta = np.asarray(theta, dtype=float)
@@ -152,18 +181,27 @@ def objective_and_gradient(theta: np.ndarray, dim: int, size: int, t: int,
     logits = theta[size * d2:]
     w = _weights_from_logits(logits, weight_mode, dim)
     unitaries, evals, phases, v = _unitaries_from_theta(theta_u, gens)
+    ws = ObjectiveWorkspace.empty(size) if workspace is None else workspace
+    if ws.abs2.shape != (size, size):
+        raise InvalidInputError(f"workspace is for n = {len(ws.abs2)}, not n = {size}")
 
     flat = unitaries.reshape(size, -1)
-    overlaps = flat.conj() @ flat.T
-    abs2 = overlaps.real ** 2 + overlaps.imag ** 2
-    lower = abs2 ** (t - 1)
-    abs2_t = lower * abs2
+    overlaps = np.matmul(flat.conj(), flat.T, out=ws.overlaps)
+    abs2 = np.square(overlaps.real, out=ws.abs2)
+    lower = np.square(overlaps.imag, out=ws.lower)      # Im² until it holds |T|^(2t-2)
+    abs2 += lower
+    np.copyto(lower, abs2)
+    lower **= t - 1                         # in place, ** picks the ufunc that abs2 ** (t - 1) would
+    abs2_t = np.multiply(lower, abs2, out=abs2)
     potential = float(w @ abs2_t @ w)
     gap = potential - float(gamma(t, dim))
 
     # element gradient: dPhi = sum_j Re tr(K_j† dU_j),
     # K_j = 4t sum_x w_x w_j |T_xj|^(2t-2) T_xj U_x
-    pair = np.outer(w, w) * t * lower * overlaps
+    outer = np.outer(w, w, out=ws.outer)
+    outer *= t
+    outer *= lower
+    pair = np.multiply(outer, overlaps, out=overlaps)
     k_ops = 4.0 * (pair.T @ flat).reshape(size, dim, dim)
     diff = evals[:, :, None] - evals[:, None, :]
     near = np.abs(diff) < 1e-12
@@ -174,7 +212,7 @@ def objective_and_gradient(theta: np.ndarray, dim: int, size: int, t: int,
     back_t = v.conj() @ middle @ np.swapaxes(v, 1, 2)     # (V Mᵀ V†)ᵀ
     grad_u = np.real(back_t.reshape(size, d2) @ gens.reshape(d2, d2).T)
 
-    dpot_dw = 2.0 * abs2_t @ w
+    dpot_dw = 2.0 * (abs2_t @ w)
     grad_w = _tie(weight_mode)(w * (dpot_dw - np.dot(w, dpot_dw)), dim)    # a self-adjoint tie is its chain rule
     return gap, np.concatenate([grad_u.reshape(-1), grad_w])
 
@@ -189,10 +227,11 @@ def _minimize_from(theta0: np.ndarray, config: SearchConfig, history: list[float
     from scipy.optimize import minimize
 
     best_in_run = [np.inf]
+    workspace = ObjectiveWorkspace.empty(config.size)
 
     def fun(theta):
         value, grad = objective_and_gradient(theta, config.dim, config.size, config.t,
-                                             config.weight_mode)
+                                             config.weight_mode, workspace=workspace)
         best_in_run[0] = min(best_in_run[0], value)
         return value, grad
 

@@ -1,6 +1,7 @@
 import copy
 import importlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,15 @@ from udesign.linalg import dag, haar_unitaries, haar_unitary, herm_basis, make_r
 from udesign.povm import povm_from_design
 from udesign.search import (
     WEIGHT_MODES,
+    ObjectiveWorkspace,
     SearchConfig,
     _TIES,
+    _generators,
     _polish,
     _residual_jacobian,
+    _tie,
+    _unitaries_from_theta,
+    _weights_from_logits,
     objective_and_gradient,
     parametrize,
     refine,
@@ -140,6 +146,75 @@ class TestGradient:
         assert np.linalg.norm(grad - numeric) <= 1e-6
 
 
+def reference_objective_and_gradient(theta, dim, size, t, weight_mode='free'):
+    """The objective as first written, one fresh array per step: the bit-level oracle."""
+    gens = _generators(dim)
+    d2 = dim * dim
+    theta = np.asarray(theta, dtype=float)
+    theta_u = theta[:size * d2].reshape(size, d2)
+    logits = theta[size * d2:]
+    w = _weights_from_logits(logits, weight_mode, dim)
+    unitaries, evals, phases, v = _unitaries_from_theta(theta_u, gens)
+
+    flat = unitaries.reshape(size, -1)
+    overlaps = flat.conj() @ flat.T
+    abs2 = overlaps.real ** 2 + overlaps.imag ** 2
+    lower = abs2 ** (t - 1)
+    abs2_t = lower * abs2
+    potential = float(w @ abs2_t @ w)
+    gap = potential - float(gamma(t, dim))
+
+    pair = np.outer(w, w) * t * lower * overlaps
+    k_ops = 4.0 * (pair.T @ flat).reshape(size, dim, dim)
+    diff = evals[:, :, None] - evals[:, None, :]
+    near = np.abs(diff) < 1e-12
+    e_col, e_row = phases[:, :, None], phases[:, None, :]
+    dd = np.where(near, 1j * e_col, (e_col - e_row) / np.where(near, 1.0, diff))
+    middle = (dag(v) @ k_ops @ v).conj() * dd
+    back_t = v.conj() @ middle @ np.swapaxes(v, 1, 2)
+    grad_u = np.real(back_t.reshape(size, d2) @ gens.reshape(d2, d2).T)
+
+    dpot_dw = 2.0 * abs2_t @ w
+    grad_w = _tie(weight_mode)(w * (dpot_dw - np.dot(w, dpot_dw)), dim)
+    return gap, np.concatenate([grad_u.reshape(-1), grad_w])
+
+
+class TestObjectiveWorkspace:
+    @pytest.mark.parametrize('mode', WEIGHT_MODES)
+    @pytest.mark.parametrize('t', [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize('d', [2, 3])
+    def test_bit_identical_to_the_allocating_objective(self, d, t, mode):
+        # theta A, then B, then A again in one workspace: no state carries over
+        size = 2 * d * d
+        theta_a, theta_b = make_rng(10 * d + t).standard_normal((2, size * d * d + size))
+        workspace = ObjectiveWorkspace.empty(size)
+        for theta in (theta_a, theta_b, theta_a):
+            value, grad = reference_objective_and_gradient(theta, d, size, t, mode)
+            for kwargs in ({}, {'workspace': workspace}):
+                got_value, got_grad = objective_and_gradient(theta, d, size, t, mode, **kwargs)
+                assert np.float64(got_value).tobytes() == np.float64(value).tobytes()
+                assert got_grad.tobytes() == grad.tobytes()
+                assert not any(np.shares_memory(got_grad, buf) for buf in vars(workspace).values())
+
+    def test_warm_evaluation_allocates_nothing_of_size_n_squared(self):
+        # numpy reports its buffers to tracemalloc; one fresh n × n float array is n²·8 bytes
+        d, size, t = 2, 400, 2
+        theta = make_rng(8).standard_normal(size * d * d + size)
+        workspace = ObjectiveWorkspace.empty(size)
+        objective_and_gradient(theta, d, size, t, workspace=workspace)
+        tracemalloc.start()
+        try:
+            objective_and_gradient(theta, d, size, t, workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size * size * 8
+
+    def test_workspace_of_another_size_is_refused(self):
+        with pytest.raises(InvalidInputError, match='^workspace is for n = 3, not n = 4$'):
+            objective_and_gradient(np.zeros(4 * 4 + 4), 2, 4, 2, workspace=ObjectiveWorkspace.empty(3))
+
+
 class TestObjectiveInvariance:
     def test_phase_and_global_rotation(self):
         rng = make_rng(5)
@@ -186,12 +261,22 @@ class TestSearch:
         trace = search(SearchConfig(dim=2, size=6, t=2, seed=11, restarts=4, max_iterations=200))
         assert np.all(np.diff(trace.gap_history) <= 1e-15)
 
+    @staticmethod
+    def assert_same_bits(t1, t2):
+        assert t1.gap_history.tobytes() == t2.gap_history.tobytes()
+        assert t1.result.unitaries.tobytes() == t2.result.unitaries.tobytes()
+        assert t1.result.weights.tobytes() == t2.result.weights.tobytes()
+
     def test_deterministic_given_seed(self):
         config = SearchConfig(dim=2, size=5, t=1, seed=21, restarts=3, max_iterations=300)
-        t1, t2 = search(config), search(config)
-        assert np.array_equal(t1.gap_history, t2.gap_history)
-        assert np.allclose(t1.result.unitaries, t2.result.unitaries)
-        assert np.allclose(t1.result.weights, t2.result.weights)
+        self.assert_same_bits(search(config), search(config))
+
+    def test_deterministic_across_interleaved_searches(self):
+        # a search of another size in between leaves no trace in the next one
+        config = SearchConfig(dim=3, size=20, t=2, seed=23, restarts=2, max_iterations=150)
+        first = search(config)
+        search(SearchConfig(dim=2, size=11, t=2, seed=23, restarts=2, max_iterations=150))
+        self.assert_same_bits(first, search(config))
 
     def test_restart_streams_are_the_philox_children_of_the_seed(self, monkeypatch):
         # reference: one Philox generator per child of SeedSequence(seed)

@@ -189,9 +189,8 @@ def _restricted_inverse(frame: np.ndarray) -> tuple[int, np.ndarray]:
     return int(keep.sum()), (support / evals[keep]) @ support.T
 
 
-def _class_inverse(povm: DiscretePovm, require: str | None) -> np.ndarray:
-    """The restricted inverse of the frame, compressed to the class span when
-    ``require`` names one; see :func:`canonical_dual`."""
+def _dual_coords(povm: DiscretePovm, require: str | None) -> np.ndarray:
+    """Hermitian coordinates (n, D²) of the canonical duals; see :func:`canonical_dual`."""
     if require is not None and not isinstance(require, str):
         raise InvalidInputError(f"require must name a state class or be None, got {type(require).__name__}")
     frame = povm.frame
@@ -201,12 +200,7 @@ def _class_inverse(povm: DiscretePovm, require: str | None) -> np.ndarray:
     rank, inverse = _restricted_inverse(frame)
     if require is not None and rank < delta:
         raise NotInformationallyCompleteError(rank, delta)
-    return inverse
-
-
-def _dual_coords(povm: DiscretePovm, require: str | None) -> np.ndarray:
-    """Hermitian coordinates (n, D²) of the canonical duals; see :func:`canonical_dual`."""
-    return povm.coords @ _class_inverse(povm, require)
+    return povm.coords @ inverse
 
 
 def canonical_dual(povm: DiscretePovm, require: str | None = None) -> np.ndarray:
@@ -223,20 +217,16 @@ def canonical_dual(povm: DiscretePovm, require: str | None = None) -> np.ndarray
     return herm_from_coords(_dual_coords(povm, require))
 
 
-def dual_frame_norm(povm: DiscretePovm, duals: np.ndarray | None = None,
-                    require: str | None = None) -> float:
-    """Delta_tau(R) = sum_x tau(x) <<R(x)|R(x)>> of the given duals.
+def dual_frame_norm(povm: DiscretePovm, duals: np.ndarray | None = None) -> float:
+    """Delta_tau(R) = sum_x tau(x) <<R(x)|R(x)>> = Tr of the inverted frame.
 
-    Without ``duals``, that of ``canonical_dual(povm, require)``, the ones
-    :func:`simulate` and :func:`estimate_channel` reconstruct with: the trace
-    of the inverted frame, compressed to the class span when ``require``
-    names a class.  Given duals already carry their class, so naming one
-    as well is a usage error.
+    Without ``duals`` this is the norm of the whole-frame duals.  With a state
+    class named, :func:`simulate` and :func:`estimate_channel` reconstruct
+    with the class-compressed duals instead, whose norm is
+    ``dual_frame_norm(povm, canonical_dual(povm, require))``.
     """
-    if duals is not None and require is not None:
-        raise InvalidInputError("dual_frame_norm takes duals or a class to compute them for, not both")
     if duals is None:
-        return float(np.trace(_class_inverse(povm, require)))
+        return float(np.trace(_restricted_inverse(povm.frame)[1]))
     flat = duals.reshape(len(povm), -1)
     return float(np.real(np.einsum('x,xi,xi->', povm.trace_measure, flat.conj(), flat)))
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NotChannelImageError, ResourceLimitError
 from .linalg import (ATOL_ALG, ATOL_KRAUS, CP_FLOOR, MAX_KRAUS, bipartite_dim, dag, haar_unitaries,
-                     partial_trace, unvec)
+                     partial_trace, unvec, weyl_operators)
 
 
 @dataclass(frozen=True)
@@ -136,27 +136,15 @@ def rotate_channel(channel: QuantumChannel, u_sys: np.ndarray, u_anc: np.ndarray
     return QuantumChannel.from_kraus(kraus)
 
 
-def _weyl_basis(d: int) -> np.ndarray:
-    """Shift-clock unitary operator basis, tr(W†W') = d delta."""
-    shift = np.roll(np.eye(d), 1, axis=0).astype(complex)
-    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    ops = []
-    for a in range(d):
-        for b in range(d):
-            ops.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
-    return np.array(ops)
-
-
 def depolarizing_channel(p: float, d: int) -> QuantumChannel:
-    """A -> p·A + (1-p)·tr(A)·I/d, Kraus form over the shift-clock basis."""
+    """A -> p·A + (1-p)·tr(A)·I/d, Kraus form over the Weyl operators."""
     if p is None:                   # the channel grammar's `depolarizing` without `:p`
         raise InvalidInputError("depolarizing needs a parameter p in [0, 1]")
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"depolarizing parameter must lie in [0, 1], got {p}")
-    basis = _weyl_basis(d)
     coeff = np.full(d * d, np.sqrt((1 - p) / d ** 2))
     coeff[0] = np.sqrt(p + (1 - p) / d ** 2)
-    return QuantumChannel.from_kraus(coeff[:, None, None] * basis)
+    return QuantumChannel.from_kraus(coeff[:, None, None] * weyl_operators(d))
 
 
 def _check_kraus_count(k: int, what: str) -> None:

@@ -30,7 +30,8 @@ from .linalg import (
     check_dim,
     check_entries,
     permutation_operator,
-    swap_operator,
+    vec,
+    weyl_operators,
 )
 
 _PAULI = {
@@ -157,11 +158,15 @@ def merge_phase_duplicates(s: WeightedUnitarySet) -> WeightedUnitarySet:
     return WeightedUnitarySet(s.dim, s.unitaries[kept], weights[kept])
 
 
+def _check_t(t: int) -> None:
+    if t < 1:
+        raise InvalidInputError(f"t must be >= 1, got {t}")
+
+
 def frame_potential(s: WeightedUnitarySet, t: int) -> float:
     """Double sum sum_{x,y} w(x) w(y) |tr(U(x)† U(y))|^(2t); its n² overlaps
     must fit in ``MAX_ENTRIES``."""
-    if t < 1:
-        raise InvalidInputError(f"t must be >= 1, got {t}")
+    _check_t(t)
     overlap2 = np.abs(s.gram()) ** 2
     return float(s.weights @ overlap2 ** t @ s.weights)
 
@@ -187,8 +192,7 @@ def gamma(t: int, d: int) -> int:
     subsequence longer than d.  Equals t! once d >= t, and the Catalan
     number (2t)!/(t!(t+1)!) at d = 2.
     """
-    if t < 1:
-        raise InvalidInputError(f"t must be >= 1, got {t}")
+    _check_t(t)
     check_dim(d)
     if t > MAX_GAMMA_T:
         raise ResourceLimitError(f"gamma enumeration capped at t <= {MAX_GAMMA_T}, got t={t}")
@@ -200,21 +204,24 @@ def gamma(t: int, d: int) -> int:
 
 
 def haar_moment(t: int, d: int) -> np.ndarray:
-    """Haar average of U^⊗t ⊗ (U^⊗t)† on (C^d)^⊗2t, closed form for t <= 2.
+    """Haar average of U^⊗t ⊗ (U^⊗t)† on (C^d)^⊗2t, one Weingarten sum for every t.
 
-    t = 1 gives T/d with T the swap; t = 2 combines the four permutation
-    operators P_3412, P_4321, P_4312, P_3421 with coefficients 1/(d²-1) and
-    -1/(d(d²-1)).  Its d^(4t) entries must fit in ``MAX_ENTRIES``.
+    Stack vec(Q_σ) over the permutation operators Q_σ of S_t on (C^d)^⊗t as
+    the rows of V, with Gram G = V Vᵀ, G_στ = d^#cycles(σ⁻¹τ).  The average
+    of U^⊗t ⊗ conj(U^⊗t) is the projector Vᵀ G⁺ V onto their span (Collins &
+    Śniady 2006), here rearranged into :func:`design_moment`'s layout.  G has
+    rank gamma(t, d), so G⁺ inverts exactly that many eigenpairs.  The d^(4t)
+    entries must fit in ``MAX_ENTRIES``: t <= 5 at d = 2, 3 at d = 3, 2 at d = 4.
     """
+    _check_t(t)
     check_dim(d)
-    if t == 1:
-        return swap_operator(d) / d
-    if t == 2:
-        c1 = 1.0 / (d * d - 1)
-        c2 = 1.0 / (d * (d * d - 1))
-        return (c1 * (permutation_operator((3, 4, 1, 2), d) + permutation_operator((4, 3, 2, 1), d))
-                - c2 * (permutation_operator((4, 3, 1, 2), d) + permutation_operator((3, 4, 2, 1), d)))
-    raise InvalidInputError(f"exact moment operators are available for t in {{1, 2}}, got t={t}")
+    check_entries(int(d) ** (4 * t), 'the Haar moment d^4t')
+    v = np.array([vec(permutation_operator(p, d)) for p in itertools.permutations(range(1, t + 1))])
+    evals, evecs = np.linalg.eigh(v @ v.T)
+    rank = gamma(t, d)
+    top = evecs[:, -rank:]
+    proj = (v.T @ top / evals[-rank:]) @ (top.T @ v)         # rows (a, e), columns (c, b)
+    return proj.reshape((d ** t,) * 4).transpose(0, 3, 2, 1).reshape(proj.shape)
 
 
 def design_moment(s: WeightedUnitarySet, t: int) -> np.ndarray:
@@ -225,6 +232,7 @@ def design_moment(s: WeightedUnitarySet, t: int) -> np.ndarray:
     flattened powers, then an axis transpose.  The powers and the result,
     max(n, D²)·D² entries, must fit in ``MAX_ENTRIES``.
     """
+    _check_t(t)
     n, d = len(s), s.dim
     check_entries(max(n, int(d) ** (2 * t)) * int(d) ** (2 * t), 'the moment operator max(n, d^2t)·d^2t')
     upow = s.unitaries
@@ -239,7 +247,7 @@ def design_moment(s: WeightedUnitarySet, t: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DesignCertificate:
-    """Outcome of the potential-gap test, with the moment residual at t <= 2."""
+    """Outcome of the potential-gap test, with the moment residual at t <= 2 (see :func:`certify`)."""
 
     t: int
     potential: float
@@ -258,13 +266,14 @@ def certify(s: WeightedUnitarySet, t: int, atol_cert: float = ATOL_CERT) -> Desi
     """Certify a weighted set as a t-design through the potential gap.
 
     The gap potential - gamma(t, d) is nonnegative and vanishes exactly on
-    designs; for t <= 2 the moment-operator residual is also computed.  The
-    two criteria agree in exact arithmetic (the residual is the square root
-    of the gap), but the gap is computed by cancellation of two O(gamma)
-    numbers and bottoms out near 1e-16, so a gap of about 0 can hide a
-    residual of about 1e-8.  PASS means gap <= ``atol_cert``, also where the
-    residual is None: at t > 2 and when the moments exceed ``MAX_ENTRIES``.
-    The potential's n² overlaps must fit in ``MAX_ENTRIES``.
+    designs.  The residual ||design_moment - haar_moment|| is its square root
+    in exact arithmetic, but the gap cancels two O(gamma) numbers and bottoms
+    out near 1e-16, so a gap of about 0 can hide a residual of about 1e-8.
+    PASS means gap <= ``atol_cert``.  The residual is reported at t <= 2 when
+    the moments fit ``MAX_ENTRIES``, else None: at d = 2, t = 5 the two dense
+    moments would raise the peak memory by about 50 MB for a number the
+    verdict does not read.  The potential's n² overlaps must fit in
+    ``MAX_ENTRIES``.
     """
     check_cert_threshold(atol_cert, 'atol_cert')
     pot = frame_potential(s, t)
@@ -349,19 +358,11 @@ def _pu2_11pt() -> WeightedUnitarySet:
 
 
 def pu2_muub_family() -> list[WeightedUnitarySet]:
-    """The three mutually unbiased unitary bases inside the 12-point design.
-
-    Hardcoded from the 24-cell quaternion coordinates: the axis basis
-    {I, iX, iY, iZ} and the two half-quaternion bases split by sign parity.
-    """
-    axis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    even = [(1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1)]
-    odd = [(1, 1, 1, -1), (1, 1, -1, 1), (1, -1, 1, 1), (1, -1, -1, -1)]
-    bases = []
-    for quads, scale in ((axis, 1.0), (even, 0.5), (odd, 0.5)):
-        ops = np.array([quat_to_unitary(np.asarray(q, dtype=float) * scale) for q in quads])
-        bases.append(uniform_set(2, ops))
-    return bases
+    """The three mutually unbiased unitary bases inside the 12-point design:
+    the cosets (RH)^k·W, k = 0, 1, 2, of the Weyl operators W = {I, Z, X, XZ}
+    (:func:`weyl_operators`), R the phase gate and H the Hadamard."""
+    rh = _PHASE @ _HADAMARD
+    return [uniform_set(2, np.linalg.matrix_power(rh, k) @ weyl_operators(2)) for k in range(3)]
 
 
 def _utof(n: int | None, dim: int | None) -> WeightedUnitarySet:

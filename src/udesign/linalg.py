@@ -222,6 +222,16 @@ def swap_operator(d: int) -> np.ndarray:
     return permutation_operator((2, 1), d)
 
 
+def weyl_operators(d: int) -> np.ndarray:
+    """The d² Weyl operators X^a Z^b at index a·d + b, shape (d², d, d), with
+    the shift X|j> = |j + 1> and the clock Z = diag(exp(2πij/d));
+    tr(W†W') = d δ.  One stacked product of the shift and clock powers."""
+    shift = np.roll(np.eye(d), 1, axis=0).astype(complex)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    xs, zs = (np.array([np.linalg.matrix_power(m, k) for k in range(d)]) for m in (shift, clock))
+    return (xs[:, None] @ zs).reshape(d * d, d, d)
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator (Philox) from a non-negative integer seed."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:

@@ -22,6 +22,7 @@ from udesign.linalg import (
     span_dimension,
     swap_operator,
     vec,
+    weyl_operators,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -197,6 +198,31 @@ class TestPermutationOperator:
     def test_rejects_non_permutation(self):
         with pytest.raises(InvalidInputError):
             permutation_operator((1, 1), 2)
+
+
+def weyl_basis_loops(d):
+    """Reference: the shift-clock basis X^a Z^b, one pair of matrix powers at a time."""
+    shift = np.roll(np.eye(d), 1, axis=0).astype(complex)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    ops = []
+    for a in range(d):
+        for b in range(d):
+            ops.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
+    return np.array(ops)
+
+
+class TestWeylOperators:
+    @pytest.mark.parametrize('d', range(2, 9))
+    def test_bit_identical_to_the_power_loops(self, d):
+        assert weyl_operators(d).tobytes() == weyl_basis_loops(d).tobytes()
+
+    @pytest.mark.parametrize('d', [2, 3, 5])
+    def test_orthogonal_unitary_basis(self, d):
+        w = weyl_operators(d)
+        assert w.shape == (d * d, d, d)
+        assert_unitary(w)
+        gram = np.einsum('xij,yij->xy', w.conj(), w)
+        assert np.abs(gram - d * np.eye(d * d)).max() <= 1e-12
 
 
 class TestHaarUnitary:

@@ -34,7 +34,7 @@ class QuantumChannel:
         d = kraus.shape[1]
         ident = np.eye(d)
         tp_residual = np.linalg.norm(np.einsum('kba,kbc->ac', kraus.conj(), kraus) - ident)
-        if tp_residual > atol:
+        if not tp_residual <= atol:                  # NaN entries are not trace preserving either
             raise InvalidInputError(f"Kraus operators are not trace preserving: residual {tp_residual:.3e}")
         unital_residual = np.linalg.norm(np.einsum('kab,kcb->ac', kraus, kraus.conj()) - ident)
         kraus.setflags(write=False)
@@ -82,8 +82,7 @@ def process_matrix(channel: QuantumChannel | ChannelEstimate) -> np.ndarray:
     """Superoperator matrix in the standard |j><k| basis (= d × output state)."""
     if isinstance(channel, ChannelEstimate):
         return channel.process
-    flat = channel.kraus.reshape(len(channel), -1)
-    return np.einsum('ki,kj->ij', flat, flat.conj())
+    return channel.dim * jamiolkowski(channel)
 
 
 def apply_process_matrix(s: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
@@ -104,6 +103,8 @@ def inverse_jamiolkowski(rho: np.ndarray) -> QuantumChannel:
     d = bipartite_dim(rho.shape[0], "a channel output state")
     if rho.shape != (d * d, d * d):
         raise InvalidInputError(f"expected a (d², d²) bipartite state, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise InvalidInputError("channel output state has non-finite entries")
     marg = partial_trace(rho, (d, d), axis=0)
     residual = float(np.linalg.norm(marg - np.eye(d) / d))
     if residual > ATOL_ALG:

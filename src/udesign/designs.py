@@ -29,6 +29,7 @@ from .linalg import (
     check_cert_threshold,
     check_dim,
     check_entries,
+    check_t,
     permutation_operator,
     vec,
     weyl_operators,
@@ -158,15 +159,10 @@ def merge_phase_duplicates(s: WeightedUnitarySet) -> WeightedUnitarySet:
     return WeightedUnitarySet(s.dim, s.unitaries[kept], weights[kept])
 
 
-def _check_t(t: int) -> None:
-    if t < 1:
-        raise InvalidInputError(f"t must be >= 1, got {t}")
-
-
 def frame_potential(s: WeightedUnitarySet, t: int) -> float:
     """Double sum sum_{x,y} w(x) w(y) |tr(U(x)† U(y))|^(2t); its n² overlaps
     must fit in ``MAX_ENTRIES``."""
-    _check_t(t)
+    check_t(t)
     overlap2 = np.abs(s.gram()) ** 2
     return float(s.weights @ overlap2 ** t @ s.weights)
 
@@ -192,7 +188,7 @@ def gamma(t: int, d: int) -> int:
     subsequence longer than d.  Equals t! once d >= t, and the Catalan
     number (2t)!/(t!(t+1)!) at d = 2.
     """
-    _check_t(t)
+    check_t(t)
     check_dim(d)
     if t > MAX_GAMMA_T:
         raise ResourceLimitError(f"gamma enumeration capped at t <= {MAX_GAMMA_T}, got t={t}")
@@ -213,7 +209,7 @@ def haar_moment(t: int, d: int) -> np.ndarray:
     rank gamma(t, d), so G⁺ inverts exactly that many eigenpairs.  The d^(4t)
     entries must fit in ``MAX_ENTRIES``: t <= 5 at d = 2, 3 at d = 3, 2 at d = 4.
     """
-    _check_t(t)
+    check_t(t)
     check_dim(d)
     check_entries(int(d) ** (4 * t), 'the Haar moment d^4t')
     v = np.array([vec(permutation_operator(p, d)) for p in itertools.permutations(range(1, t + 1))])
@@ -232,7 +228,7 @@ def design_moment(s: WeightedUnitarySet, t: int) -> np.ndarray:
     flattened powers, then an axis transpose.  The powers and the result,
     max(n, D²)·D² entries, must fit in ``MAX_ENTRIES``.
     """
-    _check_t(t)
+    check_t(t)
     n, d = len(s), s.dim
     check_entries(max(n, int(d) ** (2 * t)) * int(d) ** (2 * t), 'the moment operator max(n, d^2t)·d^2t')
     upow = s.unitaries
@@ -276,8 +272,8 @@ def certify(s: WeightedUnitarySet, t: int, atol_cert: float = ATOL_CERT) -> Desi
     ``MAX_ENTRIES``.
     """
     check_cert_threshold(atol_cert, 'atol_cert')
+    g = float(gamma(t, s.dim))              # gamma's guards run before the n² potential is built
     pot = frame_potential(s, t)
-    g = float(gamma(t, s.dim))
     gap = pot - g
     residual = None
     if t <= 2:
@@ -309,12 +305,14 @@ def group_closure(generators, max_order: int = 10_000) -> WeightedUnitarySet:
 
     The elements found are the breadth-first queue: each is multiplied by
     every generator and the products of new phase classes are appended, first
-    seen kept.  Raises once the closure exceeds ``max_order`` elements.
+    seen kept.  Raises once the closure exceeds ``max_order`` elements; the
+    buffer of (max_order + k)·d² entries, k generators, must fit in ``MAX_ENTRIES``.
     """
     gens = assert_unitary(np.asarray(generators, dtype=complex))
     if gens.ndim != 3 or not len(gens):
         raise InvalidInputError(f"need a stack of generator matrices, got shape {gens.shape}")
     d = gens.shape[-1]
+    check_entries((max_order + len(gens)) * d * d, 'the closure buffer (max_order + k)·d²')
     found = np.empty((max_order + len(gens), d, d), dtype=complex)
     found[0] = canonical_phase(np.eye(d, dtype=complex))
     i, n = 0, 1

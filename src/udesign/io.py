@@ -29,12 +29,12 @@ def _fmt_float(x: float) -> str:
     return '%.17g' % x
 
 
-def dumps(obj, indent: int = 0, compact: bool = False) -> str:
+def dumps(obj, indent: int = 0) -> str:
     """Deterministic JSON text with fixed float formatting.
 
     Supports the small vocabulary used by the file formats: dict (insertion
-    order preserved), list, str, bool, None, int and float.  ``compact``
-    renders everything on one line (JSON-lines records).
+    order preserved), list, str, bool, None, int and float.  A dict takes one
+    line per key; a list of scalars stays on one line.
     """
     if type(obj) is list and obj and all(type(v) is float for v in obj):  # [re, im] pairs, float rows
         return '[' + ', '.join(map(_fmt_float, obj)) + ']'
@@ -42,17 +42,13 @@ def dumps(obj, indent: int = 0, compact: bool = False) -> str:
     if isinstance(obj, dict):
         if not obj:
             return '{}'
-        if compact:
-            items = ', '.join([f'{json.dumps(k)}: {dumps(v, compact=True)}' for k, v in obj.items()])
-            return '{' + items + '}'
         items = ',\n'.join([f'{pad}  {json.dumps(k)}: {dumps(v, indent + 2)}' for k, v in obj.items()])
         return '{\n' + items + '\n' + pad + '}'
     if isinstance(obj, (list, tuple)):
         if not obj:
             return '[]'
-        flat = compact or all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if flat:
-            return '[' + ', '.join([dumps(v, compact=compact) for v in obj]) + ']'
+        if all(not isinstance(v, (dict, list, tuple)) for v in obj):
+            return '[' + ', '.join([dumps(v) for v in obj]) + ']'
         items = ',\n'.join([f'{pad}  {dumps(v, indent + 2)}' for v in obj])
         return '[\n' + items + '\n' + pad + ']'
     if isinstance(obj, bool):
@@ -175,9 +171,9 @@ def load_design(path) -> tuple[WeightedUnitarySet, int | None]:
 
 
 def write_search_log(path, gap_history) -> None:
-    """JSON-lines sidecar: one {iteration, gap} record per iteration."""
-    lines = [dumps({'iteration': int(i), 'gap': float(g)}, compact=True)
-             for i, g in enumerate(np.asarray(gap_history, dtype=float))]
+    """JSON-lines sidecar: one {"iteration": i, "gap": g} record per iteration."""
+    lines = [f'{{"iteration": {i}, "gap": {_fmt_float(g)}}}'
+             for i, g in enumerate(np.asarray(gap_history, dtype=float).tolist())]
     Path(path).write_text('\n'.join(lines) + ('\n' if lines else ''))
 
 

@@ -74,6 +74,13 @@ def check_dim(dim) -> None:
         raise InvalidInputError(f"'dim' must be an integer >= 2, got {dim!r}")
 
 
+def check_t(t) -> None:
+    """Raise unless the design order ``t`` is at least 1: the package's one t
+    rule, for potentials, moments, gamma and searches."""
+    if t < 1:
+        raise InvalidInputError(f"t must be >= 1, got {t}")
+
+
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose (of the last two axes for stacked input)."""
     return np.conj(np.swapaxes(a, -1, -2))

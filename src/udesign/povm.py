@@ -68,7 +68,7 @@ class DiscretePovm:
         dim = elements.shape[1]
         tau = np.real(np.trace(elements, axis1=1, axis2=2))
         completeness = np.linalg.norm(elements.sum(axis=0) - np.eye(dim))
-        if completeness > atol:
+        if not completeness <= atol:                 # NaN entries make no POVM either
             raise NotAPovmError(completeness)
         if np.any(tau <= 0):
             raise InvalidInputError("every element must have positive trace")
@@ -218,16 +218,15 @@ def canonical_dual(povm: DiscretePovm, require: str | None = None) -> np.ndarray
 
 
 def dual_frame_norm(povm: DiscretePovm, duals: np.ndarray | None = None) -> float:
-    """Delta_tau(R) = sum_x tau(x) <<R(x)|R(x)>> = Tr of the inverted frame.
+    """Delta_tau(R) = sum_x tau(x) <<R(x)|R(x)>> of the duals R, by default
+    ``canonical_dual(povm)``.
 
-    Without ``duals`` this is the norm of the whole-frame duals.  With a state
-    class named, :func:`simulate` and :func:`estimate_channel` reconstruct
-    with the class-compressed duals instead, whose norm is
-    ``dual_frame_norm(povm, canonical_dual(povm, require))``.
+    For canonical duals this equals the trace of the inverted frame (Scott,
+    J. Phys. A 39, 13507 (2006)).  With a state class named, :func:`simulate`
+    and :func:`estimate_channel` reconstruct with the class-compressed duals,
+    whose norm is ``dual_frame_norm(povm, canonical_dual(povm, require))``.
     """
-    if duals is None:
-        return float(np.trace(_restricted_inverse(povm.frame)[1]))
-    flat = duals.reshape(len(povm), -1)
+    flat = (canonical_dual(povm) if duals is None else duals).reshape(len(povm), -1)
     return float(np.real(np.einsum('x,xi,xi->', povm.trace_measure, flat.conj(), flat)))
 
 
@@ -240,10 +239,10 @@ def outcome_probabilities(povm: DiscretePovm, state: np.ndarray) -> np.ndarray:
     raises.
     """
     p = np.real(np.einsum('xij,ji->x', povm.elements, np.asarray(state, dtype=complex)))
-    if p.min() < -PROB_CLAMP:
+    if not p.min() >= -PROB_CLAMP:                   # written so that NaN fails too
         raise InvalidInputError(f"negative outcome probability {p.min():.3e} beyond clamp {PROB_CLAMP:.0e}")
     defect = abs(p.sum() - 1.0)
-    if defect > PROB_SUM_TOL:
+    if not defect <= PROB_SUM_TOL:
         raise InvalidInputError(f"outcome probabilities sum to 1{defect:+.3e}; inconsistent POVM")
     p = np.clip(p, 0.0, None)
     return p / p.sum()
@@ -350,8 +349,8 @@ def estimate_channel(povm: DiscretePovm, counts: np.ndarray,
     process matrix without projecting onto the physical set.
     """
     counts = np.asarray(counts, dtype=float)
-    if counts.shape != (len(povm),) or counts.sum() <= 0:
-        raise InvalidInputError("counts must hold one nonnegative total per outcome")
+    if counts.shape != (len(povm),) or not (np.isfinite(counts) & (counts >= 0)).all() or counts.sum() <= 0:
+        raise InvalidInputError("counts must hold one finite, nonnegative total per outcome")
     d = bipartite_dim(povm.dim, "channel estimation")
     rho_hat = herm_from_coords((counts / counts.sum()) @ _dual_coords(povm, require))
     return ChannelEstimate(dim=d, process=d * rho_hat)

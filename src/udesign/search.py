@@ -14,10 +14,10 @@ Gauss-Newton steps, taken through the same exponential chart, drive its
 1-design residual, the POVM normalization defect, to float precision.
 
 Each L-BFGS run evaluates its objective in one :class:`ObjectiveWorkspace`,
-the n × n buffers it allocates when it starts.  Freed n × n temporaries were
-returned to the system after every call and faulted back in on the next, so
-page faults took about a third of a call at n = 150.  Reusing them changes no
-bit of any result.
+the three n × n buffers it allocates when it starts.  Freed n × n
+temporaries were returned to the system after every call and faulted back
+in on the next, so page faults took about a third of a call at n = 150.
+Reusing them changes no bit of any result.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 
 from .designs import ATOL_CERT, WeightedUnitarySet, certify, gamma, merge_phase_duplicates
 from .errors import InvalidInputError
-from .linalg import (check_cert_threshold, check_dim, check_entries, dag, haar_unitaries, herm_basis,
-                     log_unitary, make_rng)
+from .linalg import (check_cert_threshold, check_dim, check_entries, check_t, dag, haar_unitaries,
+                     herm_basis, log_unitary, make_rng)
 
 # Weight mode -> self-adjoint linear tie T(logits, d) applied before the softmax, so T
 # is also the chain rule of the logit gradient: identity, zero, or d²-block means.
@@ -56,6 +56,7 @@ def _tie(mode: str):
 class SearchConfig:
     """Search parameters, checked before any work: dim an integer >= 2
     (:func:`check_dim`), t, size, max_iterations and restarts at least 1,
+    t at most ``MAX_GAMMA_T`` (:func:`gamma`'s guard),
     the d⁴ generator entries and the n² overlaps at most ``MAX_ENTRIES``,
     target_gap finite and positive, weight_mode one of ``WEIGHT_MODES``.
     The CLI reads its defaults and choices here."""
@@ -71,8 +72,8 @@ class SearchConfig:
 
     def __post_init__(self):
         check_dim(self.dim)
-        if self.t < 1:
-            raise InvalidInputError(f"t must be >= 1, got {self.t}")
+        check_t(self.t)
+        gamma(self.t, self.dim)             # its MAX_GAMMA_T guard, before anything is drawn
         for name in ('size', 'max_iterations', 'restarts'):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -150,19 +151,18 @@ def theta_from_set(s: WeightedUnitarySet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObjectiveWorkspace:
-    """The n × n buffers of :func:`objective_and_gradient`, allocated once per
-    minimization and overwritten by every evaluation: the overlap Gram T (then
-    the weighted pair matrix), |T|² (then |T|^2t), |T|^(2t-2) and the real
-    weight products t w_x w_y |T_xy|^(2t-2)."""
+    """The three n × n buffers of :func:`objective_and_gradient`, allocated once
+    per minimization and overwritten by every evaluation: the overlap Gram T
+    (then the weighted pair matrix), |T|² (then |T|^2t, then the real weight
+    products t w_x w_y |T_xy|^(2t-2)) and |T|^(2t-2)."""
 
     overlaps: np.ndarray
     abs2: np.ndarray
     lower: np.ndarray
-    outer: np.ndarray
 
     @classmethod
     def empty(cls, size: int) -> "ObjectiveWorkspace":
-        return cls(np.empty((size, size), dtype=complex), *np.empty((3, size, size)))
+        return cls(np.empty((size, size), dtype=complex), *np.empty((2, size, size)))
 
 
 def objective_and_gradient(theta: np.ndarray, dim: int, size: int, t: int,
@@ -195,10 +195,11 @@ def objective_and_gradient(theta: np.ndarray, dim: int, size: int, t: int,
     abs2_t = np.multiply(lower, abs2, out=abs2)
     potential = float(w @ abs2_t @ w)
     gap = potential - float(gamma(t, dim))
+    dpot_dw = 2.0 * (abs2_t @ w)
 
     # element gradient: dPhi = sum_j Re tr(K_j† dU_j),
     # K_j = 4t sum_x w_x w_j |T_xj|^(2t-2) T_xj U_x
-    outer = np.outer(w, w, out=ws.outer)
+    outer = np.outer(w, w, out=abs2_t)
     outer *= t
     outer *= lower
     pair = np.multiply(outer, overlaps, out=overlaps)
@@ -212,7 +213,6 @@ def objective_and_gradient(theta: np.ndarray, dim: int, size: int, t: int,
     back_t = v.conj() @ middle @ np.swapaxes(v, 1, 2)     # (V Mᵀ V†)ᵀ
     grad_u = np.real(back_t.reshape(size, d2) @ gens.reshape(d2, d2).T)
 
-    dpot_dw = 2.0 * (abs2_t @ w)
     grad_w = _tie(weight_mode)(w * (dpot_dw - np.dot(w, dpot_dw)), dim)    # a self-adjoint tie is its chain rule
     return gap, np.concatenate([grad_u.reshape(-1), grad_w])
 

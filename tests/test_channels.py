@@ -86,6 +86,15 @@ class TestJamiolkowski:
         with pytest.raises(InvalidInputError, match=r'expected a \(d², d²\) bipartite state, got shape \(4, 3\)'):
             inverse_jamiolkowski(np.ones((4, 3)))
 
+    @pytest.mark.parametrize('bad', [np.nan, np.inf])
+    @pytest.mark.parametrize('entry', [(0, 1), (0, 2)], ids=['in-marginal', 'off-marginal'])
+    def test_inverse_rejects_non_finite_states(self, bad, entry):
+        # entry (0, 2) joins system indices 0 and 1, which the marginal tr_s(rho) never reads
+        rho = jamiolkowski(depolarizing_channel(0.5, 2))
+        rho[entry] = bad
+        with pytest.raises(InvalidInputError, match='^channel output state has non-finite entries$'):
+            inverse_jamiolkowski(rho)
+
     def test_inverse_rejects_non_channel_image(self):
         bad = np.diag([0.4, 0.3, 0.2, 0.1])
         with pytest.raises(NotChannelImageError) as err:
@@ -226,6 +235,10 @@ class TestChannelTypes:
     def test_from_kraus_rejects_non_trace_preserving(self):
         with pytest.raises(InvalidInputError):
             QuantumChannel.from_kraus([np.eye(2) * 0.5])
+
+    def test_from_kraus_rejects_nan(self):
+        with pytest.raises(InvalidInputError, match='^Kraus operators are not trace preserving: residual nan$'):
+            QuantumChannel.from_kraus(np.full((1, 2, 2), np.nan))
 
     @pytest.mark.parametrize('ops', [np.eye(2), np.ones((1, 2, 3))], ids=['one-matrix', 'non-square'])
     def test_from_kraus_needs_a_stack_of_square_matrices(self, ops):

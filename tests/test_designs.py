@@ -286,6 +286,14 @@ class TestCertify:
             with pytest.raises(ResourceLimitError, match=f'^the overlaps n·m = {len(s) ** 2} entries'):
                 certify(s, t)
 
+    def test_gamma_guard_is_checked_before_the_potential(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError('the frame potential was built')
+
+        monkeypatch.setattr(designs, 'frame_potential', unbuilt)
+        with pytest.raises(ResourceLimitError, match='^gamma enumeration capped at t <= 9, got t=10$'):
+            certify(gallery('pu2_11pt'), 10)
+
     def test_gap_below_its_float_floor_is_numerical_trouble(self):
         fields = dict(t=1, potential=1.0, gamma=1.0, moment_residual=None, passed=True)
         assert DesignCertificate(gap=-ATOL_CERT, **fields).gap == -ATOL_CERT
@@ -522,6 +530,15 @@ class TestGroupClosure:
         r = expm_hermitian(np.diag([0.0, 1.0]))
         with pytest.raises(ResourceLimitError):
             group_closure([r], max_order=64)
+
+    def test_buffer_guard_is_checked_before_allocation(self, monkeypatch):
+        # the breadth-first buffer holds (max_order + k)·d² entries, k generators
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 1000)
+        assert len(group_closure([np.eye(3)], max_order=110)) == 1
+        for max_order, count in ((111, 1008), (10_000, 90_009)):
+            with pytest.raises(ResourceLimitError, match=rf'^the closure buffer \(max_order \+ k\)·d² = {count} entries '
+                                                         rf'exceeds the guard 1000$'):
+                group_closure([np.eye(3)], max_order=max_order)
 
 
 def quaternion_muub_table():

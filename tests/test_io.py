@@ -37,12 +37,12 @@ class TestDumps:
         with pytest.raises(InvalidInputError):
             dumps(float('nan'))
 
-    def test_rejects_non_finite_in_float_rows(self):
+    def test_rejects_non_finite_in_float_rows(self, tmp_path):
         for bad in (float('nan'), float('inf'), float('-inf')):
             with pytest.raises(InvalidInputError):
                 dumps([0.5, bad])
             with pytest.raises(InvalidInputError):
-                dumps({'row': [bad]}, compact=True)
+                write_search_log(tmp_path / 'log.jsonl', [0.5, bad])
 
     @pytest.mark.parametrize('obj', [object(), {1, 2}, b'bytes'], ids=['object', 'set', 'bytes'])
     def test_rejects_types_outside_its_vocabulary(self, obj):
@@ -262,3 +262,12 @@ class TestReports:
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r['iteration'] for r in records] == [0, 1, 2]
         assert records[1]['gap'] == 0.25
+
+    def test_search_log_bytes(self, tmp_path):
+        # one '{"iteration": i, "gap": g}' record per line, g as '%.17g' (signed zero, subnormals)
+        path = tmp_path / 'log.jsonl'
+        write_search_log(path, np.array([0.0, -0.0, 5e-324, 1e-17]))
+        assert path.read_text() == ('{"iteration": 0, "gap": 0}\n'
+                                    '{"iteration": 1, "gap": -0}\n'
+                                    '{"iteration": 2, "gap": 4.9406564584124654e-324}\n'
+                                    '{"iteration": 3, "gap": 1.0000000000000001e-17}\n')

@@ -140,6 +140,12 @@ class TestPovmFromDesign:
         with pytest.raises(InvalidInputError, match=message):
             DiscretePovm.from_elements(elements)
 
+    def test_nan_element_is_not_a_povm(self):
+        elements = np.array([np.eye(2) / 2, np.eye(2) / 2])
+        elements[0, 0, 1] = np.nan
+        with pytest.raises(NotAPovmError, match='^POVM normalization defect: .* = nan$'):
+            DiscretePovm.from_elements(elements)
+
     def test_first_non_psd_element_is_named(self):
         elements = [np.diag([1.0, 0.5]), np.diag([0.2, -0.1]), np.diag([-0.2, 0.6])]
         with pytest.raises(InvalidInputError, match='element 1 is not positive semidefinite'):
@@ -299,6 +305,9 @@ class TestCoordinateParity:
     def test_dual_frame_norm(self, case):
         povm, lr = case
         expected_duals, expected = self.lr_duals(povm, lr)
+        # Scott's identity: the canonical duals' norm is Tr F⁺, the trace of the restricted inverse
+        trace_inverse = np.trace(povm_module._restricted_inverse(povm.frame)[1])
+        assert dual_frame_norm(povm) == pytest.approx(trace_inverse, rel=1e-12)
         assert dual_frame_norm(povm) == pytest.approx(expected, rel=1e-12)
         assert dual_frame_norm(povm, expected_duals) == pytest.approx(expected, rel=1e-12)
 
@@ -612,6 +621,12 @@ class TestGuardBoundaries:
         with pytest.raises(InvalidInputError, match='sum to'):
             outcome_probabilities(povm, np.diag([0.5 + 2e-9, 0.5]))
 
+    def test_probabilities_of_a_nan_state_are_refused(self, povm11):
+        sigma = jamiolkowski(depolarizing_channel(0.5, 2))
+        sigma[0, 1] = np.nan
+        with pytest.raises(InvalidInputError, match='^negative outcome probability nan'):
+            outcome_probabilities(povm11, sigma)
+
 
 class TestSimulate:
     def test_exact_probability_reconstruction(self, povm11):
@@ -741,6 +756,13 @@ class TestEstimateChannel:
             estimate_channel(povm11, np.zeros(11))
         with pytest.raises(InvalidInputError):
             estimate_channel(povm11, np.ones(7))
+
+    @pytest.mark.parametrize('bad', [-5.0, np.nan, np.inf])
+    def test_non_finite_or_negative_counts_are_refused(self, povm11, bad):
+        counts = np.full(11, 100.0)
+        counts[3] = bad
+        with pytest.raises(InvalidInputError, match='^counts must hold one finite, nonnegative total per outcome$'):
+            estimate_channel(povm11, counts)
 
 
 def test_exact_reconstruction_for_random_unital_channels():

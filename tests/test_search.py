@@ -321,6 +321,14 @@ class TestSearch:
         with pytest.raises(InvalidInputError, match='^t must be >= 1, got 0$'):
             SearchConfig(dim=2, size=4, t=0)
 
+    def test_t_above_the_gamma_guard_is_refused_before_any_draw(self, monkeypatch):
+        def undrawn(*args):
+            raise AssertionError('a starting point was drawn')
+
+        monkeypatch.setattr(importlib.import_module('udesign.search'), '_initial_theta', undrawn)
+        with pytest.raises(ResourceLimitError, match='^gamma enumeration capped at t <= 9, got t=10$'):
+            search(SearchConfig(dim=2, size=4, t=10, restarts=1))
+
     @pytest.mark.parametrize('field', ['restarts', 'max_iterations'])
     @pytest.mark.parametrize('value', [0, -1, -5])
     def test_restarts_and_iterations_must_be_positive(self, field, value):

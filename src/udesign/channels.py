@@ -95,9 +95,10 @@ def inverse_jamiolkowski(rho: np.ndarray) -> QuantumChannel:
     """Channel whose output state is ``rho``, from the process matrix d·rho.
 
     Requires tr_s(rho) = I/d within ``ATOL_ALG`` (every trace-preserving
-    image satisfies it) and complete positivity down to ``-CP_FLOOR``, since
-    Kraus operators are read off the eigendecomposition of the process
-    matrix; they must then be trace preserving within ``ATOL_KRAUS``.
+    image satisfies it), a process matrix that does not overflow, and
+    complete positivity down to ``-CP_FLOOR``, since Kraus operators are
+    read off the eigendecomposition of the process matrix; they must then
+    be trace preserving within ``ATOL_KRAUS``.
     """
     rho = np.asarray(rho, dtype=complex)
     d = bipartite_dim(rho.shape[0], "a channel output state")
@@ -109,8 +110,12 @@ def inverse_jamiolkowski(rho: np.ndarray) -> QuantumChannel:
     residual = float(np.linalg.norm(marg - np.eye(d) / d))
     if residual > ATOL_ALG:
         raise NotChannelImageError(residual)
-    s = d * rho
-    evals, evecs = np.linalg.eigh((s + dag(s)) / 2)
+    with np.errstate(over='ignore', invalid='ignore'):     # a finite rho near the float limit
+        s = d * rho
+        s = (s + dag(s)) / 2
+    if not np.isfinite(s).all():
+        raise InvalidInputError("process matrix d·rho has non-finite entries")
+    evals, evecs = np.linalg.eigh(s)
     if evals.min() < -CP_FLOOR:
         raise InvalidInputError(
             f"state is not completely positive within tolerance (min eigenvalue {evals.min():.3e})"

@@ -5,15 +5,18 @@ moment operator matches the Haar average, or equivalently when the frame
 potential sum_{x,y} w(x)w(y)|tr(U(x)†U(y))|^(2t) meets its lower bound
 gamma(t, d) exactly.  This module certifies sets against both criteria,
 computes gamma(t, d) by enumeration, and holds the known small designs used
-throughout the package.
+throughout the package.  t-th moments have one working form, the symmetric
+subspace Sym^t(C^(d²)), laid out once per (t, d); the dense moment operators
+are expansions of it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -30,8 +33,6 @@ from .linalg import (
     check_dim,
     check_entries,
     check_t,
-    permutation_operator,
-    vec,
     weyl_operators,
 )
 
@@ -193,57 +194,139 @@ def gamma(t: int, d: int) -> int:
     if t > MAX_GAMMA_T:
         raise ResourceLimitError(f"gamma enumeration capped at t <= {MAX_GAMMA_T}, got t={t}")
     if d >= t:
-        import math
         return math.factorial(t)
     return sum(1 for p in itertools.permutations(range(1, t + 1))
                if _longest_increasing_run(p) <= d)
 
 
+def _cycle_counts(perms: np.ndarray) -> np.ndarray:
+    """Number of cycles of each permutation in a (..., t) stack of 0-based
+    one-line forms: the points that are the smallest of their orbit."""
+    points = np.arange(perms.shape[-1])
+    low = cur = np.broadcast_to(points, perms.shape)
+    for _ in range(perms.shape[-1] - 1):
+        cur = np.take_along_axis(perms, cur, axis=-1)
+        low = np.minimum(low, cur)
+    return (low == points).sum(axis=-1)
+
+
+@dataclass(frozen=True)
+class _SymLayout:
+    """t-th moments on the symmetric subspace Sym^t(C^(d²)), read-only arrays.
+
+    vec(U^⊗t) is vec(U)^⊗t with its (row, column) digit pairs reordered, so
+    a moment sum_x w(x) vec(U_x)^⊗t vec(U_x)^⊗t† lives on Sym^t(C^(d²)), of
+    dimension m = C(d² + t - 1, t).  Its basis vectors sum the N_α orderings
+    of a sorted t-tuple α of pair digits, so the moment takes one value per
+    pair of classes (α, β), shared by N_α N_β entries, and its symmetric
+    coordinates are those values times sqrt(N_α N_β).  ``reps`` lists the
+    tuples α (m, t) and ``root_counts`` the sqrt(N_α); ``classes[a, c]`` is
+    the α of the digit pairs (a_k, c_k) of multi-indices a, c of (C^d)^⊗t;
+    ``haar`` holds the Haar moment's values (m, m).
+    """
+
+    reps: np.ndarray
+    root_counts: np.ndarray
+    classes: np.ndarray
+    haar: np.ndarray
+
+    def moment(self, s: WeightedUnitarySet) -> np.ndarray:
+        """The set's values sum_x w(x) p_x p_x†, p_x[α] = prod_k vec(U_x)[α_k]."""
+        flat = s.unitaries.reshape(len(s), -1)
+        p = reduce(np.multiply, (flat[:, digits] for digits in self.reps.T))     # n·m entries at a time
+        return (p.T * s.weights) @ p.conj()
+
+    def residual(self, values: np.ndarray) -> float:
+        """Frobenius norm of the moment of ``values`` less the Haar moment;
+        ``values`` is overwritten, so no second m × m array is held."""
+        values -= self.haar
+        values *= self.root_counts[:, None]
+        values *= self.root_counts
+        return float(np.linalg.norm(values))
+
+    def dense(self, values: np.ndarray) -> np.ndarray:
+        """The (d^2t, d^2t) operator of ``values`` in :func:`design_moment`'s
+        layout, one gather: entry ((a, b), (c, e)) is values[α(a, c), α(e, b)]."""
+        k = self.classes
+        return values[k[:, None, :, None], k.T[None, :, None, :]].reshape(k.size, k.size)
+
+
+def _sym_layout(t: int, d: int) -> _SymLayout:
+    """The layout of (t, d), once its t!² permutation Gram and its m² Haar
+    moment fit ``MAX_ENTRIES``; its d^2t class map is never larger than both,
+    since m >= d^2t/t!."""
+    t, d = int(t), int(d)
+    m = math.comb(d * d + t - 1, t)
+    check_entries(max(math.factorial(t) ** 2, m * m), 'the symmetric layout max(t!², m²)')
+    return _build_sym_layout(t, d)
+
+
+@lru_cache(maxsize=None)
+def _build_sym_layout(t: int, d: int) -> _SymLayout:
+    q = d * d
+    tuples = np.indices((q,) * t).reshape(t, -1).T          # every t-tuple of pair digits a·d + c
+    reps, cls, counts = np.unique(np.sort(tuples, axis=1), axis=0, return_inverse=True, return_counts=True)
+    cls = cls.reshape(-1)
+    m = len(reps)
+    # Weingarten function: the identity row of G⁺, G_στ = d^#cycles(σ⁻¹τ) of rank gamma(t, d)
+    perms = np.array(list(itertools.permutations(range(t))))
+    gram = np.array([float(d) ** _cycle_counts(inverse[perms]) for inverse in np.argsort(perms, axis=1)])
+    evals, evecs = np.linalg.eigh(gram)
+    rank = gamma(t, d)
+    top = evecs[:, -rank:]
+    wg = (top[0] / evals[-rank:]) @ top.T
+    # t! sum_ρ Wg(ρ) (I ⊗ Q_ρ), I ⊗ Q_ρ permuting a tuple's column digits.  Wg is a class
+    # function and conjugating ρ reorders a tuple's pairs, so every tuple of class β sends
+    # the same Wg-weighted count to class α as β's sorted representative does
+    rows, cols = divmod(reps, d)
+    place = q ** np.arange(t - 1, -1, -1)
+    reached = np.array([cls[(rows * d + cols[:, rho]) @ place] for rho in perms])
+    haar = np.bincount((reached * m + np.arange(m)).reshape(-1), np.repeat(wg, m), minlength=m * m).reshape(m, m)
+    haar *= math.factorial(t)
+    haar /= counts[:, None]
+    classes = cls.reshape((d,) * 2 * t).transpose(*range(0, 2 * t, 2), *range(1, 2 * t, 2)).reshape(d ** t, d ** t)
+    layout = _SymLayout(reps, np.sqrt(counts), classes, haar)
+    for a in vars(layout).values():
+        a.setflags(write=False)
+    return layout
+
+
 def haar_moment(t: int, d: int) -> np.ndarray:
     """Haar average of U^⊗t ⊗ (U^⊗t)† on (C^d)^⊗2t, one Weingarten sum for every t.
 
-    Stack vec(Q_σ) over the permutation operators Q_σ of S_t on (C^d)^⊗t as
-    the rows of V, with Gram G = V Vᵀ, G_στ = d^#cycles(σ⁻¹τ).  The average
-    of U^⊗t ⊗ conj(U^⊗t) is the projector Vᵀ G⁺ V onto their span (Collins &
-    Śniady 2006), here rearranged into :func:`design_moment`'s layout.  G has
-    rank gamma(t, d), so G⁺ inverts exactly that many eigenpairs.  The d^(4t)
-    entries must fit in ``MAX_ENTRIES``: t <= 5 at d = 2, 3 at d = 3, 2 at d = 4.
+    With Q_ρ the permutation operators of S_t on (C^d)^⊗t and Wg the
+    Weingarten function (Collins & Śniady 2006), the average of
+    vec(U)^⊗t vec(U)^⊗t† is t! sum_ρ Wg(ρ) (I ⊗ Q_ρ) on the symmetric subspace
+    Sym^t(C^(d²)), where it is built (see :class:`_SymLayout`); this is its
+    dense expansion into :func:`design_moment`'s layout.  The d^(4t) entries
+    must fit in ``MAX_ENTRIES``: t <= 5 at d = 2, 3 at d = 3, 2 at d = 4.
     """
     check_t(t)
     check_dim(d)
     check_entries(int(d) ** (4 * t), 'the Haar moment d^4t')
-    v = np.array([vec(permutation_operator(p, d)) for p in itertools.permutations(range(1, t + 1))])
-    evals, evecs = np.linalg.eigh(v @ v.T)
-    rank = gamma(t, d)
-    top = evecs[:, -rank:]
-    proj = (v.T @ top / evals[-rank:]) @ (top.T @ v)         # rows (a, e), columns (c, b)
-    return proj.reshape((d ** t,) * 4).transpose(0, 3, 2, 1).reshape(proj.shape)
+    layout = _sym_layout(t, d)
+    return layout.dense(layout.haar)
 
 
 def design_moment(s: WeightedUnitarySet, t: int) -> np.ndarray:
     """Weighted moment operator sum_x w(x) U(x)^⊗t ⊗ (U(x)^⊗t)†.
 
     With P = U^⊗t of size D = d^t, entry ((a, b), (c, e)) is
-    sum_x w(x) P_x[a, c] conj(P_x[e, b]): one (D², n)·(n, D²) matmul of the
-    flattened powers, then an axis transpose.  The powers and the result,
-    max(n, D²)·D² entries, must fit in ``MAX_ENTRIES``.
+    sum_x w(x) P_x[a, c] conj(P_x[e, b]): the dense expansion of the set's
+    moment on Sym^t(C^(d²)) (see :class:`_SymLayout`).  Its guard counts
+    max(n, D²)·D² entries against ``MAX_ENTRIES``.
     """
     check_t(t)
     n, d = len(s), s.dim
     check_entries(max(n, int(d) ** (2 * t)) * int(d) ** (2 * t), 'the moment operator max(n, d^2t)·d^2t')
-    upow = s.unitaries
-    for _ in range(t - 1):          # kron(P, U) element by element
-        m = upow.shape[-1] * d
-        upow = (upow[:, :, None, :, None] * s.unitaries[:, None, :, None, :]).reshape(n, m, m)
-    dim = upow.shape[-1]
-    flat = upow.reshape(n, -1)
-    acc = (flat.T * s.weights) @ flat.conj()           # rows (a, c), columns (e, b)
-    return acc.reshape((dim,) * 4).transpose(0, 3, 1, 2).reshape(dim * dim, dim * dim)
+    layout = _sym_layout(t, d)
+    return layout.dense(layout.moment(s))
 
 
 @dataclass(frozen=True)
 class DesignCertificate:
-    """Outcome of the potential-gap test, with the moment residual at t <= 2 (see :func:`certify`)."""
+    """Outcome of the potential-gap test, with the moment residual in linear
+    units, None beyond the layout's guard (see :func:`certify`)."""
 
     t: int
     potential: float
@@ -262,25 +345,25 @@ def certify(s: WeightedUnitarySet, t: int, atol_cert: float = ATOL_CERT) -> Desi
     """Certify a weighted set as a t-design through the potential gap.
 
     The gap potential - gamma(t, d) is nonnegative and vanishes exactly on
-    designs.  The residual ||design_moment - haar_moment|| is its square root
-    in exact arithmetic, but the gap cancels two O(gamma) numbers and bottoms
-    out near 1e-16, so a gap of about 0 can hide a residual of about 1e-8.
-    PASS means gap <= ``atol_cert``.  The residual is reported at t <= 2 when
-    the moments fit ``MAX_ENTRIES``, else None: at d = 2, t = 5 the two dense
-    moments would raise the peak memory by about 50 MB for a number the
-    verdict does not read.  The potential's n² overlaps must fit in
-    ``MAX_ENTRIES``.
+    designs.  The moment residual, the Frobenius distance of the set's t-th
+    moment from the Haar moment, is its square root in exact arithmetic
+    (Gross, Audenaert & Eisert 2007), but the gap cancels two O(gamma)
+    numbers and bottoms out near 1e-16, so a gap of about 0 can hide a
+    residual of about 1e-8.  PASS means gap <= ``atol_cert``.  The residual
+    is computed on Sym^t(C^(d²)), m × m with m = C(d² + t - 1, t), at every
+    t whose layout fits ``MAX_ENTRIES`` (t!² and m² entries), else it
+    is None.  The potential's n² overlaps must fit in ``MAX_ENTRIES``.
     """
     check_cert_threshold(atol_cert, 'atol_cert')
     g = float(gamma(t, s.dim))              # gamma's guards run before the n² potential is built
     pot = frame_potential(s, t)
     gap = pot - g
-    residual = None
-    if t <= 2:
-        try:
-            residual = float(np.linalg.norm(design_moment(s, t) - haar_moment(t, s.dim)))
-        except ResourceLimitError:
-            pass
+    try:
+        layout = _sym_layout(t, s.dim)
+    except ResourceLimitError:
+        residual = None
+    else:
+        residual = layout.residual(layout.moment(s))
     return DesignCertificate(t=t, potential=pot, gamma=g, gap=gap,
                              moment_residual=residual, passed=bool(gap <= atol_cert))
 

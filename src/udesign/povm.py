@@ -251,8 +251,13 @@ def outcome_probabilities(povm: DiscretePovm, state: np.ndarray) -> np.ndarray:
 def sample_counts(probabilities: np.ndarray, shots: int, rng: np.random.Generator,
                   size: int | tuple[int, ...] | None = None) -> np.ndarray:
     """Multinomial counts of ``shots`` outcomes; ``size`` stacks independent
-    draws as in ``rng.multinomial``, giving shape ``size + (n,)``."""
-    return rng.multinomial(shots, probabilities, size=size)
+    draws as in ``rng.multinomial``, giving shape ``size + (n,)``.  Every
+    probability must lie in [0, 1]."""
+    p = np.asarray(probabilities, dtype=float)
+    inside = (p >= 0) & (p <= 1)                      # written so that NaN fails too
+    if not inside.all():
+        raise InvalidInputError(f"outcome probabilities must lie in [0, 1], got {float(p[~inside][0])!r}")
+    return rng.multinomial(shots, p, size=size)
 
 
 def reconstruct(duals: np.ndarray, probabilities: np.ndarray) -> np.ndarray:

@@ -95,6 +95,15 @@ class TestJamiolkowski:
         with pytest.raises(InvalidInputError, match='^channel output state has non-finite entries$'):
             inverse_jamiolkowski(rho)
 
+    @pytest.mark.parametrize('huge', [1e308, 6e307], ids=['d-rho', 'hermitian-part'])
+    def test_inverse_rejects_an_overflowing_process_matrix(self, huge):
+        # entry (0, 2) is off the marginal, so rho passes every check before d·rho; at 6e307
+        # d·rho is finite and its Hermitian part (s + s†)/2 overflows
+        rho = jamiolkowski(depolarizing_channel(0.5, 2))
+        rho[0, 2] = rho[2, 0] = huge
+        with pytest.raises(InvalidInputError, match='^process matrix d·rho has non-finite entries$'):
+            inverse_jamiolkowski(rho)
+
     def test_inverse_rejects_non_channel_image(self):
         bad = np.diag([0.4, 0.3, 0.2, 0.1])
         with pytest.raises(NotChannelImageError) as err:

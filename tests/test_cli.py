@@ -112,14 +112,18 @@ class TestVerify:
         assert doc['pass'] is True and doc['gap'] <= 1e-9
 
     def test_moment_residual_beyond_the_entries_guard_is_null(self, capsys, tmp_path, monkeypatch):
-        # pu2_11pt at t = 2 needs 256 entries for its moments; the verdict still reads the gap
+        # pu2_11pt at t = 3 needs 400 entries for its symmetric layout and 121 for its
+        # overlaps; between the two the verdict still reads the gap
         design, report = tmp_path / 'd.json', tmp_path / 'report.json'
         run(capsys, 'design-gallery', '--name', 'pu2_11pt', '--out', str(design))
-        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 255)
-        code, stdout, err = run(capsys, 'design-verify', '--file', str(design), '--t', '2', '--json', str(report))
-        assert (code, err) == (0, '') and 'moment residual' not in stdout and stdout.endswith('PASS\n')
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 400)
+        code, stdout, err = run(capsys, 'design-verify', '--file', str(design), '--t', '3')
+        assert (code, err) == (1, '') and 'moment residual: 1.17063\n' in stdout and stdout.endswith('FAIL\n')
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 399)
+        code, stdout, err = run(capsys, 'design-verify', '--file', str(design), '--t', '3', '--json', str(report))
+        assert (code, err) == (1, '') and 'moment residual' not in stdout and stdout.endswith('FAIL\n')
         doc = json.loads(report.read_text())
-        assert doc['moment_residual'] is None and doc['pass'] is True
+        assert doc['moment_residual'] is None and doc['pass'] is False
 
     def test_overlaps_guard_exits_3(self, capsys, tmp_path, monkeypatch):
         # pu2_11pt's 11² = 121 overlaps are counted on load and again by certify

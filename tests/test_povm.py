@@ -531,6 +531,12 @@ class TestProbabilitiesAndSampling:
         assert c1.sum() == 10_000
         assert np.abs(c1 / 10_000 - p).max() <= 0.02
 
+    @pytest.mark.parametrize('bad', [np.nan, -0.25, np.inf, 1.5])
+    def test_sampling_refuses_probabilities_outside_the_unit_interval(self, bad):
+        p = np.array([0.5, bad, 0.5])
+        with pytest.raises(InvalidInputError, match=rf'^outcome probabilities must lie in \[0, 1\], got {bad!r}$'):
+            sample_counts(p, 10, make_rng(1))
+
 
 class TestPredictedError:
     def test_quoted_values_at_d2(self):

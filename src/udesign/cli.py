@@ -55,8 +55,7 @@ def _cmd_design_verify(args) -> int:
     print(f"potential: {cert.potential:.12g}")
     print(f"gamma:     {cert.gamma:.12g}")
     print(f"gap:       {cert.gap:.6g}")
-    if cert.moment_residual is not None:
-        print(f"moment residual: {cert.moment_residual:.6g}")
+    print(f"moment residual: {cert.moment_residual:.6g}")
     print("PASS" if cert.passed else "FAIL")
     if args.json:
         doc = {

@@ -6,8 +6,8 @@ potential sum_{x,y} w(x)w(y)|tr(U(x)†U(y))|^(2t) meets its lower bound
 gamma(t, d) exactly.  This module certifies sets against both criteria,
 computes gamma(t, d) by enumeration, and holds the known small designs used
 throughout the package.  t-th moments have one working form, the symmetric
-subspace Sym^t(C^(d²)), laid out once per (t, d); the dense moment operators
-are expansions of it.
+subspace Sym^t(C^(d²)), laid out once per (t, d): one m × m moment gives the
+potential and the residual, and the dense moment operators are expansions of it.
 """
 
 from __future__ import annotations
@@ -106,10 +106,6 @@ class WeightedUnitarySet:
     def __len__(self) -> int:
         return self.unitaries.shape[0]
 
-    def gram(self) -> np.ndarray:
-        """Matrix of overlaps tr(U(x)† U(y)), n² entries at most ``MAX_ENTRIES``."""
-        return _overlaps(self.unitaries, self.unitaries)
-
 
 def uniform_set(dim: int, unitaries) -> WeightedUnitarySet:
     """Weighted set with uniform weights 1/n."""
@@ -146,7 +142,7 @@ def assert_phase_distinct(s: WeightedUnitarySet) -> None:
     """Raise if two elements are phase-equivalent, |tr(U†V)|² >= d² - DEDUP_TOL."""
     close = _phase_equivalent(s.unitaries, s.unitaries) & ~np.eye(len(s), dtype=bool)
     if close.any():
-        worst = (np.abs(s.gram()[close]) ** 2).max()
+        worst = (np.abs(_overlaps(s.unitaries, s.unitaries)[close]) ** 2).max()
         raise InvalidInputError(
             f"set contains phase-equivalent elements (max off-diagonal |tr|² = {worst:.9f})")
 
@@ -161,11 +157,8 @@ def merge_phase_duplicates(s: WeightedUnitarySet) -> WeightedUnitarySet:
 
 
 def frame_potential(s: WeightedUnitarySet, t: int) -> float:
-    """Double sum sum_{x,y} w(x) w(y) |tr(U(x)† U(y))|^(2t); its n² overlaps
-    must fit in ``MAX_ENTRIES``."""
-    check_t(t)
-    overlap2 = np.abs(s.gram()) ** 2
-    return float(s.weights @ overlap2 ** t @ s.weights)
+    """Double sum sum_{x,y} w(x) w(y) |tr(U(x)† U(y))|^(2t), read as :func:`certify` reads it."""
+    return _sym_layout(t, s.dim).norms(s)[0]
 
 
 def _longest_increasing_run(seq: tuple[int, ...]) -> int:
@@ -217,56 +210,70 @@ class _SymLayout:
     vec(U^⊗t) is vec(U)^⊗t with its (row, column) digit pairs reordered, so
     a moment sum_x w(x) vec(U_x)^⊗t vec(U_x)^⊗t† lives on Sym^t(C^(d²)), of
     dimension m = C(d² + t - 1, t).  Its basis vectors sum the N_α orderings
-    of a sorted t-tuple α of pair digits, so the moment takes one value per
-    pair of classes (α, β), shared by N_α N_β entries, and its symmetric
-    coordinates are those values times sqrt(N_α N_β).  ``reps`` lists the
-    tuples α (m, t) and ``root_counts`` the sqrt(N_α); ``classes[a, c]`` is
-    the α of the digit pairs (a_k, c_k) of multi-indices a, c of (C^d)^⊗t;
-    ``haar`` holds the Haar moment's values (m, m).
+    of a sorted t-tuple α of pair digits, so the moment takes one value M̃[α, β]
+    per pair of classes (α, β), shared by N_α N_β entries; its symmetric
+    coordinates S M̃ S, S = diag(sqrt(N_α)), keep the dense Frobenius norm.
+    ``reps`` lists the α (m, t), ``root_counts`` the sqrt(N_α) and ``haar``
+    the Haar moment's symmetric coordinates (m, m).
     """
 
+    dim: int
     reps: np.ndarray
     root_counts: np.ndarray
-    classes: np.ndarray
     haar: np.ndarray
 
     def moment(self, s: WeightedUnitarySet) -> np.ndarray:
-        """The set's values sum_x w(x) p_x p_x†, p_x[α] = prod_k vec(U_x)[α_k]."""
+        """The set's symmetric coordinates S M̃ S = sum_x w(x) p_x p_x†,
+        p_x[α] = sqrt(N_α) prod_k vec(U_x)[α_k], n·m products."""
+        check_entries(len(s) * len(self.reps), 'the moment products n·m')
         flat = s.unitaries.reshape(len(s), -1)
-        p = reduce(np.multiply, (flat[:, digits] for digits in self.reps.T))     # n·m entries at a time
+        p = reduce(np.multiply, (flat[:, digits] for digits in self.reps.T), self.root_counts)
         return (p.T * s.weights) @ p.conj()
 
-    def residual(self, values: np.ndarray) -> float:
-        """Frobenius norm of the moment of ``values`` less the Haar moment;
-        ``values`` is overwritten, so no second m × m array is held."""
-        values -= self.haar
-        values *= self.root_counts[:, None]
-        values *= self.root_counts
-        return float(np.linalg.norm(values))
+    def norms(self, s: WeightedUnitarySet) -> tuple[float, float]:
+        """‖S M̃ S‖² and ‖S M̃ S - S H̃ S‖, the Haar moment subtracted in place; squares are summed
+        by rows, then pairwise, as one dot product over all m² drifts by 150 ulps at m = 165."""
+        coords = self.moment(s)
+        parts = coords.view(float)
+        squared = np.einsum('ij,ij->i', parts, parts).sum()
+        coords -= self.haar
+        return float(squared), math.sqrt(np.einsum('ij,ij->i', parts, parts).sum())
 
-    def dense(self, values: np.ndarray) -> np.ndarray:
-        """The (d^2t, d^2t) operator of ``values`` in :func:`design_moment`'s
-        layout, one gather: entry ((a, b), (c, e)) is values[α(a, c), α(e, b)]."""
-        k = self.classes
+    def dense(self, coords: np.ndarray) -> np.ndarray:
+        """The (d^2t, d^2t) operator of symmetric coordinates in :func:`design_moment`'s
+        layout, one gather: entry ((a, b), (c, e)) is M̃[α(a, c), α(e, b)]."""
+        values = coords / self.root_counts[:, None] / self.root_counts
+        k = _pair_classes(self.reps.shape[1], self.dim)[2]
         return values[k[:, None, :, None], k.T[None, :, None, :]].reshape(k.size, k.size)
 
 
+def _pair_classes(t: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted t-tuples α of pair digits a·d + c (m, t), their orderings N_α, and the
+    class α(a, c) of the pairs (a_k, c_k) of multi-indices a, c of (C^d)^⊗t (d^t, d^t)."""
+    digits = np.indices((d,) * 2 * t).reshape(2 * t, -1)         # a_1..a_t, c_1..c_t
+    pairs = np.sort(digits[:t] * d + digits[t:], axis=0).T
+    reps, cls, counts = np.unique(pairs, axis=0, return_inverse=True, return_counts=True)
+    return reps, counts, cls.reshape(d ** t, d ** t)
+
+
+def check_layout(t: int, d: int) -> None:
+    """Raise unless t >= 1 (:func:`check_t`) and the layout of (t, d) fits ``MAX_ENTRIES``: its m²
+    Haar moment, counted first so a large t is refused at once, then its t!² permutation Gram."""
+    check_t(t)
+    m = math.comb(int(d) ** 2 + int(t) - 1, int(t))
+    check_entries(m * m, 'the symmetric layout m²')
+    check_entries(math.factorial(int(t)) ** 2, 'the symmetric layout t!²')
+
+
 def _sym_layout(t: int, d: int) -> _SymLayout:
-    """The layout of (t, d), once its t!² permutation Gram and its m² Haar
-    moment fit ``MAX_ENTRIES``; its d^2t class map is never larger than both,
-    since m >= d^2t/t!."""
-    t, d = int(t), int(d)
-    m = math.comb(d * d + t - 1, t)
-    check_entries(max(math.factorial(t) ** 2, m * m), 'the symmetric layout max(t!², m²)')
-    return _build_sym_layout(t, d)
+    """The layout of (t, d), once :func:`check_layout` admits it."""
+    check_layout(t, d)
+    return _build_sym_layout(int(t), int(d))
 
 
 @lru_cache(maxsize=None)
 def _build_sym_layout(t: int, d: int) -> _SymLayout:
-    q = d * d
-    tuples = np.indices((q,) * t).reshape(t, -1).T          # every t-tuple of pair digits a·d + c
-    reps, cls, counts = np.unique(np.sort(tuples, axis=1), axis=0, return_inverse=True, return_counts=True)
-    cls = cls.reshape(-1)
+    reps, counts, cls = _pair_classes(t, d)
     m = len(reps)
     # Weingarten function: the identity row of G⁺, G_στ = d^#cycles(σ⁻¹τ) of rank gamma(t, d)
     perms = np.array(list(itertools.permutations(range(t))))
@@ -279,29 +286,25 @@ def _build_sym_layout(t: int, d: int) -> _SymLayout:
     # function and conjugating ρ reorders a tuple's pairs, so every tuple of class β sends
     # the same Wg-weighted count to class α as β's sorted representative does
     rows, cols = divmod(reps, d)
-    place = q ** np.arange(t - 1, -1, -1)
-    reached = np.array([cls[(rows * d + cols[:, rho]) @ place] for rho in perms])
+    place = d ** np.arange(t - 1, -1, -1)
+    reached = np.array([cls[rows @ place, cols[:, rho] @ place] for rho in perms])
     haar = np.bincount((reached * m + np.arange(m)).reshape(-1), np.repeat(wg, m), minlength=m * m).reshape(m, m)
-    haar *= math.factorial(t)
-    haar /= counts[:, None]
-    classes = cls.reshape((d,) * 2 * t).transpose(*range(0, 2 * t, 2), *range(1, 2 * t, 2)).reshape(d ** t, d ** t)
-    layout = _SymLayout(reps, np.sqrt(counts), classes, haar)
-    for a in vars(layout).values():
+    root_counts = np.sqrt(counts)
+    haar *= math.factorial(t) * root_counts         # t!·count/N_α, times sqrt(N_α N_β)
+    haar /= root_counts[:, None]
+    for a in (reps, root_counts, haar):
         a.setflags(write=False)
-    return layout
+    return _SymLayout(d, reps, root_counts, haar)
 
 
 def haar_moment(t: int, d: int) -> np.ndarray:
     """Haar average of U^⊗t ⊗ (U^⊗t)† on (C^d)^⊗2t, one Weingarten sum for every t.
 
-    With Q_ρ the permutation operators of S_t on (C^d)^⊗t and Wg the
-    Weingarten function (Collins & Śniady 2006), the average of
-    vec(U)^⊗t vec(U)^⊗t† is t! sum_ρ Wg(ρ) (I ⊗ Q_ρ) on the symmetric subspace
-    Sym^t(C^(d²)), where it is built (see :class:`_SymLayout`); this is its
-    dense expansion into :func:`design_moment`'s layout.  The d^(4t) entries
-    must fit in ``MAX_ENTRIES``: t <= 5 at d = 2, 3 at d = 3, 2 at d = 4.
+    The average of vec(U)^⊗t vec(U)^⊗t† is t! sum_ρ Wg(ρ) (I ⊗ Q_ρ), Q_ρ the permutation
+    operators of S_t on (C^d)^⊗t and Wg the Weingarten function (Collins & Śniady 2006),
+    built on Sym^t(C^(d²)) (:class:`_SymLayout`) and expanded into :func:`design_moment`'s
+    layout.  The d^(4t) entries must fit ``MAX_ENTRIES``: t <= 5 at d = 2, 3 at d = 3, 2 at d = 4.
     """
-    check_t(t)
     check_dim(d)
     check_entries(int(d) ** (4 * t), 'the Haar moment d^4t')
     layout = _sym_layout(t, d)
@@ -316,7 +319,6 @@ def design_moment(s: WeightedUnitarySet, t: int) -> np.ndarray:
     moment on Sym^t(C^(d²)) (see :class:`_SymLayout`).  Its guard counts
     max(n, D²)·D² entries against ``MAX_ENTRIES``.
     """
-    check_t(t)
     n, d = len(s), s.dim
     check_entries(max(n, int(d) ** (2 * t)) * int(d) ** (2 * t), 'the moment operator max(n, d^2t)·d^2t')
     layout = _sym_layout(t, d)
@@ -325,14 +327,13 @@ def design_moment(s: WeightedUnitarySet, t: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DesignCertificate:
-    """Outcome of the potential-gap test, with the moment residual in linear
-    units, None beyond the layout's guard (see :func:`certify`)."""
+    """Outcome of the potential-gap test, with the moment residual in linear units (:func:`certify`)."""
 
     t: int
     potential: float
     gamma: float
     gap: float
-    moment_residual: float | None
+    moment_residual: float
     passed: bool
 
     def __post_init__(self):
@@ -349,21 +350,20 @@ def certify(s: WeightedUnitarySet, t: int, atol_cert: float = ATOL_CERT) -> Desi
     moment from the Haar moment, is its square root in exact arithmetic
     (Gross, Audenaert & Eisert 2007), but the gap cancels two O(gamma)
     numbers and bottoms out near 1e-16, so a gap of about 0 can hide a
-    residual of about 1e-8.  PASS means gap <= ``atol_cert``.  The residual
-    is computed on Sym^t(C^(d²)), m × m with m = C(d² + t - 1, t), at every
-    t whose layout fits ``MAX_ENTRIES`` (t!² and m² entries), else it
-    is None.  The potential's n² overlaps must fit in ``MAX_ENTRIES``.
+    residual of about 1e-8.  PASS means gap <= ``atol_cert``.
+
+    Both read one m × m moment on Sym^t(C^(d²)), m = C(d² + t - 1, t), with
+    no n × n array (:class:`_SymLayout`).  ``MAX_ENTRIES`` bounds m², t!² and
+    the n·m products: t = 7-9 is refused at every d (t!²), and d = 4, 5 at
+    t >= 4, d = 6, 7 at t >= 3, d >= 9 at t = 2 (m²), where only FAIL verdicts
+    are lost, as the Haar moment's full rank m means a design has n >= m.
+    Sets with n > 3162 and n·m <= 1e7, such as the 11520-element two-qubit
+    Clifford group at t <= 3, are certified.
     """
     check_cert_threshold(atol_cert, 'atol_cert')
-    g = float(gamma(t, s.dim))              # gamma's guards run before the n² potential is built
-    pot = frame_potential(s, t)
+    g = float(gamma(t, s.dim))              # gamma's t guard runs before the layout is counted
+    pot, residual = _sym_layout(t, s.dim).norms(s)
     gap = pot - g
-    try:
-        layout = _sym_layout(t, s.dim)
-    except ResourceLimitError:
-        residual = None
-    else:
-        residual = layout.residual(layout.moment(s))
     return DesignCertificate(t=t, potential=pot, gamma=g, gap=gap,
                              moment_residual=residual, passed=bool(gap <= atol_cert))
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import ATOL_CERT, WeightedUnitarySet, certify, gamma, merge_phase_duplicates
+from .designs import ATOL_CERT, WeightedUnitarySet, certify, check_layout, gamma, merge_phase_duplicates
 from .errors import InvalidInputError
 from .linalg import (check_cert_threshold, check_dim, check_entries, check_t, dag, haar_unitaries,
                      herm_basis, log_unitary, make_rng)
@@ -56,8 +56,8 @@ def _tie(mode: str):
 class SearchConfig:
     """Search parameters, checked before any work: dim an integer >= 2
     (:func:`check_dim`), t, size, max_iterations and restarts at least 1,
-    t at most ``MAX_GAMMA_T`` (:func:`gamma`'s guard),
-    the d⁴ generator entries and the n² overlaps at most ``MAX_ENTRIES``,
+    the d⁴ generator entries and the n² overlaps at most ``MAX_ENTRIES``, the
+    closing :func:`certify`'s symmetric layout within :func:`check_layout`,
     target_gap finite and positive, weight_mode one of ``WEIGHT_MODES``.
     The CLI reads its defaults and choices here."""
 
@@ -73,11 +73,11 @@ class SearchConfig:
     def __post_init__(self):
         check_dim(self.dim)
         check_t(self.t)
-        gamma(self.t, self.dim)             # its MAX_GAMMA_T guard, before anything is drawn
         for name in ('size', 'max_iterations', 'restarts'):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
         check_entries(max(int(self.dim) ** 4, int(self.size) ** 2), 'the larger of the d⁴ generators and n² overlaps')
+        check_layout(self.t, self.dim)      # counted only: building it can take seconds
         check_cert_threshold(self.target_gap, 'target_gap')
         _tie(self.weight_mode)
         if self.weight_mode == 'per-basis' and self.size % self.dim ** 2 != 0:

@@ -55,3 +55,11 @@ def broken_design_docs() -> dict:
         'missing-matrix': (broken(lambda doc: doc['elements'][3].pop('matrix')),
                            "element 3: need 'weight' and 'matrix' fields"),
     }
+
+
+def gram_potential(s, t: int) -> float:
+    """The frame potential as the Gram double sum sum_{x,y} w(x) w(y) |tr(U(x)†U(y))|^(2t),
+    the form the package computed before the symmetric layout, kept as the oracle."""
+    flat = s.unitaries.reshape(len(s), -1)
+    overlap2 = np.abs(flat.conj() @ flat.T) ** 2
+    return float(s.weights @ overlap2 ** t @ s.weights)

@@ -110,23 +110,33 @@ class TestVerify:
         assert code == 0
         doc = json.loads(report.read_text())
         assert doc['pass'] is True and doc['gap'] <= 1e-9
+        assert isinstance(doc['moment_residual'], float) and doc['moment_residual'] <= 1e-7
 
-    def test_moment_residual_beyond_the_entries_guard_is_null(self, capsys, tmp_path, monkeypatch):
-        # pu2_11pt at t = 3 needs 400 entries for its symmetric layout and 121 for its
-        # overlaps; between the two the verdict still reads the gap
+    def test_layout_guard_exits_3_and_writes_no_report(self, capsys, tmp_path, monkeypatch):
+        # pu2_11pt at t = 3 needs 400 entries for its symmetric layout; certify has no
+        # other path, so below that every verdict is refused
         design, report = tmp_path / 'd.json', tmp_path / 'report.json'
         run(capsys, 'design-gallery', '--name', 'pu2_11pt', '--out', str(design))
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', 400)
-        code, stdout, err = run(capsys, 'design-verify', '--file', str(design), '--t', '3')
-        assert (code, err) == (1, '') and 'moment residual: 1.17063\n' in stdout and stdout.endswith('FAIL\n')
-        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 399)
         code, stdout, err = run(capsys, 'design-verify', '--file', str(design), '--t', '3', '--json', str(report))
-        assert (code, err) == (1, '') and 'moment residual' not in stdout and stdout.endswith('FAIL\n')
+        assert (code, err) == (1, '') and 'moment residual: 1.17063\n' in stdout and stdout.endswith('FAIL\n')
         doc = json.loads(report.read_text())
-        assert doc['moment_residual'] is None and doc['pass'] is False
+        assert doc['moment_residual'] == pytest.approx(1.17063, abs=1e-5) and doc['pass'] is False
+        report.unlink()
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 399)
+        assert run(capsys, 'design-verify', '--file', str(design), '--t', '3', '--json', str(report)) == (
+            3, '', 'guard: the symmetric layout m² = 400 entries exceeds the guard 399\n')
+        assert not report.exists()
+
+    def test_t_7_exits_3_on_the_layout_guard(self, capsys, tmp_path):
+        # t!² = 5040² permutation Gram entries at every d; the gallery stops at t = 5
+        design = tmp_path / 'd.json'
+        run(capsys, 'design-gallery', '--name', 'pu2_11pt', '--out', str(design))
+        assert run(capsys, 'design-verify', '--file', str(design), '--t', '7') == (
+            3, '', 'guard: the symmetric layout t!² = 25401600 entries exceeds the guard 10000000\n')
 
     def test_overlaps_guard_exits_3(self, capsys, tmp_path, monkeypatch):
-        # pu2_11pt's 11² = 121 overlaps are counted on load and again by certify
+        # pu2_11pt's 11² = 121 overlaps are counted on load; certify counts 11·10 moment products
         design = tmp_path / 'd.json'
         run(capsys, 'design-gallery', '--name', 'pu2_11pt', '--out', str(design))
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', 121)

@@ -38,7 +38,7 @@ from udesign.linalg import (
 )
 from udesign.search import SearchConfig, search
 
-from helpers import expm_hermitian
+from helpers import expm_hermitian, gram_potential
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -83,6 +83,29 @@ class TestFramePotential:
     def test_invalid_t(self):
         with pytest.raises(InvalidInputError):
             frame_potential(uniform_set(2, [np.eye(2)]), 0)
+
+    def test_matches_the_gram_double_sum(self):
+        # largest differences measured: 6.7e-16·gamma on the gallery, 1.0e-15·gamma on the
+        # qutrit Clifford group and 5.7e-14·gamma on these random sets
+        rng = make_rng(21)
+        sets = [(gallery(name, 5, 2), GALLERY_CERTIFIED_T[name] + 1) for name in GALLERY_NAMES]
+        sets.append((group_closure(clifford_generators(3)), 3))
+        sets += [(random_weighted_set(d, int(rng.integers(1, 40)), rng), 3) for d in (2, 3) for _ in range(20)]
+        for s, top in sets:
+            for t in range(1, top + 1):
+                expected, g = gram_potential(s, t), gamma(t, s.dim)
+                assert abs(frame_potential(s, t) - expected) <= 1e-12 * g, (len(s), t)
+                assert abs(certify(s, t).gap - (expected - g)) <= 1e-12 * g, (len(s), t)
+
+    def test_no_overlaps_are_built(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError('an n × m overlap matrix was built')
+
+        sets = [gallery(name, 5, 2) for name in GALLERY_NAMES] + [group_closure(clifford_generators(3))]
+        monkeypatch.setattr(designs, '_overlaps', unbuilt)
+        for s in sets:
+            for t in (1, 2, 3):
+                assert certify(s, t).potential == frame_potential(s, t)
 
 
 class TestGamma:
@@ -339,13 +362,31 @@ class TestSymmetricLayout:
         layout = designs._sym_layout(5, 2)
         assert designs._sym_layout(5, 2) is layout
         assert layout.reps.shape == (56, 5) and designs._sym_layout(2, 3).haar.shape == (45, 45)
-        for a in (layout.reps, layout.root_counts, layout.classes, layout.haar):
+        for a in (layout.reps, layout.root_counts, layout.haar):
             assert not a.flags.writeable
-        # at t = 6 the t!² = 518400 permutation Gram outgrows the 84² Haar moment
-        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 518399)
-        with pytest.raises(ResourceLimitError, match='^the symmetric layout max\\(t!², m²\\) = 518400 entries'):
-            designs._sym_layout(6, 2)
-        assert certify(gallery('pu2_11pt'), 6).moment_residual is None
+        # at t = 6 the t!² = 518400 permutation Gram outgrows the 84² Haar moment, and the
+        # m² entries are counted first
+        for count, part in ((518399, 't!² = 518400'), (7055, 'm² = 7056')):
+            monkeypatch.setattr(linalg, 'MAX_ENTRIES', count)
+            for call in (lambda: designs._sym_layout(6, 2), lambda: certify(gallery('pu2_11pt'), 6)):
+                with pytest.raises(ResourceLimitError, match=f'^the symmetric layout {part} entries exceeds'):
+                    call()
+
+    def test_a_large_t_is_refused_at_once_on_the_m_squared_count(self, monkeypatch):
+        # t!² at t = 10⁶ takes seconds to count; C(t + 3, 3)² at d = 2 does not
+        def uncounted(t):
+            raise AssertionError('t! was counted')
+
+        monkeypatch.setattr(math, 'factorial', uncounted)
+        with pytest.raises(ResourceLimitError, match=f'^the symmetric layout m² = {math.comb(10 ** 6 + 3, 3) ** 2} '):
+            designs.check_layout(10 ** 6, 2)
+
+    def test_layout_holds_no_class_map(self):
+        # dense expansions build the d^2t class map when they need it: at (t, d) = (5, 2)
+        # a cached map took 8.2 of 36 kB
+        layout = designs._sym_layout(5, 2)
+        arrays = [a for a in vars(layout).values() if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == 56 * 5 * 8 + 56 * 8 + 56 * 56 * 8
 
     def test_no_package_path_builds_a_dense_moment(self, monkeypatch):
         def unbuilt(*args):
@@ -355,7 +396,7 @@ class TestSymmetricLayout:
         monkeypatch.setattr(designs, 'haar_moment', unbuilt)
         for d, top in ((2, 5), (3, 3), (4, 2)):
             for t in range(1, top + 1):
-                assert certify(gallery('utof', d * d + 1, d), t).moment_residual is not None
+                assert certify(gallery('utof', d * d + 1, d), t).moment_residual >= 0
         assert search(SearchConfig(dim=2, size=11, t=2, seed=3)).converged
         assert muub_check(pu2_muub_family()).is_two_design
 
@@ -387,51 +428,59 @@ class TestCertify:
 
     @pytest.mark.parametrize('s,t,count', [(gallery('pu2_11pt'), 3, 400), (unitary_operator_frame(20, 2), 4, 1225)],
                              ids=['pu2_11pt-t3', 'utof20-t4'])
-    def test_moment_residual_is_none_beyond_the_entries_guard(self, monkeypatch, s, t, count):
+    def test_certify_is_refused_beyond_the_layout_guard(self, monkeypatch, s, t, count):
         # the layout holds max(t!², m²) entries, m = C(d² + t - 1, t): here m² = 20² and
-        # 35², more than the n² overlaps 121 and 400, so between the two the verdict still
-        # reads the gap and the residual is None
+        # 35², more than the n·m products 220 and 700; below them certify has no other path
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', count)
         assert certify(s, t).moment_residual >= 0.5
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', count - 1)
-        with pytest.raises(ResourceLimitError, match=rf'^the symmetric layout max\(t!², m²\) = {count} entries '
-                                                     rf'exceeds the guard {count - 1}$'):
-            designs._sym_layout(t, s.dim)
-        cert = certify(s, t)
-        assert cert.moment_residual is None and not cert.passed and cert.gap > 0.1
-        monkeypatch.setattr(linalg, 'MAX_ENTRIES', len(s) ** 2 - 1)
-        with pytest.raises(ResourceLimitError, match=f'^the overlaps n·m = {len(s) ** 2} entries'):
-            certify(s, t)
+        for call in (lambda: designs._sym_layout(t, s.dim), lambda: certify(s, t), lambda: frame_potential(s, t)):
+            with pytest.raises(ResourceLimitError, match=rf'^the symmetric layout m² = {count} entries '
+                                                         rf'exceeds the guard {count - 1}$'):
+                call()
+
+    @pytest.mark.parametrize('s,t,count', [(gallery('pu2_11pt'), 2, 110), (unitary_operator_frame(20, 2), 1, 80)],
+                             ids=['pu2_11pt-t2', 'utof20-t1'])
+    def test_moment_products_flip_at_n_times_m(self, monkeypatch, s, t, count):
+        # n·m = 11·10 and 20·4 products, more than the layout's m² = 100 and 16
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', count)
+        assert certify(s, t).passed and frame_potential(s, t) == pytest.approx(gamma(t, 2), abs=1e-12)
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', count - 1)
+        for call in (lambda: certify(s, t), lambda: frame_potential(s, t)):
+            with pytest.raises(ResourceLimitError, match=f'^the moment products n·m = {count} entries '
+                                                         f'exceeds the guard {count - 1}$'):
+                call()
 
     @pytest.mark.parametrize('s,t,count', [(gallery('pu2_11pt'), 2, 256), (unitary_operator_frame(20, 2), 1, 80)],
                              ids=['moments', 'powers'])
     def test_dense_moment_guard_leaves_the_residual(self, monkeypatch, s, t, count):
         # the powers and the moment hold max(n, d^2t)·d^2t entries, as many as or more than
         # each permutation operator of haar_moment.  certify builds neither, so below that
-        # guard it still reports the residual wherever its n² overlaps fit
+        # guard it still reports the residual wherever its n·m products fit
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', count)
         assert np.linalg.norm(design_moment(s, t) - haar_moment(t, s.dim)) <= 1e-7
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', count - 1)
         with pytest.raises(ResourceLimitError, match=rf'^the moment operator max\(n, d\^2t\)·d\^2t = {count} entries '
                                                      rf'exceeds the guard {count - 1}$'):
             design_moment(s, t)
-        if len(s) ** 2 < count:
+        products = len(s) * math.comb(s.dim ** 2 + t - 1, t)
+        if products < count:
             cert = certify(s, t)
             assert cert.moment_residual <= 1e-7 and cert.passed and cert.gap <= 1e-9
         else:
-            with pytest.raises(ResourceLimitError, match=f'^the overlaps n·m = {len(s) ** 2} entries'):
+            with pytest.raises(ResourceLimitError, match=f'^the moment products n·m = {products} entries'):
                 certify(s, t)
 
-    def test_gamma_guard_is_checked_before_the_potential(self, monkeypatch):
+    def test_gamma_guard_is_checked_before_the_layout(self, monkeypatch):
         def unbuilt(*args):
-            raise AssertionError('the frame potential was built')
+            raise AssertionError('the symmetric layout was counted')
 
-        monkeypatch.setattr(designs, 'frame_potential', unbuilt)
+        monkeypatch.setattr(designs, '_sym_layout', unbuilt)
         with pytest.raises(ResourceLimitError, match='^gamma enumeration capped at t <= 9, got t=10$'):
             certify(gallery('pu2_11pt'), 10)
 
     def test_gap_below_its_float_floor_is_numerical_trouble(self):
-        fields = dict(t=1, potential=1.0, gamma=1.0, moment_residual=None, passed=True)
+        fields = dict(t=1, potential=1.0, gamma=1.0, moment_residual=0.0, passed=True)
         assert DesignCertificate(gap=-ATOL_CERT, **fields).gap == -ATOL_CERT
         with pytest.raises(InvalidInputError, match='^potential gap -2.000e-08 violates the lower bound'):
             DesignCertificate(gap=-2 * ATOL_CERT, **fields)
@@ -452,19 +501,20 @@ class TestOverlapsGuard:
     """Every n × m overlap matrix is counted against ``MAX_ENTRIES`` before it is built."""
 
     def test_pu2_11pt_flips_at_its_121_overlaps(self, tmp_path, monkeypatch):
+        # certify and frame_potential build no overlaps: below the flip they still answer
         s = gallery('pu2_11pt')
         path = tmp_path / 'd.json'
         save_design(s, path, certified_t=2)
-        calls = (lambda: certify(s, 2), lambda: load_design(path), lambda: frame_potential(s, 1),
-                 lambda: assert_phase_distinct(s), lambda: merge_phase_duplicates(s))
+        calls = (lambda: load_design(path), lambda: assert_phase_distinct(s), lambda: merge_phase_duplicates(s))
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', 121)
         for call in calls:
             call()
-        assert certify(s, 2).passed and len(load_design(path)[0]) == 11
+        assert len(load_design(path)[0]) == 11
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', 120)
         for call in calls:
             with pytest.raises(ResourceLimitError, match='^the overlaps n·m = 121 entries exceeds the guard 120$'):
                 call()
+        assert certify(s, 2).passed and frame_potential(s, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_muub_union_flips_at_its_144_overlaps(self, monkeypatch):
         bases = pu2_muub_family()
@@ -540,7 +590,8 @@ class TestGallery:
 
     def test_minimal_one_design_is_orthogonal_basis_with_uniform_weights(self):
         s = unitary_operator_frame(4, 2)
-        gram = s.gram()
+        flat = s.unitaries.reshape(4, -1)
+        gram = flat.conj() @ flat.T
         np.fill_diagonal(gram, 0)
         assert np.abs(gram).max() <= 1e-9
         assert np.allclose(s.weights, 0.25)
@@ -632,6 +683,24 @@ class TestGroupClosure:
         assert len(group_closure([h @ r, r @ r], max_order=12)) == 12
         with pytest.raises(ResourceLimitError):
             group_closure([h @ r, r @ r], max_order=11)
+
+    def test_two_qubit_pauli_extension_is_a_2_design_and_not_a_3_design(self):
+        # the Pauli group with lifts of SL(2, F₄) ≅ A5: g5 = (H⊗I)(I⊗H)(S⊗I)·CNOT of order 5
+        # and g3 = (H⊗I)(S⊗I)(I⊗S)(I⊗H) of order 3, modulo phase.  Measured: t = 1, 2 pass
+        # with residuals 2.6e-15 and 5.2e-15, t = 3 fails with gap 3 and residual sqrt(3)
+        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        r, one = np.diag([1, 1j]), np.eye(2)
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        g5 = np.kron(h, one) @ np.kron(one, h) @ np.kron(r, one) @ cnot
+        g3 = np.kron(h, one) @ np.kron(r, one) @ np.kron(one, r) @ np.kron(one, h)
+        s = group_closure([np.kron(X, one), np.kron(one, X), np.kron(Z, one), np.kron(one, Z), g5, g3])
+        assert len(s) == 960 == 16 * 60
+        for t in (1, 2):
+            cert = certify(s, t)
+            assert cert.passed and cert.moment_residual <= 6e-15
+        cert = certify(s, 3)
+        assert not cert.passed and cert.gamma == 6
+        assert cert.gap == pytest.approx(3.0, abs=1e-12) and cert.moment_residual == pytest.approx(np.sqrt(3), abs=1e-12)
 
     def test_d5_clifford_has_25_times_sl2_5_elements(self):
         s = group_closure(clifford_generators(5))

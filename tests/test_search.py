@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from udesign import linalg
+from udesign import designs, linalg
 from udesign.designs import WeightedUnitarySet, certify, frame_potential, gallery, gamma
 from udesign.errors import InvalidInputError, ResourceLimitError
 from udesign.linalg import dag, haar_unitaries, haar_unitary, herm_basis, make_rng
@@ -321,13 +321,24 @@ class TestSearch:
         with pytest.raises(InvalidInputError, match='^t must be >= 1, got 0$'):
             SearchConfig(dim=2, size=4, t=0)
 
-    def test_t_above_the_gamma_guard_is_refused_before_any_draw(self, monkeypatch):
+    def test_t_beyond_the_layout_guard_is_refused_before_any_draw(self, monkeypatch):
+        # the closing certify needs the symmetric layout: t!² = 5040² entries at t = 7
         def undrawn(*args):
             raise AssertionError('a starting point was drawn')
 
         monkeypatch.setattr(importlib.import_module('udesign.search'), '_initial_theta', undrawn)
-        with pytest.raises(ResourceLimitError, match='^gamma enumeration capped at t <= 9, got t=10$'):
-            search(SearchConfig(dim=2, size=4, t=10, restarts=1))
+        with pytest.raises(ResourceLimitError, match='^the symmetric layout t!² = 25401600 entries '
+                                                     'exceeds the guard 10000000$'):
+            search(SearchConfig(dim=2, size=4, t=7, restarts=1))
+        with pytest.raises(ResourceLimitError, match='^the symmetric layout m² = 41409225 entries'):
+            SearchConfig(dim=3, size=4, t=7)
+
+    def test_the_layout_is_counted_not_built(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError('the symmetric layout was built')
+
+        monkeypatch.setattr(designs, '_build_sym_layout', unbuilt)
+        assert SearchConfig(dim=3, size=4, t=6).t == 6
 
     @pytest.mark.parametrize('field', ['restarts', 'max_iterations'])
     @pytest.mark.parametrize('value', [0, -1, -5])
@@ -339,12 +350,16 @@ class TestSearch:
     @pytest.mark.parametrize('dim,size', [(100, 10_000), (57, 4), (2, 3163), (np.int64(60_000), 4)])
     def test_generators_and_overlaps_above_the_entries_guard_are_refused(self, dim, size):
         # d⁴ = 10,556,001 at d = 57 and n² = 10,004,569 at n = 3163; d = 56 and n = 3162 fit.
-        # d⁴ at d = 60,000 overflows int64, so it is counted in Python integers
+        # d⁴ at d = 60,000 overflows int64, so it is counted in Python integers.  At t = 1 the
+        # symmetric layout's m² = d⁴ as well; at t = 2 it refuses every d >= 9
         entries = max(int(dim) ** 4, size ** 2)
         with pytest.raises(ResourceLimitError, match=f'^the larger of the d⁴ generators and n² overlaps = {entries} '
                                                      f'entries exceeds the guard {linalg.MAX_ENTRIES}$'):
-            SearchConfig(dim=dim, size=size, t=2)
-        assert SearchConfig(dim=min(dim, 56), size=min(size, 3162), t=2).size == min(size, 3162)
+            SearchConfig(dim=dim, size=size, t=1)
+        assert SearchConfig(dim=min(dim, 56), size=min(size, 3162), t=1).size == min(size, 3162)
+        with pytest.raises(ResourceLimitError, match=f'^the symmetric layout m² = {3321 ** 2} entries exceeds'):
+            SearchConfig(dim=9, size=4, t=2)
+        assert SearchConfig(dim=8, size=4, t=2).dim == 8
 
 
 def povm_defect(s):

@@ -41,15 +41,7 @@ from .errors import (
     UDesignError,
 )
 from .io import load_design, save_design
-from .linalg import (
-    haar_unitary,
-    herm_basis,
-    make_rng,
-    max_entangled_ket,
-    partial_trace,
-    permutation_operator,
-    swap_operator,
-)
+from .linalg import haar_unitary, herm_basis, make_rng, partial_trace
 from .povm import (
     DiscretePovm,
     TomographyReport,

@@ -1,104 +1,95 @@
-"""Quantum channels, their bipartite output states and process matrices.
+"""Quantum channels as their bipartite output states.
 
 A channel acts on the first factor of C^d ⊗ C^d; feeding in the maximally
-entangled state |I><I| yields the bipartite output state that determines the
-channel completely.  The process matrix is the channel's superoperator matrix
-in the standard |j><k| basis and equals d times that output state, so channel
-distances reduce to state distances.
+entangled state |I><I| yields the bipartite output state
+sigma = (E ⊗ Id)(|I><I|) that determines the channel completely.  It is the
+one form a channel or a channel estimate stores: the process matrix, the
+channel's superoperator matrix in the standard |j><k| basis, is d·sigma, so
+the ordinary action is read off it and channel distances reduce to state
+distances.  Kraus operators are an input of `QuantumChannel.from_kraus` only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInputError, NotChannelImageError, ResourceLimitError
-from .linalg import (ATOL_ALG, ATOL_KRAUS, CP_FLOOR, MAX_KRAUS, bipartite_dim, dag, haar_unitaries,
-                     partial_trace, unvec, weyl_operators)
+from .linalg import (ATOL_ALG, CP_FLOOR, MAX_KRAUS, assert_unitary, bipartite_dim, dag, haar_unitaries,
+                     partial_trace, weyl_operators)
 
 
 @dataclass(frozen=True)
-class QuantumChannel:
-    """Completely positive trace-preserving map in Kraus form."""
+class _OutputState:
+    """A linear map held as its output state (E ⊗ Id)(|I><I|), shape (d², d²), read-only."""
 
     dim: int
-    kraus: np.ndarray          # (k, d, d)
-    unital: bool = field(default=False)
+    state: np.ndarray
+
+    def __post_init__(self):
+        self.state.setflags(write=False)
+
+    def apply(self, a: np.ndarray) -> np.ndarray:
+        """Ordinary action sum_jk s_jk E_j A E_k†, read off the process matrix s = d·state."""
+        d = self.dim
+        return np.einsum('abcd,bd->ac', (d * self.state).reshape(d, d, d, d), np.asarray(a, dtype=complex))
+
+
+@dataclass(frozen=True)
+class QuantumChannel(_OutputState):
+    """Completely positive trace-preserving map, held as its output state."""
 
     @classmethod
-    def from_kraus(cls, ops, atol: float = ATOL_ALG) -> "QuantumChannel":
+    def from_kraus(cls, ops) -> "QuantumChannel":
         kraus = np.asarray(ops, dtype=complex)
         if kraus.ndim != 3 or kraus.shape[1] != kraus.shape[2]:
             raise InvalidInputError(f"Kraus stack must have shape (k, d, d), got {kraus.shape}")
         d = kraus.shape[1]
-        ident = np.eye(d)
-        tp_residual = np.linalg.norm(np.einsum('kba,kbc->ac', kraus.conj(), kraus) - ident)
-        if not tp_residual <= atol:                  # NaN entries are not trace preserving either
+        tp_residual = np.linalg.norm(np.einsum('kba,kbc->ac', kraus.conj(), kraus) - np.eye(d))
+        if not tp_residual <= ATOL_ALG:              # NaN entries are not trace preserving either
             raise InvalidInputError(f"Kraus operators are not trace preserving: residual {tp_residual:.3e}")
-        unital_residual = np.linalg.norm(np.einsum('kab,kcb->ac', kraus, kraus.conj()) - ident)
-        kraus.setflags(write=False)
-        # ``atol`` loosens only trace preservation; unitality is an algebraic identity
-        return cls(dim=d, kraus=kraus, unital=bool(unital_residual <= ATOL_ALG))
+        # (B ⊗ I)|I> = vec(B)/sqrt(d) under the row-major vec convention
+        vecs = kraus.reshape(len(kraus), -1) / np.sqrt(d)
+        return cls(dim=d, state=np.einsum('ki,kj->ij', vecs, vecs.conj()))
 
-    def apply(self, a: np.ndarray) -> np.ndarray:
-        """Ordinary action sum_k B_k A B_k†."""
-        return np.einsum('kab,bc,kdc->ad', self.kraus, np.asarray(a, dtype=complex), self.kraus.conj())
-
-    def __len__(self) -> int:
-        return self.kraus.shape[0]
+    @cached_property
+    def unital(self) -> bool:
+        """E(I) = I within ``ATOL_ALG``, read as ||d·tr_anc(sigma) - I||, which is
+        ||sum B B† - I|| for Kraus operators B."""
+        d = self.dim
+        return bool(np.linalg.norm(d * partial_trace(self.state, (d, d), axis=1) - np.eye(d)) <= ATOL_ALG)
 
 
 @dataclass(frozen=True)
-class ChannelEstimate:
-    """Linear (generally unphysical) channel estimate held as a process matrix.
+class ChannelEstimate(_OutputState):
+    """Linear (generally unphysical) channel estimate, held as its output state.
 
     Positivity is deliberately not enforced; `min_choi_eigenvalue` reports how
-    far the underlying bipartite state is from positive semidefinite.
+    far that state is from positive semidefinite.
     """
 
-    dim: int
-    process: np.ndarray        # (d², d²)
-
-    def apply(self, a: np.ndarray) -> np.ndarray:
-        return apply_process_matrix(self.process, np.asarray(a, dtype=complex), self.dim)
-
-    def jamiolkowski_state(self) -> np.ndarray:
-        return self.process / self.dim
-
     def min_choi_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.jamiolkowski_state()).min())
+        return float(np.linalg.eigvalsh(self.state).min())
 
 
-def jamiolkowski(channel: QuantumChannel) -> np.ndarray:
-    """Bipartite output state (E ⊗ Id)(|I><I|) on C^d ⊗ C^d."""
-    d = channel.dim
-    # (B ⊗ I)|I> = vec(B)/sqrt(d) under the row-major vec convention
-    vecs = channel.kraus.reshape(len(channel), -1) / np.sqrt(d)
-    return np.einsum('ki,kj->ij', vecs, vecs.conj())
+def jamiolkowski(channel: QuantumChannel | ChannelEstimate) -> np.ndarray:
+    """Bipartite output state (E ⊗ Id)(|I><I|) on C^d ⊗ C^d, the stored read-only array."""
+    return channel.state
 
 
 def process_matrix(channel: QuantumChannel | ChannelEstimate) -> np.ndarray:
     """Superoperator matrix in the standard |j><k| basis (= d × output state)."""
-    if isinstance(channel, ChannelEstimate):
-        return channel.process
-    return channel.dim * jamiolkowski(channel)
-
-
-def apply_process_matrix(s: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
-    """Ordinary action sum_jk s_jk E_j A E_k† recovered from the matrix s."""
-    s4 = np.asarray(s).reshape(d, d, d, d)
-    return np.einsum('abcd,bd->ac', s4, np.asarray(a, dtype=complex))
+    return channel.dim * channel.state
 
 
 def inverse_jamiolkowski(rho: np.ndarray) -> QuantumChannel:
-    """Channel whose output state is ``rho``, from the process matrix d·rho.
+    """Channel whose output state is the Hermitian part of ``rho``.
 
     Requires tr_s(rho) = I/d within ``ATOL_ALG`` (every trace-preserving
-    image satisfies it), a process matrix that does not overflow, and
-    complete positivity down to ``-CP_FLOOR``, since Kraus operators are
-    read off the eigendecomposition of the process matrix; they must then
-    be trace preserving within ``ATOL_KRAUS``.
+    image satisfies it), a process matrix d·rho that does not overflow, and
+    complete positivity: no eigenvalue of the process matrix below -``CP_FLOOR``.
     """
     rho = np.asarray(rho, dtype=complex)
     d = bipartite_dim(rho.shape[0], "a channel output state")
@@ -115,14 +106,10 @@ def inverse_jamiolkowski(rho: np.ndarray) -> QuantumChannel:
         s = (s + dag(s)) / 2
     if not np.isfinite(s).all():
         raise InvalidInputError("process matrix d·rho has non-finite entries")
-    evals, evecs = np.linalg.eigh(s)
-    if evals.min() < -CP_FLOOR:
-        raise InvalidInputError(
-            f"state is not completely positive within tolerance (min eigenvalue {evals.min():.3e})"
-        )
-    keep = evals > 0
-    kraus = [np.sqrt(lam) * unvec(evecs[:, i], d) for i, lam in zip(np.where(keep)[0], evals[keep])]
-    return QuantumChannel.from_kraus(kraus, atol=ATOL_KRAUS)
+    low = np.linalg.eigvalsh(s).min()
+    if low < -CP_FLOOR:
+        raise InvalidInputError(f"state is not completely positive within tolerance (min eigenvalue {low:.3e})")
+    return QuantumChannel(dim=d, state=(rho + dag(rho)) / 2)
 
 
 def channel_distance(a: QuantumChannel | ChannelEstimate, b: QuantumChannel | ChannelEstimate) -> float:
@@ -134,12 +121,10 @@ def channel_distance(a: QuantumChannel | ChannelEstimate, b: QuantumChannel | Ch
 
 
 def rotate_channel(channel: QuantumChannel, u_sys: np.ndarray, u_anc: np.ndarray) -> QuantumChannel:
-    """Channel whose output state is (U_s ⊗ U_a) rho (U_s ⊗ U_a)†.
-
-    Realized on Kraus operators as B -> U_s B U_a^T; preserves unitality.
-    """
-    kraus = np.einsum('ab,kbc,dc->kad', u_sys, channel.kraus, u_anc)
-    return QuantumChannel.from_kraus(kraus)
+    """Channel whose output state is (U_s ⊗ U_a) sigma (U_s ⊗ U_a)†, for
+    unitary U_s and U_a; preserves unitality."""
+    big = np.kron(assert_unitary(u_sys), assert_unitary(u_anc))
+    return QuantumChannel(dim=channel.dim, state=big @ channel.state @ dag(big))
 
 
 def depolarizing_channel(p: float, d: int) -> QuantumChannel:

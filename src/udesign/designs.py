@@ -33,6 +33,7 @@ from .linalg import (
     check_dim,
     check_entries,
     check_t,
+    row_blocks,
     weyl_operators,
 )
 
@@ -138,13 +139,20 @@ def _first_seen(u: np.ndarray) -> np.ndarray:
     return owner
 
 
+def _largest_off_diagonal(u: np.ndarray, rows: slice) -> float:
+    """max |tr(U_x†U_y)|² over the rows x of one block and every y != x."""
+    sq = np.abs(_overlaps(u[rows], u))
+    sq *= sq                                                    # in place, rounding as ** 2 does
+    sq[np.arange(len(sq)), np.arange(len(u))[rows]] = 0         # the diagonal |tr(U†U)|² = d²
+    return sq.max()
+
+
 def assert_phase_distinct(s: WeightedUnitarySet) -> None:
-    """Raise if two elements are phase-equivalent, |tr(U†V)|² >= d² - DEDUP_TOL."""
-    close = _phase_equivalent(s.unitaries, s.unitaries) & ~np.eye(len(s), dtype=bool)
-    if close.any():
-        worst = (np.abs(_overlaps(s.unitaries, s.unitaries)[close]) ** 2).max()
-        raise InvalidInputError(
-            f"set contains phase-equivalent elements (max off-diagonal |tr|² = {worst:.9f})")
+    """Raise if two elements are phase-equivalent, |tr(U†V)|² >= d² - DEDUP_TOL; the n² overlaps
+    are read in row blocks of at most ``MAX_ENTRIES`` (one block whenever n² fits)."""
+    worst = max(_largest_off_diagonal(s.unitaries, rows) for rows in row_blocks(len(s), len(s)))
+    if worst >= s.dim ** 2 - DEDUP_TOL:
+        raise InvalidInputError(f"set contains phase-equivalent elements (max off-diagonal |tr|² = {worst:.9f})")
 
 
 def merge_phase_duplicates(s: WeightedUnitarySet) -> WeightedUnitarySet:
@@ -224,11 +232,19 @@ class _SymLayout:
 
     def moment(self, s: WeightedUnitarySet) -> np.ndarray:
         """The set's symmetric coordinates S M̃ S = sum_x w(x) p_x p_x†,
-        p_x[α] = sqrt(N_α) prod_k vec(U_x)[α_k], n·m products."""
-        check_entries(len(s) * len(self.reps), 'the moment products n·m')
+        p_x[α] = sqrt(N_α) prod_k vec(U_x)[α_k], summed over row blocks of x whose three
+        (rows, m) product arrays, held at once, fit ``MAX_ENTRIES`` together."""
         flat = s.unitaries.reshape(len(s), -1)
-        p = reduce(np.multiply, (flat[:, digits] for digits in self.reps.T), self.root_counts)
-        return (p.T * s.weights) @ p.conj()
+
+        def block(rows: slice) -> np.ndarray:
+            p = reduce(np.multiply, (flat[rows, digits] for digits in self.reps.T), self.root_counts)
+            return (p.T * s.weights[rows]) @ p.conj()
+
+        first, *rest = row_blocks(len(s), 3 * len(self.reps))
+        coords = block(first)
+        for rows in rest:
+            coords += block(rows)
+        return coords
 
     def norms(self, s: WeightedUnitarySet) -> tuple[float, float]:
         """‖S M̃ S‖² and ‖S M̃ S - S H̃ S‖, the Haar moment subtracted in place; squares are summed
@@ -353,12 +369,12 @@ def certify(s: WeightedUnitarySet, t: int, atol_cert: float = ATOL_CERT) -> Desi
     residual of about 1e-8.  PASS means gap <= ``atol_cert``.
 
     Both read one m × m moment on Sym^t(C^(d²)), m = C(d² + t - 1, t), with
-    no n × n array (:class:`_SymLayout`).  ``MAX_ENTRIES`` bounds m², t!² and
-    the n·m products: t = 7-9 is refused at every d (t!²), and d = 4, 5 at
-    t >= 4, d = 6, 7 at t >= 3, d >= 9 at t = 2 (m²), where only FAIL verdicts
-    are lost, as the Haar moment's full rank m means a design has n >= m.
-    Sets with n > 3162 and n·m <= 1e7, such as the 11520-element two-qubit
-    Clifford group at t <= 3, are certified.
+    no n × n array (:class:`_SymLayout`).  ``MAX_ENTRIES`` bounds m² and t!²:
+    t = 7-9 is refused at every d (t!²), and d = 4, 5 at t >= 4, d = 6, 7 at
+    t >= 3, d >= 9 at t = 2 (m²), where only FAIL verdicts are lost, as the
+    Haar moment's full rank m means a design has n >= m.  The n·m products
+    are summed in row blocks, so a set of any size is certified wherever its
+    layout fits, such as the 11520-element two-qubit Clifford group at t <= 3.
     """
     check_cert_threshold(atol_cert, 'atol_cert')
     g = float(gamma(t, s.dim))              # gamma's t guard runs before the layout is counted

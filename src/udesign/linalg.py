@@ -2,7 +2,7 @@
 
 Conventions, fixed once for the whole package:
 
-* Operators are complex numpy arrays; `vec` flattens row-major, so the
+* Operators are complex numpy arrays; vec(A) flattens row-major, so the
   Hilbert-Schmidt inner product tr(A†B) equals vec(A)†·vec(B).
 * Hermitian operators on C^D have real coordinates c(H) in R^(D²), read
   against the orthonormal basis E_jj, (E_jk + E_kj)/sqrt(2) and
@@ -30,14 +30,13 @@ from .errors import InvalidInputError, ResourceLimitError
 
 # Tolerance table: every accept/reject guard of the package reads its threshold
 # here, one name per purpose.  Solver settings stay with the solvers in `search`.
-ATOL_ALG = 1e-9            # algebraic identities: unitarity, weight sums, trace preservation, MUUB overlaps
+ATOL_ALG = 1e-9            # algebraic identities: unitarity, weight sums, trace preservation, unitality, MUUB overlaps
 EIG_CUTOFF = 1e-10         # relative eigenvalue cutoff for restricted inversion of superoperators
 ATOL_CERT = 1e-8           # frame-potential gap that certifies a t-design
 DEDUP_TOL = 1e-6           # U, V are phase-equivalent when |tr(U†V)|² >= d² - DEDUP_TOL
 ATOL_POVM = 1e-8           # normalization defect ||sum F - I|| of a design's POVM
 ATOL_TIGHT = 1e-8          # residual of a frame superoperator against the tight form of its class
 CP_FLOOR = 1e-8            # most negative process-matrix eigenvalue still read as completely positive
-ATOL_KRAUS = 1e-7          # trace-preservation residual of Kraus operators re-extracted from a state
 PROB_CLAMP = 1e-12         # Born-probability dips down to -PROB_CLAMP are floored at zero
 PROB_SUM_TOL = 1e-9        # Born probabilities summing further from one mean POVM and state disagree
 PHASE_TIE = 1e-12          # canonical_phase: relative tie on the largest modulus
@@ -47,7 +46,8 @@ ATOL_FILE_WEIGHTS = 1e-6   # weight-sum defect a design file may carry before re
 Z_GATE = 5.0               # |z| of tomo's mean error against the class prediction above which the run fails
 # Resource guards, each checked before anything is drawn or allocated: Kraus count k of a random
 # channel, t of the exhaustive S_t enumeration in gamma(t, d), and the entries of the largest array
-# a search, operator frame, permutation or moment operator, design POVM or tomography run holds.
+# a search, operator frame, moment operator, design POVM or tomography run holds; the phase check
+# and the moment sum work in row blocks of at most that many entries (`row_blocks`).
 MAX_KRAUS = 1_000
 MAX_GAMMA_T = 9
 MAX_ENTRIES = 10_000_000
@@ -67,6 +67,13 @@ def check_entries(count: int, what: str) -> None:
         raise ResourceLimitError(f"{what} = {count} entries exceeds the guard {MAX_ENTRIES}")
 
 
+def row_blocks(rows: int, row_entries: int) -> list[slice]:
+    """Consecutive row blocks of a (rows, ·) computation whose ``row_entries`` entries per row
+    fit ``MAX_ENTRIES`` per block: one block whenever all rows fit, single rows at least."""
+    step = max(1, MAX_ENTRIES // row_entries)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 def check_dim(dim) -> None:
     """Raise unless ``dim`` is an integer >= 2: the package's one dimension
     rule, for weighted sets, design files, searches, bases and moments."""
@@ -84,16 +91,6 @@ def check_t(t) -> None:
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose (of the last two axes for stacked input)."""
     return np.conj(np.swapaxes(a, -1, -2))
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Row-major flattening of an operator into an operator ket."""
-    return np.asarray(a).reshape(-1)
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec` for square operators."""
-    return np.asarray(v).reshape(dim, dim)
 
 
 def assert_unitary(u: np.ndarray) -> np.ndarray:
@@ -197,36 +194,6 @@ def herm_from_coords(c: np.ndarray) -> np.ndarray:
     _, _, from_src, from_scale = _herm_layout(dim)
     flat = np.ascontiguousarray(c[..., from_src] * from_scale)
     return flat.view(complex).reshape(c.shape[:-1] + (dim, dim))
-
-
-def max_entangled_ket(u: np.ndarray) -> np.ndarray:
-    """Maximally entangled ket (1/sqrt(d)) sum_k U|k> ⊗ |k> for unitary U."""
-    u = assert_unitary(u)
-    if u.ndim != 2:
-        raise InvalidInputError(f"expected a square matrix, got shape {u.shape}")
-    return vec(u) / np.sqrt(u.shape[0])
-
-
-def permutation_operator(images: tuple[int, ...] | list[int], d: int) -> np.ndarray:
-    """Operator permuting the n factors of (C^d)^⊗n.
-
-    ``images`` lists the permutation in one-line notation with 1-based
-    entries; ``(2, 1)`` gives the swap T with tr[(A⊗B)T] = tr(AB), and the
-    operators compose like the permutations they carry.  Its (d^n)² entries
-    must fit in ``MAX_ENTRIES``.
-    """
-    images = tuple(int(s) for s in images)
-    n = len(images)
-    if sorted(images) != list(range(1, n + 1)):
-        raise InvalidInputError(f"not a permutation of 1..{n}: {images}")
-    check_entries(int(d) ** (2 * n), 'the permutation operator (d^n)²')
-    # P|k> = |k∘sigma^{-1}>: column axis q of the result is the identity's axis images[q] - 1
-    axes = tuple(range(n)) + tuple(n + s - 1 for s in images)
-    return np.eye(d ** n).reshape((d,) * 2 * n).transpose(axes).reshape(d ** n, d ** n)
-
-
-def swap_operator(d: int) -> np.ndarray:
-    return permutation_operator((2, 1), d)
 
 
 def weyl_operators(d: int) -> np.ndarray:

@@ -3,7 +3,9 @@
 The measurement induced by a weighted set has rank-one density operators
 P(x) = |U(x)><U(x)| built from maximally entangled kets, trace measure
 tau(x) = d² w(x) and elements F(x) = tau(x) P(x); the element sum is the
-identity exactly when the set is a 1-design.  The frame superoperator
+identity exactly when the set is a 1-design.  A `DiscretePovm` stores the
+elements and the trace measure alone; P(x), their coordinates and the frame
+are read-only views derived from them on first use.  The frame superoperator
 F = sum_x tau(x)|P(x)>><<P(x)| decides tightness through its spectrum; its
 compression Pi F Pi to a class span decides informational completeness for
 the class through its rank, and its restricted inverse yields the canonical
@@ -46,22 +48,26 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class DiscretePovm:
-    """Discrete POVM in standard form: elements F(x), trace measure tau(x)
-    and density operators P(x) = F(x)/tau(x) with unit trace."""
+    """Discrete POVM in standard form: elements F(x) and trace measure tau(x);
+    the density operators P(x) = F(x)/tau(x), their coordinates and the frame
+    are read-only views built from them on first use."""
 
     dim: int                      # system dimension D
     elements: np.ndarray          # (n, D, D)
     trace_measure: np.ndarray     # (n,)
-    povd: np.ndarray              # (n, D, D)
 
     @classmethod
     def from_elements(cls, elements) -> "DiscretePovm":
-        return cls._admit(elements, ATOL_ALG, check_psd=True)
+        povm = cls._admit(elements, ATOL_ALG)
+        bad = np.flatnonzero(np.linalg.eigvalsh((povm.elements + dag(povm.elements)) / 2)[:, 0] < -ATOL_ALG)
+        if bad.size:
+            raise InvalidInputError(f"element {bad[0]} is not positive semidefinite")
+        return povm
 
     @classmethod
-    def _admit(cls, elements, atol: float, check_psd: bool) -> "DiscretePovm":
-        """Standard form of complete positive elements; ``check_psd=False`` is
-        for callers whose elements are positive by construction."""
+    def _admit(cls, elements, atol: float) -> "DiscretePovm":
+        """Standard form of complete elements of positive trace; positivity is
+        the caller's to check or to know by construction."""
         elements = np.asarray(elements, dtype=complex)
         if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
             raise InvalidInputError(f"POVM elements must have shape (n, D, D), got {elements.shape}")
@@ -72,17 +78,19 @@ class DiscretePovm:
             raise NotAPovmError(completeness)
         if np.any(tau <= 0):
             raise InvalidInputError("every element must have positive trace")
-        if check_psd:
-            bad = np.flatnonzero(np.linalg.eigvalsh((elements + dag(elements)) / 2)[:, 0] < -atol)
-            if bad.size:
-                raise InvalidInputError(f"element {bad[0]} is not positive semidefinite")
-        povd = elements / tau[:, None, None]
-        for arr in (elements, tau, povd):
+        for arr in (elements, tau):
             arr.setflags(write=False)
-        return cls(dim=dim, elements=elements, trace_measure=tau, povd=povd)
+        return cls(dim=dim, elements=elements, trace_measure=tau)
 
     def __len__(self) -> int:
         return self.elements.shape[0]
+
+    @cached_property
+    def povd(self) -> np.ndarray:
+        """Density operators P(x) = F(x)/tau(x) (n, D, D); built on first use, read-only."""
+        povd = self.elements / self.trace_measure[:, None, None]
+        povd.setflags(write=False)
+        return povd
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -116,7 +124,7 @@ def povm_from_design(s: WeightedUnitarySet) -> DiscretePovm:
     kets = s.unitaries.reshape(len(s), -1) / np.sqrt(d)    # |U> = vec(U)/sqrt(d)
     tau = d * d * s.weights
     elements = (tau[:, None] * kets)[:, :, None] * kets[:, None, :].conj()
-    return DiscretePovm._admit(elements, ATOL_POVM, check_psd=False)
+    return DiscretePovm._admit(elements, ATOL_POVM)
 
 
 def frame_superop(povm: DiscretePovm) -> np.ndarray:
@@ -358,4 +366,4 @@ def estimate_channel(povm: DiscretePovm, counts: np.ndarray,
         raise InvalidInputError("counts must hold one finite, nonnegative total per outcome")
     d = bipartite_dim(povm.dim, "channel estimation")
     rho_hat = herm_from_coords((counts / counts.sum()) @ _dual_coords(povm, require))
-    return ChannelEstimate(dim=d, process=d * rho_hat)
+    return ChannelEstimate(dim=d, state=rho_hat)

@@ -2,6 +2,49 @@
 
 import numpy as np
 
+from udesign.errors import InvalidInputError
+from udesign.linalg import assert_unitary, check_entries
+
+
+def vec(a: np.ndarray) -> np.ndarray:
+    """Row-major flattening of an operator into an operator ket."""
+    return np.asarray(a).reshape(-1)
+
+
+def unvec(v: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`vec` for square operators."""
+    return np.asarray(v).reshape(dim, dim)
+
+
+def max_entangled_ket(u: np.ndarray) -> np.ndarray:
+    """Maximally entangled ket (1/sqrt(d)) sum_k U|k> ⊗ |k> for unitary U."""
+    u = assert_unitary(u)
+    if u.ndim != 2:
+        raise InvalidInputError(f"expected a square matrix, got shape {u.shape}")
+    return vec(u) / np.sqrt(u.shape[0])
+
+
+def permutation_operator(images: tuple[int, ...] | list[int], d: int) -> np.ndarray:
+    """Operator permuting the n factors of (C^d)^⊗n, the oracle of the moment tests.
+
+    ``images`` lists the permutation in one-line notation with 1-based
+    entries; ``(2, 1)`` gives the swap T with tr[(A⊗B)T] = tr(AB), and the
+    operators compose like the permutations they carry.  Its (d^n)² entries
+    must fit in ``MAX_ENTRIES``.
+    """
+    images = tuple(int(s) for s in images)
+    n = len(images)
+    if sorted(images) != list(range(1, n + 1)):
+        raise InvalidInputError(f"not a permutation of 1..{n}: {images}")
+    check_entries(int(d) ** (2 * n), 'the permutation operator (d^n)²')
+    # P|k> = |k∘sigma^{-1}>: column axis q of the result is the identity's axis images[q] - 1
+    axes = tuple(range(n)) + tuple(n + s - 1 for s in images)
+    return np.eye(d ** n).reshape((d,) * 2 * n).transpose(axes).reshape(d ** n, d ** n)
+
+
+def swap_operator(d: int) -> np.ndarray:
+    return permutation_operator((2, 1), d)
+
 
 def expm_hermitian(g: np.ndarray) -> np.ndarray:
     """exp(iG) for Hermitian G via eigendecomposition (supports stacks)."""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from udesign.channels import (
     CHANNEL_FORMS,
     ChannelEstimate,
     QuantumChannel,
-    apply_process_matrix,
     channel_distance,
     channel_from_spec,
     channel_gallery,
@@ -18,13 +19,29 @@ from udesign.channels import (
     rotate_channel,
 )
 from udesign.errors import InvalidInputError, NotChannelImageError, ResourceLimitError
-from udesign.linalg import MAX_KRAUS, dag, haar_unitary, make_rng, partial_trace, unvec, vec
+from udesign.linalg import MAX_KRAUS, dag, haar_unitary, make_rng, partial_trace
+from udesign.povm import DiscretePovm
+
+from helpers import unvec, vec
 
 
 def random_state(d, rng):
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = m @ dag(m)
     return rho / np.trace(rho)
+
+
+def random_kraus(k, d, rng):
+    """k Gaussian Kraus operators made trace preserving by the inverse square root of sum B†B."""
+    raw = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    evals, evecs = np.linalg.eigh(np.einsum('kba,kbc->ac', raw.conj(), raw))
+    return raw @ ((evecs / np.sqrt(evals)) @ dag(evecs))
+
+
+def kraus_action(kraus, a):
+    """The Kraus-sum oracle sum_k B_k A B_k†."""
+    return sum(b @ a @ dag(b) for b in kraus)
+
 
 
 class TestJamiolkowski:
@@ -90,7 +107,7 @@ class TestJamiolkowski:
     @pytest.mark.parametrize('entry', [(0, 1), (0, 2)], ids=['in-marginal', 'off-marginal'])
     def test_inverse_rejects_non_finite_states(self, bad, entry):
         # entry (0, 2) joins system indices 0 and 1, which the marginal tr_s(rho) never reads
-        rho = jamiolkowski(depolarizing_channel(0.5, 2))
+        rho = jamiolkowski(depolarizing_channel(0.5, 2)).copy()
         rho[entry] = bad
         with pytest.raises(InvalidInputError, match='^channel output state has non-finite entries$'):
             inverse_jamiolkowski(rho)
@@ -99,7 +116,7 @@ class TestJamiolkowski:
     def test_inverse_rejects_an_overflowing_process_matrix(self, huge):
         # entry (0, 2) is off the marginal, so rho passes every check before d·rho; at 6e307
         # d·rho is finite and its Hermitian part (s + s†)/2 overflows
-        rho = jamiolkowski(depolarizing_channel(0.5, 2))
+        rho = jamiolkowski(depolarizing_channel(0.5, 2)).copy()
         rho[0, 2] = rho[2, 0] = huge
         with pytest.raises(InvalidInputError, match='^process matrix d·rho has non-finite entries$'):
             inverse_jamiolkowski(rho)
@@ -130,17 +147,18 @@ class TestProcessMatrix:
 
     def test_ordinary_action_via_matrix_matches_kraus(self):
         rng = make_rng(33)
-        channel = random_general_channel(3, 2, rng)
-        s = process_matrix(channel)
+        kraus = random_kraus(3, 2, rng)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert np.linalg.norm(apply_process_matrix(s, a, 2) - channel.apply(a)) <= 1e-9
+        for channel in (QuantumChannel.from_kraus(kraus),
+                        ChannelEstimate(dim=2, state=jamiolkowski(QuantumChannel.from_kraus(kraus)))):
+            assert np.linalg.norm(channel.apply(a) - kraus_action(kraus, a)) <= 1e-9
 
     def test_leftright_action_matches_basis_expansion(self):
         rng = make_rng(34)
-        channel = random_unital_mix(3, 2, rng)
-        s = process_matrix(channel)
+        kraus = random_kraus(3, 2, rng)
+        s = process_matrix(QuantumChannel.from_kraus(kraus))
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        expected = sum(b * np.trace(dag(b) @ a) for b in channel.kraus)
+        expected = sum(b * np.trace(dag(b) @ a) for b in kraus)
         assert np.linalg.norm(unvec(s @ vec(a), 2) - expected) <= 1e-9
 
 
@@ -169,8 +187,8 @@ class TestGallery:
 
     def test_random_general_is_trace_preserving(self):
         channel = channel_gallery('random_general', 3, rng=make_rng(43), param=4)
-        acc = np.einsum('kba,kbc->ac', channel.kraus.conj(), channel.kraus)
-        assert np.linalg.norm(acc - np.eye(3)) <= 1e-9
+        # d·tr_s(sigma) is the transpose of sum B†B
+        assert np.linalg.norm(3 * partial_trace(jamiolkowski(channel), (3, 3), 0) - np.eye(3)) <= 1e-9
         assert not channel.unital
 
     def test_parameter_validation(self):
@@ -185,8 +203,9 @@ class TestGallery:
             channel_gallery('no_such_channel', 2)
 
     def test_spec_grammar(self):
-        assert len(channel_from_spec('identity', 2)) == 1
-        assert len(channel_from_spec('random_unital_mix:4', 2, rng=make_rng(1))) == 4
+        # the Kraus rank, read off the output state
+        assert np.linalg.matrix_rank(jamiolkowski(channel_from_spec('identity', 2))) == 1
+        assert np.linalg.matrix_rank(jamiolkowski(channel_from_spec('random_unital_mix:4', 2, rng=make_rng(1)))) == 4
         depol = channel_from_spec('depolarizing:0.25', 2)
         assert depol.unital
         with pytest.raises(InvalidInputError):
@@ -220,7 +239,7 @@ class TestGallery:
         probs = rng.dirichlet(np.ones(k))
         reference = np.array([np.sqrt(r) * haar_unitary(d, rng) for r in probs])
         channel = random_unital_mix(k, d, make_rng(100 * d + k))
-        assert channel.kraus.tobytes() == reference.tobytes()
+        assert channel.state.tobytes() == QuantumChannel.from_kraus(reference).state.tobytes()
 
     def test_help_forms_list_every_kind(self):
         assert CHANNEL_FORMS == ('identity', 'random_unitary', 'random_unital_mix:k',
@@ -261,14 +280,15 @@ class TestChannelTypes:
         k1 = np.array([[0, np.sqrt(0.5)], [0, 0]], dtype=complex)
         assert not QuantumChannel.from_kraus([k0, k1]).unital
 
-    @pytest.mark.parametrize('atol', [1e-9, 1e-7])
-    def test_unital_flag_ignores_the_trace_preservation_tolerance(self, atol):
-        # weak amplitude damping: unital residual 4.2e-8, above ATOL_ALG = 1e-9
+    def test_weak_amplitude_damping_is_not_unital(self):
+        # trace preserving, unital residual ||sum B B† - I|| = 4.2e-8 above ATOL_ALG = 1e-9: one
+        # unitality rule, read off the output state, whichever way the channel was made
         g = 3e-8
-        kraus = [np.diag([1.0, np.sqrt(1 - g)]), np.array([[0.0, np.sqrt(g)], [0.0, 0.0]])]
-        channel = QuantumChannel.from_kraus(kraus, atol=atol)
+        channel = QuantumChannel.from_kraus([np.diag([1.0, np.sqrt(1 - g)]), np.array([[0.0, np.sqrt(g)], [0.0, 0.0]])])
         assert not channel.unital
         assert not inverse_jamiolkowski(jamiolkowski(channel)).unital
+        assert not QuantumChannel(dim=2, state=jamiolkowski(channel).copy()).unital
+        assert not rotate_channel(channel, np.eye(2), np.eye(2)).unital
 
     def test_rotate_channel_conjugates_output_state(self):
         rng = make_rng(51)
@@ -279,10 +299,53 @@ class TestChannelTypes:
         big = np.kron(u_s, u_a)
         assert np.linalg.norm(jamiolkowski(rotated) - big @ jamiolkowski(channel) @ dag(big)) <= 1e-10
 
+    @pytest.mark.parametrize('d', [2, 3])
+    def test_rotate_channel_matches_the_kraus_form(self, d):
+        # the oracle: Kraus operators B -> U_s B U_a^T
+        rng = make_rng(52 + d)
+        kraus = random_kraus(3, d, rng)
+        u_s, u_a = haar_unitary(d, rng), haar_unitary(d, rng)
+        rotated = rotate_channel(QuantumChannel.from_kraus(kraus), u_s, u_a)
+        oracle = QuantumChannel.from_kraus(np.einsum('ab,kbc,dc->kad', u_s, kraus, u_a))
+        assert np.abs(jamiolkowski(rotated) - jamiolkowski(oracle)).max() <= 1e-15
+        assert rotated.unital == oracle.unital is False
+
+    def test_rotate_channel_needs_unitaries(self):
+        with pytest.raises(InvalidInputError, match='^matrix is not unitary'):
+            rotate_channel(depolarizing_channel(0.5, 2), 2 * np.eye(2), np.eye(2))
+
     def test_estimate_wrapper_round_trips_state(self):
         channel = depolarizing_channel(0.7, 2)
-        est = ChannelEstimate(dim=2, process=process_matrix(channel))
-        assert np.allclose(est.jamiolkowski_state(), jamiolkowski(channel))
+        est = ChannelEstimate(dim=2, state=jamiolkowski(channel).copy())
+        assert jamiolkowski(est).tobytes() == jamiolkowski(channel).tobytes()
+        assert process_matrix(est).tobytes() == process_matrix(channel).tobytes()
         a = np.diag([0.25, 0.75]).astype(complex)
         assert np.linalg.norm(est.apply(a) - channel.apply(a)) <= 1e-10
         assert est.min_choi_eigenvalue() >= -1e-12
+
+
+class TestOneForm:
+    """Each tomography object stores one form; every other form is derived from it."""
+
+    @pytest.mark.parametrize('cls,names', [
+        (QuantumChannel, ('dim', 'state')),
+        (ChannelEstimate, ('dim', 'state')),
+        (DiscretePovm, ('dim', 'elements', 'trace_measure')),
+    ], ids=['channel', 'estimate', 'povm'])
+    def test_fields_name_only_the_stored_form(self, cls, names):
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
+
+    @pytest.mark.parametrize('d', [2, 3])
+    @pytest.mark.parametrize('form', CHANNEL_FORMS)
+    def test_inverse_returns_the_state_bit_for_bit(self, form, d):
+        name, _, letter = form.partition(':')
+        channel = channel_gallery(name, d, rng=make_rng(d), param={'k': 3, 'p': 0.5}.get(letter))
+        recovered = inverse_jamiolkowski(jamiolkowski(channel))
+        assert jamiolkowski(recovered).tobytes() == jamiolkowski(channel).tobytes()
+        assert recovered.unital == channel.unital == (name != 'random_general')
+
+    def test_state_is_stored_once_and_read_only(self):
+        channel = depolarizing_channel(0.5, 2)
+        assert jamiolkowski(channel) is channel.state
+        with pytest.raises(ValueError, match='read-only'):
+            jamiolkowski(channel)[0, 0] = 1.0

@@ -136,15 +136,18 @@ class TestVerify:
             3, '', 'guard: the symmetric layout t!² = 25401600 entries exceeds the guard 10000000\n')
 
     def test_overlaps_guard_exits_3(self, capsys, tmp_path, monkeypatch):
-        # pu2_11pt's 11² = 121 overlaps are counted on load; certify counts 11·10 moment products
+        # pu2_11pt's 11² = 121 overlaps are read on load in row blocks of at most MAX_ENTRIES,
+        # and certify sums its moment products in blocks too: below 121 the file still verifies,
+        # and the guard is reached only when one row of 11 overlaps does not fit
         design = tmp_path / 'd.json'
         run(capsys, 'design-gallery', '--name', 'pu2_11pt', '--out', str(design))
-        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 121)
-        code, stdout, err = run(capsys, 'design-verify', '--file', str(design), '--t', '2')
-        assert (code, err) == (0, '') and stdout.endswith('PASS\n')
-        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 120)
+        for limit in (121, 120):
+            monkeypatch.setattr(linalg, 'MAX_ENTRIES', limit)
+            code, stdout, err = run(capsys, 'design-verify', '--file', str(design), '--t', '2')
+            assert (code, err) == (0, '') and stdout.endswith('PASS\n')
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 10)
         assert run(capsys, 'design-verify', '--file', str(design), '--t', '2') == (
-            3, '', 'guard: the overlaps n·m = 121 entries exceeds the guard 120\n')
+            3, '', 'guard: the overlaps n·m = 11 entries exceeds the guard 10\n')
 
     def test_truncated_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / 'bad.json'
@@ -554,11 +557,11 @@ def test_public_names_unchanged():
         'assert_phase_distinct', 'canonical_dual', 'certify', 'channel_distance', 'channel_from_spec',
         'channel_gallery', 'depolarizing_channel', 'design_moment', 'dual_frame_norm', 'estimate_channel',
         'frame_potential', 'frame_superop', 'gallery', 'gamma', 'group_closure', 'haar_moment', 'haar_unitary',
-        'herm_basis', 'inverse_jamiolkowski', 'jamiolkowski', 'load_design', 'make_rng', 'max_entangled_ket',
-        'muub_check', 'outcome_probabilities', 'parametrize', 'partial_trace', 'permutation_operator',
+        'herm_basis', 'inverse_jamiolkowski', 'jamiolkowski', 'load_design', 'make_rng',
+        'muub_check', 'outcome_probabilities', 'parametrize', 'partial_trace',
         'povm_from_design', 'predicted_error', 'process_matrix', 'pu2_muub_family', 'quat_to_unitary',
         'reconstruct', 'refine', 'rotate_channel', 'sample_counts', 'save_design', 'search', 'simulate',
-        'swap_operator', 'theta_from_set', 'tight_check', 'uniform_set',
+        'theta_from_set', 'tight_check', 'uniform_set',
         'unitary_operator_frame',
     }
 

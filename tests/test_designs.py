@@ -28,17 +28,10 @@ from udesign.designs import (
 )
 from udesign.errors import InvalidInputError, ResourceLimitError
 from udesign.io import load_design, save_design
-from udesign.linalg import (
-    ATOL_CERT,
-    dag,
-    haar_unitaries,
-    make_rng,
-    permutation_operator,
-    swap_operator,
-)
+from udesign.linalg import ATOL_CERT, dag, haar_unitaries, make_rng
 from udesign.search import SearchConfig, search
 
-from helpers import expm_hermitian, gram_potential
+from helpers import expm_hermitian, gram_potential, permutation_operator, swap_operator
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -439,37 +432,33 @@ class TestCertify:
                                                          rf'exceeds the guard {count - 1}$'):
                 call()
 
-    @pytest.mark.parametrize('s,t,count', [(gallery('pu2_11pt'), 2, 110), (unitary_operator_frame(20, 2), 1, 80)],
+    @pytest.mark.parametrize('s,t,m', [(gallery('pu2_11pt'), 2, 10), (unitary_operator_frame(20, 2), 1, 4)],
                              ids=['pu2_11pt-t2', 'utof20-t1'])
-    def test_moment_products_flip_at_n_times_m(self, monkeypatch, s, t, count):
-        # n·m = 11·10 and 20·4 products, more than the layout's m² = 100 and 16
-        monkeypatch.setattr(linalg, 'MAX_ENTRIES', count)
-        assert certify(s, t).passed and frame_potential(s, t) == pytest.approx(gamma(t, 2), abs=1e-12)
-        monkeypatch.setattr(linalg, 'MAX_ENTRIES', count - 1)
-        for call in (lambda: certify(s, t), lambda: frame_potential(s, t)):
-            with pytest.raises(ResourceLimitError, match=f'^the moment products n·m = {count} entries '
-                                                         f'exceeds the guard {count - 1}$'):
-                call()
+    def test_blocked_moment_agrees_with_one_block(self, monkeypatch, s, t, m):
+        # at the layout's own guard m² the 3·m entries a row holds give blocks of m // 3 rows,
+        # or of one row when m < 3: four and twenty blocks here, against one by default
+        whole = certify(s, t)
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', m * m)
+        assert len(linalg.row_blocks(len(s), 3 * m)) == {10: 4, 4: 20}[m]
+        blocked, g = certify(s, t), gamma(t, s.dim)
+        assert blocked.passed and abs(blocked.potential - whole.potential) <= 1e-15 * g
+        assert abs(blocked.moment_residual - whole.moment_residual) <= 1e-15 * g
+        assert abs(frame_potential(s, t) - whole.potential) <= 1e-15 * g
 
     @pytest.mark.parametrize('s,t,count', [(gallery('pu2_11pt'), 2, 256), (unitary_operator_frame(20, 2), 1, 80)],
                              ids=['moments', 'powers'])
     def test_dense_moment_guard_leaves_the_residual(self, monkeypatch, s, t, count):
         # the powers and the moment hold max(n, d^2t)·d^2t entries, as many as or more than
-        # each permutation operator of haar_moment.  certify builds neither, so below that
-        # guard it still reports the residual wherever its n·m products fit
+        # each permutation operator of haar_moment.  certify builds neither and sums its n·m
+        # products in row blocks, so below that guard it still reports the residual
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', count)
         assert np.linalg.norm(design_moment(s, t) - haar_moment(t, s.dim)) <= 1e-7
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', count - 1)
         with pytest.raises(ResourceLimitError, match=rf'^the moment operator max\(n, d\^2t\)·d\^2t = {count} entries '
                                                      rf'exceeds the guard {count - 1}$'):
             design_moment(s, t)
-        products = len(s) * math.comb(s.dim ** 2 + t - 1, t)
-        if products < count:
-            cert = certify(s, t)
-            assert cert.moment_residual <= 1e-7 and cert.passed and cert.gap <= 1e-9
-        else:
-            with pytest.raises(ResourceLimitError, match=f'^the moment products n·m = {products} entries'):
-                certify(s, t)
+        cert = certify(s, t)
+        assert cert.moment_residual <= 1e-7 and cert.passed and cert.gap <= 1e-9
 
     def test_gamma_guard_is_checked_before_the_layout(self, monkeypatch):
         def unbuilt(*args):
@@ -501,20 +490,42 @@ class TestOverlapsGuard:
     """Every n × m overlap matrix is counted against ``MAX_ENTRIES`` before it is built."""
 
     def test_pu2_11pt_flips_at_its_121_overlaps(self, tmp_path, monkeypatch):
-        # certify and frame_potential build no overlaps: below the flip they still answer
+        # merge_phase_duplicates builds all n² overlaps at once; the phase check on load reads
+        # them in row blocks and is refused only when one row of 11 does not fit.  certify and
+        # frame_potential build no overlaps: below the flips they still answer
         s = gallery('pu2_11pt')
         path = tmp_path / 'd.json'
         save_design(s, path, certified_t=2)
-        calls = (lambda: load_design(path), lambda: assert_phase_distinct(s), lambda: merge_phase_duplicates(s))
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', 121)
-        for call in calls:
-            call()
-        assert len(load_design(path)[0]) == 11
+        merge_phase_duplicates(s)
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', 120)
-        for call in calls:
-            with pytest.raises(ResourceLimitError, match='^the overlaps n·m = 121 entries exceeds the guard 120$'):
+        with pytest.raises(ResourceLimitError, match='^the overlaps n·m = 121 entries exceeds the guard 120$'):
+            merge_phase_duplicates(s)
+        for limit, blocks in ((120, 2), (11, 11)):
+            monkeypatch.setattr(linalg, 'MAX_ENTRIES', limit)
+            assert len(linalg.row_blocks(11, 11)) == blocks
+            assert_phase_distinct(s)
+            assert len(load_design(path)[0]) == 11
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 10)
+        for call in (lambda: load_design(path), lambda: assert_phase_distinct(s)):
+            with pytest.raises(ResourceLimitError, match='^the overlaps n·m = 11 entries exceeds the guard 10$'):
                 call()
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 120)
         assert certify(s, 2).passed and frame_potential(s, 1) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize('limit', [144, 120, 12], ids=['one-block', 'two-blocks', 'row-blocks'])
+    def test_phase_duplicate_is_refused_in_blocks(self, tmp_path, monkeypatch, limit):
+        # pu2_11pt and a phase copy of its element 7 as element 11: 12² overlaps
+        s = gallery('pu2_11pt')
+        unitaries = np.concatenate([s.unitaries, 1j * s.unitaries[7:8]])
+        dup = WeightedUnitarySet(2, unitaries, np.append(s.weights * 11 / 12, 1 / 12))
+        path = tmp_path / 'dup.json'
+        save_design(dup, path, certified_t=None)
+        message = r'^set contains phase-equivalent elements \(max off-diagonal \|tr\|² = 4\.000000000\)$'
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', limit)
+        for call in (lambda: load_design(path), lambda: assert_phase_distinct(dup)):
+            with pytest.raises(InvalidInputError, match=message):
+                call()
 
     def test_muub_union_flips_at_its_144_overlaps(self, monkeypatch):
         bases = pu2_muub_family()

@@ -16,14 +16,12 @@ from udesign.linalg import (
     herm_coords,
     herm_from_coords,
     make_rng,
-    max_entangled_ket,
     partial_trace,
-    permutation_operator,
     span_dimension,
-    swap_operator,
-    vec,
     weyl_operators,
 )
+
+from helpers import max_entangled_ket, permutation_operator, swap_operator, vec
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

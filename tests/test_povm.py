@@ -39,7 +39,6 @@ from udesign.linalg import (
     make_rng,
     partial_trace,
     span_dimension,
-    vec,
 )
 from udesign.povm import (
     DiscretePovm,
@@ -56,6 +55,8 @@ from udesign.povm import (
     tight_check,
 )
 from udesign.search import SearchConfig, search
+
+from helpers import vec
 
 
 @pytest.fixture(scope='module')
@@ -628,7 +629,7 @@ class TestGuardBoundaries:
             outcome_probabilities(povm, np.diag([0.5 + 2e-9, 0.5]))
 
     def test_probabilities_of_a_nan_state_are_refused(self, povm11):
-        sigma = jamiolkowski(depolarizing_channel(0.5, 2))
+        sigma = jamiolkowski(depolarizing_channel(0.5, 2)).copy()
         sigma[0, 1] = np.nan
         with pytest.raises(InvalidInputError, match='^negative outcome probability nan'):
             outcome_probabilities(povm11, sigma)
@@ -747,13 +748,13 @@ class TestEstimateChannel:
         estimate = estimate_channel(povm11, counts, require='uc')
         rho_hat = reconstruct(canonical_dual(povm11, require='uc'), counts / counts.sum())
         assert abs(channel_distance(estimate, channel) - np.linalg.norm(sigma - rho_hat)) <= 1e-10
-        assert np.linalg.norm(estimate.jamiolkowski_state() - rho_hat) <= 1e-12
+        assert np.linalg.norm(jamiolkowski(estimate) - rho_hat) <= 1e-12
 
     def test_unital_estimate_keeps_marginals(self, povm11):
         channel = random_unital_mix(3, 2, make_rng(14))
         probs = outcome_probabilities(povm11, jamiolkowski(channel))
         counts = sample_counts(probs, 5_000, make_rng(15))
-        rho_hat = estimate_channel(povm11, counts, require='uc').jamiolkowski_state()
+        rho_hat = jamiolkowski(estimate_channel(povm11, counts, require='uc'))
         assert np.linalg.norm(partial_trace(rho_hat, (2, 2), 0) - np.eye(2) / 2) <= 1e-9
         assert np.linalg.norm(partial_trace(rho_hat, (2, 2), 1) - np.eye(2) / 2) <= 1e-9
 

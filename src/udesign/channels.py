@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, NotChannelImageError, ResourceLimitError
-from .linalg import (ATOL_ALG, CP_FLOOR, MAX_KRAUS, assert_unitary, bipartite_dim, dag, haar_unitaries,
-                     partial_trace, weyl_operators)
+from .linalg import (ATOL_ALG, CP_FLOOR, MAX_KRAUS, assert_unitary, bipartite_dim, check_dim, dag,
+                     haar_unitaries, partial_trace, weyl_operators)
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,9 @@ class _OutputState:
     state: np.ndarray
 
     def __post_init__(self):
+        check_dim(self.dim)
+        if self.state.shape != (self.dim ** 2,) * 2:
+            raise InvalidInputError(f"a d = {self.dim} output state has shape (d², d²), got {self.state.shape}")
         self.state.setflags(write=False)
 
     def apply(self, a: np.ndarray) -> np.ndarray:

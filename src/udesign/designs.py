@@ -71,10 +71,11 @@ class WeightedUnitarySet:
 
     ``dim`` must be an integer >= 2 (:func:`check_dim`), weights must be
     positive and sum to one; elements are phase-canonicalized on
-    construction.  Phase-distinctness is an ingestion-level invariant,
-    checked by :func:`assert_phase_distinct` at the file boundary and after
-    group closure (optimizer-internal sets may transiently contain
-    phase-equivalent copies).
+    construction.  Phase-distinctness is an ingestion-level invariant:
+    :func:`assert_phase_distinct` checks it at the file boundary, and
+    :func:`group_closure` and :func:`merge_phase_duplicates` establish it,
+    all through one first-seen pass over row blocks of the overlaps
+    (optimizer-internal sets may transiently contain phase-equivalent copies).
     """
 
     dim: int
@@ -123,41 +124,39 @@ def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(len(a), d2).conj() @ b.reshape(len(b), d2).T
 
 
-def _phase_equivalent(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, m) mask of |tr(A†B)|² >= d² - DEDUP_TOL over stacks (n, d, d), (m, d, d)."""
-    return np.abs(_overlaps(a, b)) ** 2 >= a.shape[-1] ** 2 - DEDUP_TOL
-
-
-def _first_seen(u: np.ndarray) -> np.ndarray:
-    """Owner of each element: the first earlier kept one phase-equivalent to it, else itself."""
-    close = _phase_equivalent(u, u)
-    owner = np.full(len(u), -1)
-    for i in range(len(u)):
-        if owner[i] < 0:            # i is kept and claims every unowned element close to it
-            owner[close[i] & (owner < 0)] = i
-            owner[i] = i
-    return owner
-
-
-def _largest_off_diagonal(u: np.ndarray, rows: slice) -> float:
-    """max |tr(U_x†U_y)|² over the rows x of one block and every y != x."""
-    sq = np.abs(_overlaps(u[rows], u))
-    sq *= sq                                                    # in place, rounding as ** 2 does
-    sq[np.arange(len(sq)), np.arange(len(u))[rows]] = 0         # the diagonal |tr(U†U)|² = d²
-    return sq.max()
+def _first_seen(u: np.ndarray, known: int = 0) -> tuple[np.ndarray, float]:
+    """The one phase-equivalence pass, over a stack whose first ``known`` < n elements are kept
+    and phase-distinct.  Returns each element's owner, the first earlier kept element V with
+    |tr(U†V)|² >= d² - DEDUP_TOL or else itself, and the largest off-diagonal |tr(U†V)|²; the
+    overlaps of u with u[known:] are read in row blocks of at most ``MAX_ENTRIES``."""
+    owner, worst, pairs, close = np.arange(len(u)), 0.0, [], u.shape[-1] ** 2 - DEDUP_TOL
+    for rows in row_blocks(len(u), len(u) - known):
+        sq = np.abs(_overlaps(u[rows], u[known:]))
+        sq *= sq                                                    # in place, rounding as ** 2 does
+        first = max(rows.start, known)                              # the diagonal |tr(U†U)|² = d²
+        np.fill_diagonal(sq[first - rows.start:, first - known:], 0)
+        worst = max(worst, sq.max())
+        if worst >= close:                      # blocks read before any entry reaches it hold no pair
+            x, y = np.nonzero(sq >= close)
+            x, y = x + rows.start, y + known
+            pairs += zip(x[x < y].tolist(), y[x < y].tolist())
+    for earlier, later in pairs:        # in row order, so the owner of `earlier` is settled first
+        if owner[later] == later and owner[earlier] == earlier:
+            owner[later] = earlier
+    return owner, worst
 
 
 def assert_phase_distinct(s: WeightedUnitarySet) -> None:
-    """Raise if two elements are phase-equivalent, |tr(U†V)|² >= d² - DEDUP_TOL; the n² overlaps
-    are read in row blocks of at most ``MAX_ENTRIES`` (one block whenever n² fits)."""
-    worst = max(_largest_off_diagonal(s.unitaries, rows) for rows in row_blocks(len(s), len(s)))
-    if worst >= s.dim ** 2 - DEDUP_TOL:
+    """Raise if two elements are phase-equivalent, |tr(U†V)|² >= d² - DEDUP_TOL (:func:`_first_seen`)."""
+    owner, worst = _first_seen(s.unitaries)
+    if np.any(owner != np.arange(len(s))):
         raise InvalidInputError(f"set contains phase-equivalent elements (max off-diagonal |tr|² = {worst:.9f})")
 
 
 def merge_phase_duplicates(s: WeightedUnitarySet) -> WeightedUnitarySet:
-    """Combine the weights of phase-equivalent elements, keeping first seen."""
-    owner = _first_seen(s.unitaries)
+    """Combine the weights of phase-equivalent elements into the first seen (:func:`_first_seen`),
+    refused only when one row of n overlaps exceeds ``MAX_ENTRIES``."""
+    owner = _first_seen(s.unitaries)[0]
     weights = np.zeros(len(s))
     np.add.at(weights, owner, s.weights)
     kept = np.flatnonzero(owner == np.arange(len(s)))
@@ -403,22 +402,22 @@ def group_closure(generators, max_order: int = 10_000) -> WeightedUnitarySet:
     """Projective closure of the generated group, uniform weights.
 
     The elements found are the breadth-first queue: each is multiplied by
-    every generator and the products of new phase classes are appended, first
-    seen kept.  Raises once the closure exceeds ``max_order`` elements; the
+    every generator, the k products are written after the n elements found and
+    those of new phase classes are kept, first seen (one pass over the (n + k)·k
+    overlaps).  Raises once the closure exceeds ``max_order`` elements; the
     buffer of (max_order + k)·d² entries, k generators, must fit in ``MAX_ENTRIES``.
     """
     gens = assert_unitary(np.asarray(generators, dtype=complex))
     if gens.ndim != 3 or not len(gens):
         raise InvalidInputError(f"need a stack of generator matrices, got shape {gens.shape}")
-    d = gens.shape[-1]
-    check_entries((max_order + len(gens)) * d * d, 'the closure buffer (max_order + k)·d²')
-    found = np.empty((max_order + len(gens), d, d), dtype=complex)
+    d, k = gens.shape[-1], len(gens)
+    check_entries((max_order + k) * d * d, 'the closure buffer (max_order + k)·d²')
+    found = np.empty((max_order + k, d, d), dtype=complex)
     found[0] = canonical_phase(np.eye(d, dtype=complex))
     i, n = 0, 1
     while i < n:
-        prods = canonical_phase(gens @ found[i])
-        prods = prods[~_phase_equivalent(found[:n], prods).any(axis=0)]
-        prods = prods[_first_seen(prods) == np.arange(len(prods))]
+        found[n:n + k] = canonical_phase(gens @ found[i])
+        prods = found[n:n + k][_first_seen(found[:n + k], n)[0][n:] == np.arange(n, n + k)]
         found[n:n + len(prods)] = prods
         i, n = i + 1, n + len(prods)
         if n > max_order:

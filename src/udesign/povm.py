@@ -37,6 +37,7 @@ from .linalg import (
     PROB_SUM_TOL,
     PURITY_SLACK,
     bipartite_dim,
+    check_dim,
     check_entries,
     class_projector_coords,
     dag,
@@ -285,6 +286,7 @@ def predicted_error(d: int, purity: float, shots: int, state_class: str) -> floa
     general-channel outputs and (d⁴ - 3d² + 3 - tr σ²)/N for unital-channel
     outputs.
     """
+    check_dim(d)
     if shots < 1:
         raise InvalidInputError(f"shot count must be >= 1, got {shots}")
     if not (1.0 / d ** 2 - PURITY_SLACK <= purity <= 1.0 + PURITY_SLACK):

@@ -344,6 +344,21 @@ class TestOneForm:
         assert jamiolkowski(recovered).tobytes() == jamiolkowski(channel).tobytes()
         assert recovered.unital == channel.unital == (name != 'random_general')
 
+    @pytest.mark.parametrize('d', [2, 3])
+    @pytest.mark.parametrize('cls', [QuantumChannel, ChannelEstimate], ids=['channel', 'estimate'])
+    def test_state_of_another_dimension_is_refused(self, cls, d):
+        # a state of another shape, or a dimension below 2, used to construct and fail later
+        other = 5 - d
+        for state, shape in ((np.eye(other ** 2) / other ** 2, rf'\({other ** 2}, {other ** 2}\)'),
+                             (np.full(d ** 2, 1 / d ** 2), rf'\({d ** 2},\)')):
+            with pytest.raises(InvalidInputError, match=rf'^a d = {d} output state has shape \(d², d²\), got {shape}$'):
+                cls(dim=d, state=state)
+        state = np.eye(d ** 2) / d ** 2
+        assert cls(dim=d, state=state).state is state and not state.flags.writeable
+        for dim, size in ((1, 1), (0, 0), (2.0, 4)):
+            with pytest.raises(InvalidInputError, match="^'dim' must be an integer >= 2"):
+                cls(dim=dim, state=np.eye(size))
+
     def test_state_is_stored_once_and_read_only(self):
         channel = depolarizing_channel(0.5, 2)
         assert jamiolkowski(channel) is channel.state

@@ -489,43 +489,61 @@ class TestCertify:
 class TestOverlapsGuard:
     """Every n × m overlap matrix is counted against ``MAX_ENTRIES`` before it is built."""
 
-    def test_pu2_11pt_flips_at_its_121_overlaps(self, tmp_path, monkeypatch):
-        # merge_phase_duplicates builds all n² overlaps at once; the phase check on load reads
-        # them in row blocks and is refused only when one row of 11 does not fit.  certify and
-        # frame_potential build no overlaps: below the flips they still answer
+    def test_pu2_11pt_flips_at_one_row_of_11_overlaps(self, tmp_path, monkeypatch):
+        # merge_phase_duplicates, the phase check on load and assert_phase_distinct read the n²
+        # overlaps in row blocks and are refused only when one row of 11 does not fit.  certify
+        # and frame_potential build no overlaps: below the flip they still answer
         s = gallery('pu2_11pt')
         path = tmp_path / 'd.json'
         save_design(s, path, certified_t=2)
-        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 121)
-        merge_phase_duplicates(s)
-        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 120)
-        with pytest.raises(ResourceLimitError, match='^the overlaps n·m = 121 entries exceeds the guard 120$'):
-            merge_phase_duplicates(s)
-        for limit, blocks in ((120, 2), (11, 11)):
+        for limit, blocks in ((121, 1), (120, 2), (11, 11)):
             monkeypatch.setattr(linalg, 'MAX_ENTRIES', limit)
             assert len(linalg.row_blocks(11, 11)) == blocks
             assert_phase_distinct(s)
             assert len(load_design(path)[0]) == 11
+            merged = merge_phase_duplicates(s)
+            assert merged.unitaries.tobytes() == s.unitaries.tobytes()
+            assert merged.weights.tobytes() == s.weights.tobytes()
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', 10)
-        for call in (lambda: load_design(path), lambda: assert_phase_distinct(s)):
+        for call in (lambda: load_design(path), lambda: assert_phase_distinct(s), lambda: merge_phase_duplicates(s)):
             with pytest.raises(ResourceLimitError, match='^the overlaps n·m = 11 entries exceeds the guard 10$'):
                 call()
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', 120)
         assert certify(s, 2).passed and frame_potential(s, 1) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize('limit', [6399, 800, 80], ids=['two-blocks', 'ten-rows', 'row-blocks'])
+    def test_merge_in_blocks_matches_one_block(self, monkeypatch, limit):
+        # pu2_600cell with phase copies of 20 of its elements planted among them: 80² overlaps
+        rng = make_rng(16)
+        s = gallery('pu2_600cell')
+        copies = np.exp(1j * rng.uniform(0, 2 * np.pi, 20))[:, None, None] * s.unitaries[rng.choice(60, 20)]
+        unitaries = np.concatenate([s.unitaries, copies])[rng.permutation(80)]
+        planted = WeightedUnitarySet(2, unitaries, rng.dirichlet(np.ones(80)))
+        one_block = merge_phase_duplicates(planted)
+        assert len(one_block) == 60
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', limit)
+        assert len(planted) ** 2 > linalg.MAX_ENTRIES
+        blocked = merge_phase_duplicates(planted)
+        assert blocked.unitaries.tobytes() == one_block.unitaries.tobytes()
+        assert blocked.weights.tobytes() == one_block.weights.tobytes()
+
     @pytest.mark.parametrize('limit', [144, 120, 12], ids=['one-block', 'two-blocks', 'row-blocks'])
     def test_phase_duplicate_is_refused_in_blocks(self, tmp_path, monkeypatch, limit):
-        # pu2_11pt and a phase copy of its element 7 as element 11: 12² overlaps
+        # pu2_11pt and a phase copy of its element 7 as element 11, or as element 0 (then away
+        # from the last block): 12² overlaps
         s = gallery('pu2_11pt')
-        unitaries = np.concatenate([s.unitaries, 1j * s.unitaries[7:8]])
-        dup = WeightedUnitarySet(2, unitaries, np.append(s.weights * 11 / 12, 1 / 12))
-        path = tmp_path / 'dup.json'
-        save_design(dup, path, certified_t=None)
+        copy = 1j * s.unitaries[7:8]
         message = r'^set contains phase-equivalent elements \(max off-diagonal \|tr\|² = 4\.000000000\)$'
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', limit)
-        for call in (lambda: load_design(path), lambda: assert_phase_distinct(dup)):
-            with pytest.raises(InvalidInputError, match=message):
-                call()
+        weights = np.append(s.weights * 11 / 12, 1 / 12)
+        for unitaries, w in ((np.concatenate([s.unitaries, copy]), weights),
+                             (np.concatenate([copy, s.unitaries]), np.roll(weights, 1))):
+            dup = WeightedUnitarySet(2, unitaries, w)
+            path = tmp_path / 'dup.json'
+            save_design(dup, path, certified_t=None)
+            for call in (lambda: load_design(path), lambda: assert_phase_distinct(dup)):
+                with pytest.raises(InvalidInputError, match=message):
+                    call()
 
     def test_muub_union_flips_at_its_144_overlaps(self, monkeypatch):
         bases = pu2_muub_family()
@@ -687,6 +705,20 @@ class TestGroupClosure:
         got, expected = group_closure(gens).unitaries, sequential_closure(gens, d).unitaries
         assert got.shape == expected.shape
         assert np.array_equal(got.view(float), expected.view(float))
+
+    @pytest.mark.parametrize('name', ['h_r', 'qutrit'])
+    def test_row_blocks_leave_the_elements_bit_for_bit(self, name, monkeypatch):
+        # each generator ten times: k = 20 products per element outnumber d², so a MAX_ENTRIES
+        # that just admits the (max_order + k)·d² buffer splits the (n + k)·k overlaps into row
+        # blocks.  The repeats are phase copies within one batch and leave the closure unchanged
+        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        gens = {'h_r': [h, np.diag([1, 1j])], 'qutrit': clifford_generators(3)}[name]
+        plain, one_block = group_closure(gens), group_closure(gens * 10)
+        order, k, d = len(plain), 10 * len(gens), len(gens[0])
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', (order + k) * d * d)
+        assert len(linalg.row_blocks(order + k, k)) > 1
+        blocked = group_closure(gens * 10, max_order=order)
+        assert blocked.unitaries.tobytes() == one_block.unitaries.tobytes() == plain.unitaries.tobytes()
 
     def test_order_exactly_max_order_still_closes(self):
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -915,19 +947,26 @@ class TestWeightedUnitarySet:
                     weights.append(float(s.weights[i]))
             return kept, weights
 
-        rng = make_rng(15)
-        a, b, c = haar_unitaries(2, 3, rng)
-        phase = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
-        interleaved = np.array([a, b, phase[0] * a, c, phase[1] * b, phase[2] * a])
-        # X-rotations by 0, 8e-4 and 4e-4: the last is close to both others, which are not close
-        chain = np.array([quat_to_unitary([np.cos(x), np.sin(x), 0, 0]) for x in (0, 8e-4, 4e-4)])
-        for unitaries, expected_kept in ((interleaved, [0, 1, 3]), (chain, [0, 1])):
-            s = WeightedUnitarySet(2, unitaries, rng.dirichlet(np.ones(len(unitaries))))
-            kept, weights = first_seen(s)
-            merged = merge_phase_duplicates(s)
-            assert kept == expected_kept
-            assert np.array_equal(merged.unitaries, s.unitaries[kept])
-            assert np.array_equal(merged.weights, weights)
+        for d in (2, 3, 4):
+            rng = make_rng(15)
+            a, b, c, v = haar_unitaries(d, 4, rng)
+            phase = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
+            interleaved = np.array([a, b, phase[0] * a, c, phase[1] * b, phase[2] * a])
+            # rotations exp(iθ V diag(1, -1, 0, ..) V†) by θ = 0, 2x, x: |tr(U†U')|² ≈ d² - 2d(θ - θ')²,
+            # so at x = 4e-4·sqrt(2/d) the last is 6.4e-7 below d² from both others (close), and
+            # they are 2.6e-6 below d² from each other (not close).  With the middle one second, the
+            # third is close only to an element that is not kept, and is kept
+            x = 4e-4 * np.sqrt(2 / d)
+            h = np.zeros(d)
+            h[:2] = 1, -1
+            chain = np.array([v @ np.diag(np.exp(1j * theta * h)) @ dag(v) for theta in (0, 2 * x, x)])
+            for unitaries, expected_kept in ((interleaved, [0, 1, 3]), (chain, [0, 1]), (chain[[0, 2, 1]], [0, 2])):
+                s = WeightedUnitarySet(d, unitaries, rng.dirichlet(np.ones(len(unitaries))))
+                kept, weights = first_seen(s)
+                merged = merge_phase_duplicates(s)
+                assert kept == expected_kept
+                assert np.array_equal(merged.unitaries, s.unitaries[kept])
+                assert np.array_equal(merged.weights, weights)
 
     def test_phase_distinct_detection(self):
         dup = uniform_set(2, [np.eye(2), np.exp(1j * 0.2) * np.eye(2)])

@@ -557,6 +557,12 @@ class TestPredictedError:
         with pytest.raises(InvalidInputError):
             predicted_error(2, 1.0, 0, 'uc')
 
+    @pytest.mark.parametrize('d', [0, 1, 2.0, True])
+    def test_dimension_is_checked_before_any_arithmetic(self, d):
+        # d = 0 and d = 1 used to divide by zero in the purity bound and in the dual-frame norm
+        with pytest.raises(InvalidInputError, match="^'dim' must be an integer >= 2"):
+            predicted_error(d, 1.0, 10, 'uc')
+
     @pytest.mark.parametrize('d', [2, 3])
     def test_reads_the_dual_norm_bound_of_tight_check(self, d):
         povm = povm_from_design(gallery('pu2_11pt')) if d == 2 else qutrit_clifford_povm()

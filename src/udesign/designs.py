@@ -129,20 +129,21 @@ def _first_seen(u: np.ndarray, known: int = 0) -> tuple[np.ndarray, float]:
     and phase-distinct.  Returns each element's owner, the first earlier kept element V with
     |tr(U†V)|² >= d² - DEDUP_TOL or else itself, and the largest off-diagonal |tr(U†V)|²; the
     overlaps of u with u[known:] are read in row blocks of at most ``MAX_ENTRIES``."""
-    owner, worst, pairs, close = np.arange(len(u)), 0.0, [], u.shape[-1] ** 2 - DEDUP_TOL
+    owner, worst, close = np.arange(len(u)), 0.0, u.shape[-1] ** 2 - DEDUP_TOL
     for rows in row_blocks(len(u), len(u) - known):
         sq = np.abs(_overlaps(u[rows], u[known:]))
         sq *= sq                                                    # in place, rounding as ** 2 does
         first = max(rows.start, known)                              # the diagonal |tr(U†U)|² = d²
         np.fill_diagonal(sq[first - rows.start:, first - known:], 0)
         worst = max(worst, sq.max())
-        if worst >= close:                      # blocks read before any entry reaches it hold no pair
-            x, y = np.nonzero(sq >= close)
-            x, y = x + rows.start, y + known
-            pairs += zip(x[x < y].tolist(), y[x < y].tolist())
-    for earlier, later in pairs:        # in row order, so the owner of `earlier` is settled first
-        if owner[later] == later and owner[earlier] == earlier:
-            owner[later] = earlier
+        # rows with a close entry, in order, so the owner of row i is settled: a row that is still
+        # its own owner claims the later close columns that are still their own
+        for r in np.flatnonzero(np.bincount(np.flatnonzero(sq >= close) // sq.shape[1])):
+            i = rows.start + r
+            if owner[i] == i:
+                later = np.flatnonzero(sq[r] >= close) + known
+                later = later[later > i]
+                owner[later[owner[later] == later]] = i
     return owner, worst
 
 

@@ -527,6 +527,36 @@ class TestOverlapsGuard:
         assert blocked.unitaries.tobytes() == one_block.unitaries.tobytes()
         assert blocked.weights.tobytes() == one_block.weights.tobytes()
 
+    @pytest.mark.parametrize('limit', [900, 300, 30], ids=['one-block', 'ten-rows', 'row-blocks'])
+    def test_many_phase_copies_keep_the_first(self, monkeypatch, limit):
+        # 30 phase copies of one qutrit element: all 435 pairs are close, each row has 29 partners
+        rng = make_rng(17)
+        copies = np.exp(1j * rng.uniform(0, 2 * np.pi, 30))[:, None, None] * haar_unitaries(3, 1, rng)
+        s = WeightedUnitarySet(3, copies, rng.dirichlet(np.ones(30)))
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', limit)
+        merged = merge_phase_duplicates(s)
+        assert merged.unitaries.tobytes() == s.unitaries[:1].tobytes()
+        assert merged.weights == pytest.approx([1.0], abs=1e-15)
+        message = r'^set contains phase-equivalent elements \(max off-diagonal \|tr\|² = 9\.000000000\)$'
+        with pytest.raises(InvalidInputError, match=message):
+            assert_phase_distinct(s)
+
+    def test_an_element_is_owned_only_by_an_earlier_one(self, monkeypatch):
+        # rounding can make |tr(U†V)|² and |tr(V†U)|² differ in the last bit.  The pass reads each
+        # row against later columns only, so a close entry below the diagonal alone merges nothing
+        s = gallery('pu2_11pt')
+        exact = designs._overlaps
+
+        def skewed(a, b):
+            o = exact(a, b)
+            o[7, 3] = 2.0
+            return o
+
+        monkeypatch.setattr(designs, '_overlaps', skewed)
+        merged = merge_phase_duplicates(s)
+        assert merged.unitaries.tobytes() == s.unitaries.tobytes()
+        assert_phase_distinct(s)
+
     @pytest.mark.parametrize('limit', [144, 120, 12], ids=['one-block', 'two-blocks', 'row-blocks'])
     def test_phase_duplicate_is_refused_in_blocks(self, tmp_path, monkeypatch, limit):
         # pu2_11pt and a phase copy of its element 7 as element 11, or as element 0 (then away

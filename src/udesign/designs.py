@@ -128,9 +128,10 @@ def _first_seen(u: np.ndarray, known: int = 0) -> tuple[np.ndarray, float]:
     """The one phase-equivalence pass, over a stack whose first ``known`` < n elements are kept
     and phase-distinct.  Returns each element's owner, the first earlier kept element V with
     |tr(U†V)|² >= d² - DEDUP_TOL or else itself, and the largest off-diagonal |tr(U†V)|²; the
-    overlaps of u with u[known:] are read in row blocks of at most ``MAX_ENTRIES``."""
+    overlaps of u with u[known:] are read in row blocks whose complex overlaps and their moduli,
+    held at once, fit ``MAX_ENTRIES`` together."""
     owner, worst, close = np.arange(len(u)), 0.0, u.shape[-1] ** 2 - DEDUP_TOL
-    for rows in row_blocks(len(u), len(u) - known):
+    for rows in row_blocks(len(u), 2 * (len(u) - known)):
         sq = np.abs(_overlaps(u[rows], u[known:]))
         sq *= sq                                                    # in place, rounding as ** 2 does
         first = max(rows.start, known)                              # the diagonal |tr(U†U)|² = d²
@@ -222,7 +223,10 @@ class _SymLayout:
     per pair of classes (α, β), shared by N_α N_β entries; its symmetric
     coordinates S M̃ S, S = diag(sqrt(N_α)), keep the dense Frobenius norm.
     ``reps`` lists the α (m, t), ``root_counts`` the sqrt(N_α) and ``haar``
-    the Haar moment's symmetric coordinates (m, m).
+    the Haar moment's symmetric coordinates (m, m).  A set's moment is
+    sum_x w(x) p_x p_x† over the vectors p_x of :meth:`vectors`; the search's
+    polish moves them along :meth:`tangents` to drive the residual
+    sum_x w(x) p_x p_x† - ``haar`` to float precision.
     """
 
     dim: int
@@ -230,14 +234,29 @@ class _SymLayout:
     root_counts: np.ndarray
     haar: np.ndarray
 
+    def vectors(self, flat: np.ndarray) -> np.ndarray:
+        """p_x[α] = sqrt(N_α) prod_k f_x[α_k] for the rows f_x = vec(U_x) of ``flat`` (rows, d²)."""
+        return reduce(np.multiply, (flat[:, digits] for digits in self.reps.T), self.root_counts)
+
+    def tangents(self, flat: np.ndarray, moved: np.ndarray) -> np.ndarray:
+        """The derivatives of p_x along each direction a_xk of ``moved`` (rows, K, d²), (rows, K, m):
+        sqrt(N_α) sum_j a_xk[α_j] prod_(l≠j) f_x[α_l], by the product rule, summed one direction
+        at a time so that the result is the only (rows, K, m) array."""
+        factors = [flat[:, digits] for digits in self.reps.T]
+        others = [reduce(np.multiply, factors[:j] + factors[j + 1:], self.root_counts) for j in range(len(factors))]
+        out = np.empty(moved.shape[:2] + (len(self.reps),), dtype=complex)
+        for k in range(moved.shape[1]):
+            out[:, k] = sum(moved[:, k, digits] * rest for digits, rest in zip(self.reps.T, others))
+        return out
+
     def moment(self, s: WeightedUnitarySet) -> np.ndarray:
-        """The set's symmetric coordinates S M̃ S = sum_x w(x) p_x p_x†,
-        p_x[α] = sqrt(N_α) prod_k vec(U_x)[α_k], summed over row blocks of x whose three
-        (rows, m) product arrays, held at once, fit ``MAX_ENTRIES`` together."""
+        """The set's symmetric coordinates S M̃ S = sum_x w(x) p_x p_x† (:meth:`vectors`),
+        summed over row blocks of x whose three (rows, m) product arrays, held at once, fit
+        ``MAX_ENTRIES`` together."""
         flat = s.unitaries.reshape(len(s), -1)
 
         def block(rows: slice) -> np.ndarray:
-            p = reduce(np.multiply, (flat[rows, digits] for digits in self.reps.T), self.root_counts)
+            p = self.vectors(flat[rows])
             return (p.T * s.weights[rows]) @ p.conj()
 
         first, *rest = row_blocks(len(s), 3 * len(self.reps))
@@ -273,11 +292,13 @@ def _pair_classes(t: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def check_layout(t: int, d: int) -> None:
-    """Raise unless t >= 1 (:func:`check_t`) and the layout of (t, d) fits ``MAX_ENTRIES``: its m²
-    Haar moment, counted first so a large t is refused at once, then its t!² permutation Gram."""
+    """Raise unless t >= 1 (:func:`check_t`) and the layout of (t, d) fits ``MAX_ENTRIES``: the
+    three m × m arrays its readers hold at once (the Haar moment, a set's moment and the residual
+    or its polish's product), counted first so a large t is refused at once, then its t!²
+    permutation Gram."""
     check_t(t)
     m = math.comb(int(d) ** 2 + int(t) - 1, int(t))
-    check_entries(m * m, 'the symmetric layout m²')
+    check_entries(3 * m * m, 'the symmetric layout 3·m²')
     check_entries(math.factorial(int(t)) ** 2, 'the symmetric layout t!²')
 
 

@@ -8,10 +8,14 @@ multi-restart L-BFGS with an analytic gradient (the eigendecomposition form
 of the exponential's derivative keeps it exact for degenerate spectra).
 
 The gap is the square of the moment residual and is computed by cancellation,
-so it bottoms out near 1e-16 while the residual may still be near 1e-8.  A
-converged result is therefore polished in linear units: damped
-Gauss-Newton steps, taken through the same exponential chart, drive its
-1-design residual, the POVM normalization defect, to float precision.
+so it bottoms out near 1e-16 while the residual may still be near 1e-8, and the
+last half of a full L-BFGS run is spent there.  So L-BFGS hands each restart
+over at the first iterate whose gap is at most ``_HANDOFF_GAP``, and the set
+is polished in linear units: damped Gauss-Newton steps, taken through the same
+exponential chart, drive its t-th moment residual on Sym^t(C^(d²)), and with
+it every lower one (the POVM normalization defect among them), to its float
+floor.  Where the polish misses the floor, L-BFGS resumes from the handoff
+iterate and runs to its own end before a second polish.
 
 Each L-BFGS run evaluates its objective in one :class:`ObjectiveWorkspace`,
 the three n × n buffers it allocates when it starts.  Freed n × n
@@ -28,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import ATOL_CERT, WeightedUnitarySet, certify, check_layout, gamma, merge_phase_duplicates
+from .designs import (ATOL_CERT, DesignCertificate, WeightedUnitarySet, _sym_layout, certify, check_layout, gamma,
+                      merge_phase_duplicates)
 from .errors import InvalidInputError
 from .linalg import (check_cert_threshold, check_dim, check_entries, check_t, dag, haar_unitaries,
                      herm_basis, log_unitary, make_rng)
@@ -41,8 +46,18 @@ _TIES = {
     'per-basis': lambda logits, d: np.repeat(logits.reshape(-1, d * d).mean(axis=1), d * d),
 }
 WEIGHT_MODES = tuple(_TIES)
-# Cap on trial steps of the residual polish; singular sets need about 15.
-POLISH_MAX_STEPS = 50
+
+# Solver settings.  L-BFGS stops at these tolerances, or hands a restart to the polish at the
+# first iterate whose gap is at most _HANDOFF_GAP.  Each polish step solves its damped system by
+# LSMR to _LSMR_TOL; a step that leaves more than _STALL of |R| tightens that tolerance by
+# _TIGHTEN, down to _MIN_TOL, and one that leaves more than _DOUBLE of it is also tried doubled.
+# A polish takes at most _POLISH_TRIALS trial steps.
+_LBFGS_TOLERANCES = {'ftol': 1e-18, 'gtol': 1e-14}
+_HANDOFF_GAP = 1e-4
+_LSMR_TOL = 1e-4
+_STALL, _TIGHTEN, _MIN_TOL = 0.5, 1e-2, 1e-12
+_DOUBLE = 0.125
+_POLISH_TRIALS = 30
 
 
 def _tie(mode: str):
@@ -223,133 +238,201 @@ def _initial_theta(config: SearchConfig, rng: np.random.Generator) -> np.ndarray
     return np.concatenate([coeffs.reshape(-1), np.zeros(config.size)])
 
 
-def _minimize_from(theta0: np.ndarray, config: SearchConfig, history: list[float]) -> tuple[float, np.ndarray]:
+class _Handoff(Exception):
+    """Raised from the L-BFGS callback at the first iterate whose gap is at most ``_HANDOFF_GAP``;
+    SciPy ends L-BFGS-B on a callback's ``StopIteration`` only from 1.11 on."""
+
+    def __init__(self, gap: float, theta: np.ndarray):
+        super().__init__(gap)
+        self.gap, self.theta = gap, theta
+
+
+def _minimize_from(theta0: np.ndarray, config: SearchConfig, history: list[float],
+                   handoff: bool) -> tuple[float, np.ndarray]:
+    """One L-BFGS run, to its own end or, with ``handoff``, to the first iterate whose gap is at
+    most ``_HANDOFF_GAP``; every iteration appends the best gap so far to ``history``."""
     from scipy.optimize import minimize
 
     best_in_run = [np.inf]
+    last = [np.inf, None]                   # the latest evaluation, the iterate at a callback
     workspace = ObjectiveWorkspace.empty(config.size)
 
     def fun(theta):
         value, grad = objective_and_gradient(theta, config.dim, config.size, config.t,
                                              config.weight_mode, workspace=workspace)
         best_in_run[0] = min(best_in_run[0], value)
+        last[:] = value, np.array(theta)
         return value, grad
 
-    def record(_):
+    def record(theta):
         previous = history[-1] if history else np.inf
         history.append(min(previous, best_in_run[0]))
+        if handoff and last[0] <= _HANDOFF_GAP and np.array_equal(last[1], theta):
+            raise _Handoff(last[0], last[1])
 
-    res = minimize(fun, theta0, jac=True, method='L-BFGS-B', callback=record,
-                   options={'maxiter': config.max_iterations, 'ftol': 1e-18, 'gtol': 1e-14})
+    try:
+        res = minimize(fun, theta0, jac=True, method='L-BFGS-B', callback=record,
+                       options={'maxiter': config.max_iterations, **_LBFGS_TOLERANCES})
+    except _Handoff as stop:
+        return stop.gap, stop.theta
     record(None)
     return float(res.fun), np.asarray(res.x)
 
 
-def _package(theta: np.ndarray, config: SearchConfig) -> WeightedUnitarySet:
-    raw = parametrize(theta, config.dim, config.size, config.weight_mode)
-    return merge_phase_duplicates(raw)
-
-
-def _residual_jacobian(unitaries: np.ndarray, weights: np.ndarray, free_weights: bool):
-    """Jacobian of the 1-design residual R (as floats) in the steps :func:`_polish`
-    takes from the set: the column of a step along A_k at element x is
-    d w_x (a f† + f a†) with f = vec(U_x), a = vec(i A_k U_x), and that of
-    weight logit y is d w_y (P_y - sum_x w_x P_x), P = f f†.  It is applied,
-    never stored, so memory stays O(n d²) rather than O(n d⁶)."""
+def _moment_jacobian(layout, unitaries: np.ndarray, weights: np.ndarray, vectors: np.ndarray,
+                     moment: np.ndarray, weight_mode: str):
+    """Jacobian of the Sym^t residual R = sum_x w_x p_x p_x† - H̃ (as floats) in the steps
+    :func:`_polish_moment` takes, with its columns scaled to unit norm; returns the operator and
+    the scales.  The column of a step along A_k at element x is w_x (δp p_x† + p_x δp†), δp the
+    tangent of p_x along a = vec(i A_k U_x) (:meth:`_SymLayout.tangents`), and its squared norm
+    is 2 w_x² (|δp|² |p_x|² + Re (δp† p_x)²); that of weight logit y is w_y (p_y p_y† - M),
+    M = sum_x w_x p_x p_x†, read through the weight mode's tie and scaled by that free norm.  The
+    scaled tangents (n, K, m), K = d² - 1, are built once, so each product is one batched
+    (1 × K)·(K × m) product and one m × n × m GEMM forward, one GEMM and one batched mat-vec
+    back, the tangents read as real arrays."""
     from scipy.sparse.linalg import LinearOperator
 
     n, d = unitaries.shape[:2]
     gens = _generators(d)[1:]               # the identity only shifts a phase
-    m = len(gens)
-    flat = unitaries.reshape(n, -1)
+    k, m = len(gens), len(layout.reps)
+    tie = _tie(weight_mode)
+    moved = np.tensordot(unitaries, 1j * gens, axes=([1], [2])).transpose(0, 2, 3, 1)    # i A_k U_x
+    tangents = layout.tangents(unitaries.reshape(n, -1), moved.reshape(n, k, d * d))
+    conj = vectors.conj()
+    sizes = np.einsum('xa,xa->x', conj, vectors).real
+    cross = (tangents @ conj[:, :, None])[..., 0]
+    reals = tangents.view(float)            # (n, K, 2m): Re and Im of each entry in turn
+    squares = 2 * (weights ** 2)[:, None] * (np.einsum('xki,xki->xk', reals, reals) * sizes[:, None]
+                                             + np.real(cross * cross))
+    scale = 1 / np.sqrt(np.where(squares > 0, squares, 1.0))
+    tangents *= (weights[:, None] * scale)[:, :, None]
+    projected = np.einsum('xa,xa->x', conj, vectors @ moment.T).real
+    squares = weights ** 2 * (sizes * sizes - 2 * projected + np.vdot(moment, moment).real)
+    logit_scale = 1 / np.sqrt(np.where(squares > 0, squares, 1.0))
 
-    def matvec(v):
-        v = np.ravel(v)
-        a = (1j * np.einsum('xk,kab->xab', v[:n * m].reshape(n, m), gens) @ unitaries).reshape(n, -1)
-        half = d * (weights * a.T) @ flat.conj()
-        dr = half + half.conj().T
-        if free_weights:
-            dl = v[n * m:]
-            dr += d * (weights * (dl - weights @ dl) * flat.T) @ flat.conj()
-        return dr.reshape(-1).view(float)
+    def matvec(z):
+        z = np.ravel(z)
+        step = (z[:n * k].reshape(n, 1, k) @ reals).reshape(n, -1).view(complex)
+        dl = tie(z[n * k:] * logit_scale, d)
+        step += (0.5 * weights * (dl - weights @ dl))[:, None] * vectors
+        half = step.T @ conj
+        return (half + half.conj().T).reshape(-1).view(float)
 
-    def rmatvec(u):
-        # <column, H> = Re tr(column† H); with K = H + H† and Z_x = unvec(K f_x),
-        # the step rows are d w_x Re(a† K f) = d w_x Im tr(A_k Z_x U_x†) and the
-        # weight rows d w_y (q_y - w·q), q_y = Re(f_y† H f_y)
-        h = np.ascontiguousarray(np.ravel(u), dtype=float).view(complex).reshape(d * d, d * d)
-        kf = flat @ (h + h.conj().T).T
-        z = kf.reshape(n, d, d) @ dag(unitaries)
-        rows = [(d * weights[:, None] * np.imag(np.einsum('kab,xba->xk', gens, z))).reshape(-1)]
-        if free_weights:
-            q = 0.5 * np.real(np.einsum('xi,xi->x', flat.conj(), kf))
-            rows.append(d * weights * (q - weights @ q))
-        return np.concatenate(rows)
+    def rmatvec(y):
+        # <column, Y> = Re tr(column† Y) = w_x Re δp† Z p_x with Z = Y + Y†, and the weight
+        # rows w_y (q_y - w·q), q_y = Re(p_y† Z p_y) / 2
+        h = np.ascontiguousarray(np.ravel(y), dtype=float).view(complex).reshape(m, m)
+        zp = vectors @ (h + h.conj().T).T
+        q = 0.5 * np.einsum('xa,xa->x', conj, zp).real
+        return np.concatenate([(reals @ zp.view(float)[:, :, None]).reshape(-1),
+                               logit_scale * tie(weights * (q - weights @ q), d)])
 
-    shape = (2 * d ** 4, n * m + (n if free_weights else 0))
-    return LinearOperator(shape, matvec=matvec, rmatvec=rmatvec, dtype=float)
+    scale = np.concatenate([scale.reshape(-1), logit_scale])
+    return LinearOperator((2 * m * m, scale.size), matvec=matvec, rmatvec=rmatvec, dtype=float), scale
 
 
-def _polish(s: WeightedUnitarySet, free_weights: bool) -> WeightedUnitarySet:
-    """Drive the 1-design residual R = d sum_x w_x vec(U_x)vec(U_x)† - I,
-    which equals the POVM defect sum F - I, to float precision.
+def _polish_moment(s: WeightedUnitarySet, t: int, weight_mode: str) -> tuple[WeightedUnitarySet, bool]:
+    """Drive the Sym^t residual R = sum_x w_x p_x p_x† - H̃ (:class:`_SymLayout`), whose norm is
+    :func:`certify`'s moment residual r_t, to its float floor 8 eps d^t; returns the set and
+    whether the floor was reached.  Since r_s <= r_t for s < t, every lower residual, the POVM
+    defect r_1 among them, reaches float precision too.
 
-    Each step starts from the current set.  Element x moves to exp(iG_x) U_x
-    through the objective's chart, with G_x a combination of the traceless
-    generators, so it stays unitary; free weights move to the softmax of log w + delta,
-    so they stay positive and normalized.  The Jacobian is
-    :func:`_residual_jacobian` at the current set.
+    Each step starts from the current set.  Element x moves to exp(iG_x) U_x through the
+    objective's chart, with G_x a combination of the traceless generators, so it stays unitary;
+    weights move to the softmax of log w + T(delta), T the weight mode's tie, so they stay
+    positive, normalized and tied.  The Jacobian is :func:`_moment_jacobian` at the current set.
 
-    Each step is a Gauss-Newton step damped by |R| (Levenberg-Marquardt with
-    the Yamashita-Fukushima parameter |R|², solved by LSMR), which keeps
-    converging where the solution set is singular, as for the minimal n = d²
-    sets, where plain Gauss-Newton oscillates.  A step that does not shrink
-    |R| is retried with more damping.  The loop stops at float precision,
-    |R| <= 8 eps d², an absolute test (before SciPy 1.16, scipy's
+    Each step is a Gauss-Newton step damped by |R| (Levenberg-Marquardt with the
+    Yamashita-Fukushima parameter |R|², solved by LSMR on the column-scaled Jacobian), which keeps
+    converging where the solution set is singular, as for the minimal n = d² sets, where plain
+    Gauss-Newton oscillates.  A step that does not shrink |R| is retried with more damping, for at
+    most ``_POLISH_TRIALS`` trial steps.  Two rules keep singular sets from crawling: a step that
+    does not halve |R| tightens LSMR's tolerance, whose test on |J^T r| otherwise ends solves
+    before they resolve the small singular values, and a step that leaves more than an eighth of
+    |R| is also tried doubled.  The floor is an absolute test (before SciPy 1.16, scipy's
     least_squares offers only relative ones).
     """
     from scipy.sparse.linalg import lsmr
 
     d, n = s.dim, len(s)
+    layout = _sym_layout(t, d)
     gens = _generators(d)[1:]
-    m = len(gens)
+    k = len(gens)
 
     def residual(u, w):
-        flat = u.reshape(n, -1)
-        return (d * (w * flat.T) @ flat.conj() - np.eye(d * d)).reshape(-1).view(float)
+        p = layout.vectors(u.reshape(n, -1))
+        r = (p.T * w) @ p.conj()
+        r -= layout.haar
+        return p, r
 
-    floor = 8 * np.finfo(float).eps * d * d
+    def stepped(u, w, step):
+        trial_u = _unitaries_from_theta(step[:n * k].reshape(n, k), gens)[0] @ u
+        trial_w = _weights_from_logits(np.log(w) + _tie(weight_mode)(step[n * k:], d), 'free', d)
+        return (trial_u, trial_w) + residual(trial_u, trial_w)
+
+    floor = 8 * np.finfo(float).eps * float(d) ** t
     u, w = s.unitaries, s.weights
-    r = residual(u, w)
-    norm, boost = np.linalg.norm(r), 1.0
-    for _ in range(POLISH_MAX_STEPS):
+    p, r = residual(u, w)
+    norm, boost, tol = np.linalg.norm(r), 1.0, _LSMR_TOL
+    for _ in range(_POLISH_TRIALS):
         if norm <= floor:
             break
-        step = lsmr(_residual_jacobian(u, w, free_weights), -r, damp=boost * norm,
-                    atol=1e-10, btol=1e-10)[0]
-        trial_u = _unitaries_from_theta(step[:n * m].reshape(n, m), gens)[0] @ u
-        trial_w = _weights_from_logits(np.log(w) + step[n * m:], 'free', d) if free_weights else w
-        trial = residual(trial_u, trial_w)
-        if np.linalg.norm(trial) < norm:
-            u, w, r, norm = trial_u, trial_w, trial, np.linalg.norm(trial)
+        jac, scale = _moment_jacobian(layout, u, w, p, r + layout.haar, weight_mode)
+        step = scale * lsmr(jac, -r.reshape(-1).view(float), damp=boost * norm, atol=tol, btol=tol)[0]
+        del jac                             # and its tangents, before the next step builds its own
+        trial_u, trial_w, trial_p, trial_r = stepped(u, w, step)
+        trial = np.linalg.norm(trial_r)
+        if trial < norm and trial > norm * _DOUBLE:
+            # at a root where J is singular Gauss-Newton halves the distance and leaves a
+            # quarter of |R|, so the doubled step may land
+            double = stepped(u, w, 2 * step)
+            if np.linalg.norm(double[3]) < trial:
+                trial_u, trial_w, trial_p, trial_r = double
+                trial = np.linalg.norm(trial_r)
+        if trial < norm:
+            if trial > _STALL * norm:
+                tol = max(tol * _TIGHTEN, _MIN_TOL)
+            u, w, p, r, norm = trial_u, trial_w, trial_p, trial_r, trial
             boost = max(boost / 4, 1.0)
         else:
             boost *= 10
-    return WeightedUnitarySet(d, u, w)
+    return WeightedUnitarySet(d, u, w), bool(norm <= floor)
 
 
-def _finish(s: WeightedUnitarySet, gap: float, config: SearchConfig, history: list[float],
+def _descend(theta0: np.ndarray, config: SearchConfig, history: list[float]) -> tuple[DesignCertificate, WeightedUnitarySet]:
+    """One restart: L-BFGS to the handoff gap, then the polish.  Where the polish misses its
+    floor, L-BFGS resumes from the handoff iterate and runs to its own end, and the polish runs
+    again; a set that misses it twice, such as a near-design local minimum whose gap passes
+    ``target_gap``, is polished at t = 1, so its POVM normalization defect is at float precision
+    however far its t-th residual stays.  The polished set is kept when :func:`certify` passes it
+    at ``target_gap``.  Phase duplicates are merged last, so the polish sees the weight mode's
+    blocks whole."""
+    gap, theta = _minimize_from(theta0, config, history, handoff=True)
+    raw = parametrize(theta, config.dim, config.size, config.weight_mode)
+    if gap <= max(_HANDOFF_GAP, config.target_gap):
+        polished, floored = _polish_moment(raw, config.t, config.weight_mode)
+        if not floored and gap <= _HANDOFF_GAP:
+            theta = _minimize_from(theta, config, history, handoff=False)[1]
+            raw = parametrize(theta, config.dim, config.size, config.weight_mode)
+            polished, floored = _polish_moment(raw, config.t, config.weight_mode)
+        if not floored and config.t > 1:    # no t-design in reach: keep its POVM normalization exact
+            polished = _polish_moment(polished, 1, config.weight_mode)[0]
+        polished = merge_phase_duplicates(polished)
+        cert = certify(polished, config.t, config.target_gap)
+        if cert.passed:
+            return cert, polished
+    s = merge_phase_duplicates(raw)
+    return certify(s, config.t, config.target_gap), s
+
+
+def _finish(s: WeightedUnitarySet, cert: DesignCertificate, history: list[float],
             start: float, best_restart: int) -> SearchTrace:
-    # A converged set is replaced by its polish when certify passes the polish at target_gap.
-    converged = bool(gap <= config.target_gap)
-    if converged:
-        polished = _polish(s, free_weights=config.weight_mode == 'free')
-        if certify(polished, config.t, config.target_gap).passed:
-            s = polished
+    # the returned set's certified gap closes the log, which stays non-increasing
+    history.append(min(history[-1], cert.gap))
     return SearchTrace(
         gap_history=np.asarray(history),
         result=s,
-        converged=converged,
+        converged=cert.passed,
         wall_time=time.perf_counter() - start,
         best_restart=best_restart,
     )
@@ -360,45 +443,45 @@ def search(config: SearchConfig) -> SearchTrace:
 
     Restart initializations derive from independent child generators spawned
     off ``make_rng(config.seed)``, so the result is reproducible; the first
-    restart reaching ``target_gap`` stops the search.  Non-convergence is
-    reported through the flag, never raised.
+    restart whose set :func:`certify` passes at ``target_gap`` stops the
+    search.  Non-convergence is reported through the flag, never raised.
 
-    A converged result is polished to a 1-design residual at float precision
-    (see :func:`_polish`), and the polish is kept when :func:`certify` passes
-    it at ``target_gap``, so :func:`povm_from_design` accepts every converged
-    result.  Weights stay fixed in the ``uniform`` and ``per-basis`` modes.
-    ``gap_history`` traces the L-BFGS restarts only.
+    Each restart runs L-BFGS until its gap is at most ``_HANDOFF_GAP`` and
+    then polishes the t-residual to its float floor (:func:`_polish_moment`);
+    where the polish misses the floor, L-BFGS resumes from the handoff
+    iterate to its own end and the polish runs again (:func:`_descend`).
+    The polished set is kept when :func:`certify` passes it at
+    ``target_gap``, and its 1-design residual is at float precision, so
+    :func:`povm_from_design` accepts every converged result.  The polish
+    keeps the weight mode's tie: uniform weights stay uniform, per-basis
+    weights stay tied.  ``gap_history`` traces the L-BFGS iterations, closed
+    by the returned set's certified gap.
     """
     start = time.perf_counter()
     children = make_rng(config.seed).spawn(config.restarts)
     history: list[float] = []
-    best_gap = np.inf
-    best_theta = None
+    best = None
     best_restart = -1
     for restart, child in enumerate(children):
-        gap, theta = _minimize_from(_initial_theta(config, child), config, history)
-        if gap < best_gap:
-            best_gap, best_theta, best_restart = gap, theta, restart
-        if best_gap <= config.target_gap:
+        cert, s = _descend(_initial_theta(config, child), config, history)
+        if best is None or cert.gap < best[0].gap:
+            best, best_restart = (cert, s), restart
+        if best[0].passed:
             break
-    return _finish(_package(best_theta, config), best_gap, config, history, start, best_restart)
+    return _finish(best[1], best[0], history, start, best_restart)
 
 
 def refine(s: WeightedUnitarySet, config: SearchConfig) -> SearchTrace:
-    """Local refinement from an existing set; never worse than the input.
-
-    The input gap is :func:`certify`'s.  A converged result is polished as in
-    :func:`search`.
+    """Local refinement from an existing set, as one restart of :func:`search`
+    from it; never worse than the input, whose gap is :func:`certify`'s.
     """
     if s.dim != config.dim or len(s) != config.size:
         raise InvalidInputError(
             f"set has dim={s.dim}, n={len(s)} but config expects dim={config.dim}, n={config.size}")
     start = time.perf_counter()
-    input_gap = certify(s, config.t, config.target_gap).gap
-    history = [input_gap]
-    gap, theta = _minimize_from(theta_from_set(s), config, history)
-    if gap <= input_gap:
-        result = _package(theta, config)
-    else:                                   # line search never accepts ascent, but keep the contract explicit
-        gap, result = input_gap, s
-    return _finish(result, gap, config, history, start, best_restart=0)
+    input_cert = certify(s, config.t, config.target_gap)
+    history = [input_cert.gap]
+    cert, result = _descend(theta_from_set(s), config, history)
+    if cert.gap > input_cert.gap:           # line search never accepts ascent, but keep the contract explicit
+        cert, result = input_cert, s
+    return _finish(result, cert, history, start, best_restart=0)

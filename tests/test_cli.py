@@ -113,19 +113,19 @@ class TestVerify:
         assert isinstance(doc['moment_residual'], float) and doc['moment_residual'] <= 1e-7
 
     def test_layout_guard_exits_3_and_writes_no_report(self, capsys, tmp_path, monkeypatch):
-        # pu2_11pt at t = 3 needs 400 entries for its symmetric layout; certify has no
+        # pu2_11pt at t = 3 needs 3·20² = 1200 entries for its symmetric layout; certify has no
         # other path, so below that every verdict is refused
         design, report = tmp_path / 'd.json', tmp_path / 'report.json'
         run(capsys, 'design-gallery', '--name', 'pu2_11pt', '--out', str(design))
-        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 400)
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 1200)
         code, stdout, err = run(capsys, 'design-verify', '--file', str(design), '--t', '3', '--json', str(report))
         assert (code, err) == (1, '') and 'moment residual: 1.17063\n' in stdout and stdout.endswith('FAIL\n')
         doc = json.loads(report.read_text())
         assert doc['moment_residual'] == pytest.approx(1.17063, abs=1e-5) and doc['pass'] is False
         report.unlink()
-        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 399)
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 1199)
         assert run(capsys, 'design-verify', '--file', str(design), '--t', '3', '--json', str(report)) == (
-            3, '', 'guard: the symmetric layout m² = 400 entries exceeds the guard 399\n')
+            3, '', 'guard: the symmetric layout 3·m² = 1200 entries exceeds the guard 1199\n')
         assert not report.exists()
 
     def test_t_7_exits_3_on_the_layout_guard(self, capsys, tmp_path):
@@ -137,13 +137,14 @@ class TestVerify:
 
     def test_overlaps_guard_exits_3(self, capsys, tmp_path, monkeypatch):
         # pu2_11pt's 11² = 121 overlaps are read on load in row blocks of at most MAX_ENTRIES,
-        # and certify sums its moment products in blocks too: below 121 the file still verifies,
-        # and the guard is reached only when one row of 11 overlaps does not fit
+        # and certify sums its moment products in blocks too: below 121 the file still verifies
+        # at t = 1, whose layout holds 3·4² entries, and the guard is reached only when one row
+        # of 11 overlaps does not fit
         design = tmp_path / 'd.json'
         run(capsys, 'design-gallery', '--name', 'pu2_11pt', '--out', str(design))
         for limit in (121, 120):
             monkeypatch.setattr(linalg, 'MAX_ENTRIES', limit)
-            code, stdout, err = run(capsys, 'design-verify', '--file', str(design), '--t', '2')
+            code, stdout, err = run(capsys, 'design-verify', '--file', str(design), '--t', '1')
             assert (code, err) == (0, '') and stdout.endswith('PASS\n')
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', 10)
         assert run(capsys, 'design-verify', '--file', str(design), '--t', '2') == (

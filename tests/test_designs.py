@@ -318,15 +318,17 @@ class TestSymmetricLayout:
 
     @pytest.mark.parametrize('d,t', [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
     def test_residual_and_expansions_match_the_dense_oracles(self, oracle_sets, d, t):
-        # largest differences measured: residual 3.3e-15 on designs and 8e-17 on search
-        # results, 1.4e-12 at residuals near 8, where the d^4t-term oracle itself is off by
-        # 3e-12 against sqrt(gap); expansions 1.1e-16 (sets) and 1.0e-15 (Haar)
+        # largest differences measured: residual 3.3e-15 on designs, 1.1e-14 on the (2, 60, 5)
+        # search result, whose residual sits at the float floor 8 eps d^t where both routes
+        # read rounding alone, 1.4e-12 at residuals near 8, where the d^4t-term oracle itself
+        # is off by 3e-12 against sqrt(gap); expansions 1.1e-16 (sets) and 1.0e-15 (Haar)
         haar = reference_haar_moment(t, d)
         assert np.abs(haar_moment(t, d) - haar).max() <= 2e-15
+        floor = max(1e-14, 8 * np.finfo(float).eps * d ** t)
         for name, s in oracle_sets[d].items():
             moment = reference_design_moment(s, t)
             expected = np.linalg.norm(moment - haar)
-            assert abs(certify(s, t).moment_residual - expected) <= 1e-14 + 1e-12 * expected, name
+            assert abs(certify(s, t).moment_residual - expected) <= floor + 1e-12 * expected, name
             assert np.abs(design_moment(s, t) - moment).max() <= 2.5e-16, name
 
     @pytest.mark.parametrize('d,top', [(2, 5), (3, 3)])
@@ -357,9 +359,9 @@ class TestSymmetricLayout:
         assert layout.reps.shape == (56, 5) and designs._sym_layout(2, 3).haar.shape == (45, 45)
         for a in (layout.reps, layout.root_counts, layout.haar):
             assert not a.flags.writeable
-        # at t = 6 the t!² = 518400 permutation Gram outgrows the 84² Haar moment, and the
-        # m² entries are counted first
-        for count, part in ((518399, 't!² = 518400'), (7055, 'm² = 7056')):
+        # at t = 6 the t!² = 518400 permutation Gram outgrows the three 84² arrays, and the
+        # 3·m² entries are counted first
+        for count, part in ((518399, 't!² = 518400'), (21167, '3·m² = 21168')):
             monkeypatch.setattr(linalg, 'MAX_ENTRIES', count)
             for call in (lambda: designs._sym_layout(6, 2), lambda: certify(gallery('pu2_11pt'), 6)):
                 with pytest.raises(ResourceLimitError, match=f'^the symmetric layout {part} entries exceeds'):
@@ -371,7 +373,7 @@ class TestSymmetricLayout:
             raise AssertionError('t! was counted')
 
         monkeypatch.setattr(math, 'factorial', uncounted)
-        with pytest.raises(ResourceLimitError, match=f'^the symmetric layout m² = {math.comb(10 ** 6 + 3, 3) ** 2} '):
+        with pytest.raises(ResourceLimitError, match=f'^the symmetric layout 3·m² = {3 * math.comb(10 ** 6 + 3, 3) ** 2} '):
             designs.check_layout(10 ** 6, 2)
 
     def test_layout_holds_no_class_map(self):
@@ -419,33 +421,33 @@ class TestCertify:
             bad = certify(noisy, 2)
             assert not bad.passed and bad.moment_residual > np.sqrt(1e-8) * 4
 
-    @pytest.mark.parametrize('s,t,count', [(gallery('pu2_11pt'), 3, 400), (unitary_operator_frame(20, 2), 4, 1225)],
+    @pytest.mark.parametrize('s,t,count', [(gallery('pu2_11pt'), 3, 1200), (unitary_operator_frame(20, 2), 4, 3675)],
                              ids=['pu2_11pt-t3', 'utof20-t4'])
     def test_certify_is_refused_beyond_the_layout_guard(self, monkeypatch, s, t, count):
-        # the layout holds max(t!², m²) entries, m = C(d² + t - 1, t): here m² = 20² and
-        # 35², more than the n·m products 220 and 700; below them certify has no other path
+        # the layout counts max(t!², 3·m²) entries, m = C(d² + t - 1, t): here 3·20² and
+        # 3·35², more than the n·m products 220 and 700; below them certify has no other path
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', count)
         assert certify(s, t).moment_residual >= 0.5
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', count - 1)
         for call in (lambda: designs._sym_layout(t, s.dim), lambda: certify(s, t), lambda: frame_potential(s, t)):
-            with pytest.raises(ResourceLimitError, match=rf'^the symmetric layout m² = {count} entries '
+            with pytest.raises(ResourceLimitError, match=rf'^the symmetric layout 3·m² = {count} entries '
                                                          rf'exceeds the guard {count - 1}$'):
                 call()
 
     @pytest.mark.parametrize('s,t,m', [(gallery('pu2_11pt'), 2, 10), (unitary_operator_frame(20, 2), 1, 4)],
                              ids=['pu2_11pt-t2', 'utof20-t1'])
     def test_blocked_moment_agrees_with_one_block(self, monkeypatch, s, t, m):
-        # at the layout's own guard m² the 3·m entries a row holds give blocks of m // 3 rows,
-        # or of one row when m < 3: four and twenty blocks here, against one by default
+        # at the layout's own guard 3·m² the 3·m entries a row holds give blocks of m rows:
+        # two and five blocks here, against one by default
         whole = certify(s, t)
-        monkeypatch.setattr(linalg, 'MAX_ENTRIES', m * m)
-        assert len(linalg.row_blocks(len(s), 3 * m)) == {10: 4, 4: 20}[m]
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 3 * m * m)
+        assert len(linalg.row_blocks(len(s), 3 * m)) == {10: 2, 4: 5}[m]
         blocked, g = certify(s, t), gamma(t, s.dim)
         assert blocked.passed and abs(blocked.potential - whole.potential) <= 1e-15 * g
         assert abs(blocked.moment_residual - whole.moment_residual) <= 1e-15 * g
         assert abs(frame_potential(s, t) - whole.potential) <= 1e-15 * g
 
-    @pytest.mark.parametrize('s,t,count', [(gallery('pu2_11pt'), 2, 256), (unitary_operator_frame(20, 2), 1, 80)],
+    @pytest.mark.parametrize('s,t,count', [(gallery('pu2_clifford24'), 3, 4096), (unitary_operator_frame(20, 2), 1, 80)],
                              ids=['moments', 'powers'])
     def test_dense_moment_guard_leaves_the_residual(self, monkeypatch, s, t, count):
         # the powers and the moment hold max(n, d^2t)·d^2t entries, as many as or more than
@@ -508,8 +510,8 @@ class TestOverlapsGuard:
         for call in (lambda: load_design(path), lambda: assert_phase_distinct(s), lambda: merge_phase_duplicates(s)):
             with pytest.raises(ResourceLimitError, match='^the overlaps n·m = 11 entries exceeds the guard 10$'):
                 call()
-        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 120)
-        assert certify(s, 2).passed and frame_potential(s, 1) == pytest.approx(1.0, abs=1e-12)
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 120)          # t = 1 holds 3·4² entries, t = 2 3·10²
+        assert certify(s, 1).passed and frame_potential(s, 1) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize('limit', [6399, 800, 80], ids=['two-blocks', 'ten-rows', 'row-blocks'])
     def test_merge_in_blocks_matches_one_block(self, monkeypatch, limit):
@@ -576,9 +578,14 @@ class TestOverlapsGuard:
                     call()
 
     def test_muub_union_flips_at_its_144_overlaps(self, monkeypatch):
+        # the union's 12² overlaps are counted first; its t = 2 certificate then needs the
+        # layout's 3·10² entries
         bases = pu2_muub_family()
-        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 144)
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 300)
         assert muub_check(bases).complete
+        monkeypatch.setattr(linalg, 'MAX_ENTRIES', 299)
+        with pytest.raises(ResourceLimitError, match='^the symmetric layout 3·m² = 300 entries exceeds the guard 299$'):
+            muub_check(bases)
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', 143)
         with pytest.raises(ResourceLimitError, match='^the overlaps n·m = 144 entries exceeds the guard 143$'):
             muub_check(bases)

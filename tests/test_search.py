@@ -17,8 +17,8 @@ from udesign.search import (
     SearchConfig,
     _TIES,
     _generators,
-    _polish,
-    _residual_jacobian,
+    _moment_jacobian,
+    _polish_moment,
     _tie,
     _unitaries_from_theta,
     _weights_from_logits,
@@ -330,7 +330,7 @@ class TestSearch:
         with pytest.raises(ResourceLimitError, match='^the symmetric layout t!² = 25401600 entries '
                                                      'exceeds the guard 10000000$'):
             search(SearchConfig(dim=2, size=4, t=7, restarts=1))
-        with pytest.raises(ResourceLimitError, match='^the symmetric layout m² = 41409225 entries'):
+        with pytest.raises(ResourceLimitError, match='^the symmetric layout 3·m² = 124227675 entries'):
             SearchConfig(dim=3, size=4, t=7)
 
     def test_the_layout_is_counted_not_built(self, monkeypatch):
@@ -338,7 +338,7 @@ class TestSearch:
             raise AssertionError('the symmetric layout was built')
 
         monkeypatch.setattr(designs, '_build_sym_layout', unbuilt)
-        assert SearchConfig(dim=3, size=4, t=6).t == 6
+        assert SearchConfig(dim=3, size=4, t=5).t == 5
 
     @pytest.mark.parametrize('field', ['restarts', 'max_iterations'])
     @pytest.mark.parametrize('value', [0, -1, -5])
@@ -349,17 +349,18 @@ class TestSearch:
 
     @pytest.mark.parametrize('dim,size', [(100, 10_000), (57, 4), (2, 3163), (np.int64(60_000), 4)])
     def test_generators_and_overlaps_above_the_entries_guard_are_refused(self, dim, size):
-        # d⁴ = 10,556,001 at d = 57 and n² = 10,004,569 at n = 3163; d = 56 and n = 3162 fit.
-        # d⁴ at d = 60,000 overflows int64, so it is counted in Python integers.  At t = 1 the
-        # symmetric layout's m² = d⁴ as well; at t = 2 it refuses every d >= 9
+        # d⁴ = 10,556,001 at d = 57 and n² = 10,004,569 at n = 3163; n = 3162 fits.  d⁴ at
+        # d = 60,000 overflows int64, so it is counted in Python integers.  The symmetric
+        # layout's 3·m² is counted next: 3·d⁴ at t = 1, which admits d <= 42, and at t = 2 it
+        # refuses every d >= 8
         entries = max(int(dim) ** 4, size ** 2)
         with pytest.raises(ResourceLimitError, match=f'^the larger of the d⁴ generators and n² overlaps = {entries} '
                                                      f'entries exceeds the guard {linalg.MAX_ENTRIES}$'):
             SearchConfig(dim=dim, size=size, t=1)
-        assert SearchConfig(dim=min(dim, 56), size=min(size, 3162), t=1).size == min(size, 3162)
-        with pytest.raises(ResourceLimitError, match=f'^the symmetric layout m² = {3321 ** 2} entries exceeds'):
-            SearchConfig(dim=9, size=4, t=2)
-        assert SearchConfig(dim=8, size=4, t=2).dim == 8
+        assert SearchConfig(dim=min(dim, 42), size=min(size, 3162), t=1).size == min(size, 3162)
+        with pytest.raises(ResourceLimitError, match=f'^the symmetric layout 3·m² = {3 * 2080 ** 2} entries exceeds'):
+            SearchConfig(dim=8, size=4, t=2)
+        assert SearchConfig(dim=7, size=4, t=2).dim == 7
 
 
 def povm_defect(s):
@@ -393,10 +394,48 @@ def random_set(d, n, rng):
     return haar_unitaries(d, n, rng), weights / weights.sum()
 
 
-def residual_matrix(unitaries, weights):
-    d = unitaries.shape[-1]
-    flat = unitaries.reshape(len(unitaries), -1)
-    return d * (weights * flat.T) @ flat.conj() - np.eye(d * d)
+def moment_residual(unitaries, weights, t):
+    """R = sum_x w_x p_x p_x† - H̃ on Sym^t, and the vectors p_x."""
+    layout = designs._sym_layout(t, unitaries.shape[-1])
+    p = layout.vectors(unitaries.reshape(len(unitaries), -1))
+    return (p.T * weights) @ p.conj() - layout.haar, p
+
+
+def moment_jacobian(unitaries, weights, t, weight_mode):
+    r, p = moment_residual(unitaries, weights, t)
+    layout = designs._sym_layout(t, unitaries.shape[-1])
+    return _moment_jacobian(layout, unitaries, weights, p, r + layout.haar, weight_mode)
+
+
+def float_floor(d, t):
+    # the polish's stop rule, 8 eps d^t: d^t = sum_x w_x |p_x|² bounds the rounding of R
+    return 8 * np.finfo(float).eps * d ** t
+
+
+def check_forward_against_central_differences(d, n, weight_mode, rng):
+    # oracle: R along U_x -> exp(i eps G_x) U_x, G_x = sum_k v_xk sqrt(d) b_k over the
+    # traceless basis elements, and log w -> log w + eps T(delta) through a softmax, T the
+    # weight mode's tie, with the step v the operator's argument times its column scales
+    import scipy.linalg
+
+    k = d * d - 1
+    for t in (1, 2, 3):
+        unitaries, weights = random_set(d, n, rng)
+        if weight_mode == 'per-basis':
+            weights = np.repeat(weights.reshape(-1, d * d).mean(axis=1), d * d)
+        jac, scale = moment_jacobian(unitaries, weights, t, weight_mode)
+        z = rng.standard_normal(jac.shape[1])
+        v = scale * z
+        gens = np.einsum('xk,kab->xab', v[:n * k].reshape(n, k), np.sqrt(d) * herm_basis(d)[1:])
+
+        def moved(eps):
+            u = np.array([scipy.linalg.expm(1j * eps * g) @ x for g, x in zip(gens, unitaries)])
+            logits = np.log(weights) + eps * _TIES[weight_mode](v[n * k:], d)
+            return moment_residual(u, np.exp(logits) / np.exp(logits).sum(), t)[0]
+
+        eps = 1e-6
+        numeric = ((moved(eps) - moved(-eps)) / (2 * eps)).reshape(-1).view(float)
+        assert np.linalg.norm(jac @ z - numeric) <= 1e-7 * np.linalg.norm(numeric)
 
 
 class TestPolishJacobian:
@@ -405,34 +444,29 @@ class TestPolishJacobian:
     @pytest.mark.parametrize('free_weights', [True, False])
     def test_adjoint_matches_forward(self, d, free_weights):
         rng = make_rng(12)
-        jac = _residual_jacobian(*random_set(d, d * d + 2, rng), free_weights)
-        for _ in range(5):
-            v, r = rng.standard_normal(jac.shape[1]), rng.standard_normal(jac.shape[0])
-            forward, adjoint = (jac @ v) @ r, v @ jac.rmatvec(r)
-            assert abs(forward - adjoint) <= 1e-12 * np.linalg.norm(jac @ v) * np.linalg.norm(r)
+        for t in (1, 2, 3):
+            jac = moment_jacobian(*random_set(d, d * d + 2, rng), t, 'free' if free_weights else 'uniform')[0]
+            for _ in range(5):
+                v, r = rng.standard_normal(jac.shape[1]), rng.standard_normal(jac.shape[0])
+                forward, adjoint = (jac @ v) @ r, v @ jac.rmatvec(r)
+                assert abs(forward - adjoint) <= 1e-12 * np.linalg.norm(jac @ v) * np.linalg.norm(r)
 
     @pytest.mark.parametrize('d', [2, 3])
     @pytest.mark.parametrize('free_weights', [True, False])
     def test_forward_matches_central_differences(self, d, free_weights):
-        # oracle: R along U_x -> exp(i eps G_x) U_x, G_x = sum_k v_xk sqrt(d) b_k over the
-        # traceless basis elements, and log w -> log w + eps delta through a softmax
-        import scipy.linalg
+        check_forward_against_central_differences(d, d * d + 2, 'free' if free_weights else 'uniform', make_rng(13))
 
-        rng = make_rng(13)
-        n = d * d + 2
-        unitaries, weights = random_set(d, n, rng)
-        jac = _residual_jacobian(unitaries, weights, free_weights)
-        v = rng.standard_normal(jac.shape[1])
-        gens = np.einsum('xk,kab->xab', v[:n * (d * d - 1)].reshape(n, -1), np.sqrt(d) * herm_basis(d)[1:])
+    @pytest.mark.parametrize('d', [2, 3])
+    def test_per_basis_steps_move_the_tied_weights(self, d):
+        check_forward_against_central_differences(d, 2 * d * d, 'per-basis', make_rng(16))
 
-        def moved(eps):
-            u = np.array([scipy.linalg.expm(1j * eps * g) @ x for g, x in zip(gens, unitaries)])
-            logits = np.log(weights) + (eps * v[n * (d * d - 1):] if free_weights else 0.0)
-            return residual_matrix(u, np.exp(logits) / np.exp(logits).sum())
-
-        eps = 1e-6
-        numeric = ((moved(eps) - moved(-eps)) / (2 * eps)).reshape(-1).view(float)
-        assert np.linalg.norm(jac @ v - numeric) <= 1e-7 * np.linalg.norm(numeric)
+    @pytest.mark.parametrize('d', [2, 3])
+    def test_closed_form_scales_give_unit_columns(self, d):
+        rng = make_rng(15)
+        for t in (1, 2, 3):
+            jac = moment_jacobian(*random_set(d, d * d + 2, rng), t, 'free')[0]
+            columns = jac @ np.eye(jac.shape[1])
+            assert np.allclose(np.linalg.norm(columns, axis=0), 1.0, rtol=1e-12)
 
 
 def test_polish_retries_a_rejected_step_with_more_damping(monkeypatch):
@@ -453,9 +487,69 @@ def test_polish_retries_a_rejected_step_with_more_damping(monkeypatch):
     moved = np.array([expm_hermitian(1e-4 * (g + dag(g))) @ u
                       for g, u in zip(rng.standard_normal((11, 2, 2)) + 1j * rng.standard_normal((11, 2, 2)),
                                       s.unitaries)])
-    polished = _polish(WeightedUnitarySet(2, moved, s.weights), free_weights=True)
+    polished, floored = _polish_moment(WeightedUnitarySet(2, moved, s.weights), 2, 'free')
     assert len(damps) > 2 and damps[1] == 10 * damps[0]
-    assert np.linalg.norm(residual_matrix(polished.unitaries, polished.weights)) <= 8 * np.finfo(float).eps * 4
+    assert floored and np.linalg.norm(moment_residual(polished.unitaries, polished.weights, 2)[0]) <= float_floor(2, 2)
+
+
+def test_a_polish_that_misses_its_floor_resumes_lbfgs(monkeypatch):
+    # a stalled polish (it returns its input, short of the floor) hands the restart back to
+    # L-BFGS, which resumes from the handoff iterate and runs to its own end; the second polish
+    # then starts from a gap-converged set
+    module = importlib.import_module('udesign.search')
+    polish, runs, handoffs = module._polish_moment, [], []
+    minimize_from = module._minimize_from
+
+    def stall_once(s, t, weight_mode):
+        runs.append(certify(s, t).gap)
+        return (s, False) if len(runs) == 1 else polish(s, t, weight_mode)
+
+    def spy(theta0, config, history, handoff):
+        handoffs.append(handoff)
+        return minimize_from(theta0, config, history, handoff)
+
+    monkeypatch.setattr(module, '_polish_moment', stall_once)
+    monkeypatch.setattr(module, '_minimize_from', spy)
+    trace = search(SearchConfig(dim=2, size=11, t=2, seed=3, restarts=1))
+    assert handoffs == [True, False] and len(runs) == 2
+    assert 1e-8 < runs[0] <= module._HANDOFF_GAP and runs[1] <= 1e-12
+    assert trace.converged and certify(trace.result, 2).moment_residual <= float_floor(2, 2)
+
+
+def test_a_set_that_misses_the_floor_twice_is_polished_at_t_1(monkeypatch):
+    # a near-design local minimum passes target_gap but keeps its t-th residual; its 1-design
+    # residual, the POVM defect, is still driven to float precision, so its POVM builds
+    module = importlib.import_module('udesign.search')
+    polish, orders = module._polish_moment, []
+
+    def stall_above_t_1(s, t, weight_mode):
+        orders.append(t)
+        return (s, False) if t > 1 else polish(s, t, weight_mode)
+
+    monkeypatch.setattr(module, '_polish_moment', stall_above_t_1)
+    trace = search(SearchConfig(dim=2, size=11, t=2, seed=3, restarts=1))
+    assert orders == [2, 2, 1] and trace.converged
+    assert povm_defect(trace.result) <= 1e-12
+
+
+class TestSearchResidualsAtTheFloor:
+    # every search-mix config returns a set whose r_1 ... r_t all sit at the t-floor 8 eps d^t
+    # (r_s <= r_t for s < t); (3, 9, 1) seed 304 is a singular minimal set n = d²
+    @pytest.mark.parametrize('dim, size, t, seed', [
+        pytest.param(d, n, t, seed, id=f'{d}-{n}-{t}-seed{seed}')
+        for d, n, t in ((2, 11, 2), (2, 24, 3), (2, 60, 5), (3, 9, 1), (3, 150, 2)) for seed in (1, 2, 3)
+    ] + [pytest.param(3, 9, 1, 304, id='3-9-1-seed304')])
+    def test_search_mix_configs_reach_the_floor(self, dim, size, t, seed):
+        trace = search(SearchConfig(dim=dim, size=size, t=t, seed=seed))
+        assert trace.converged
+        for s in range(1, t + 1):
+            assert certify(trace.result, s).moment_residual <= float_floor(dim, t)
+
+    def test_gap_history_closes_with_the_certified_gap(self):
+        trace = search(SearchConfig(dim=2, size=11, t=2, seed=1))
+        assert trace.gap_history[-1] == certify(trace.result, 2).gap
+        assert trace.gap_history[-2] <= importlib.import_module('udesign.search')._HANDOFF_GAP
+        assert np.all(np.diff(trace.gap_history) <= 0)
 
 
 class TestRefine:

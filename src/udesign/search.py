@@ -36,7 +36,7 @@ from .designs import (ATOL_CERT, DesignCertificate, WeightedUnitarySet, _sym_lay
                       merge_phase_duplicates)
 from .errors import InvalidInputError
 from .linalg import (check_cert_threshold, check_dim, check_entries, check_t, dag, haar_unitaries,
-                     herm_basis, log_unitary, make_rng)
+                     herm_basis, log_unitary, make_rng, row_blocks)
 
 # Weight mode -> self-adjoint linear tie T(logits, d) applied before the softmax, so T
 # is also the chain rule of the logit gradient: identity, zero, or d²-block means.
@@ -50,13 +50,11 @@ WEIGHT_MODES = tuple(_TIES)
 # Solver settings.  L-BFGS stops at these tolerances, or hands a restart to the polish at the
 # first iterate whose gap is at most _HANDOFF_GAP.  Each polish step solves its damped system by
 # LSMR to _LSMR_TOL; a step that leaves more than _STALL of |R| tightens that tolerance by
-# _TIGHTEN, down to _MIN_TOL, and one that leaves more than _DOUBLE of it is also tried doubled.
-# A polish takes at most _POLISH_TRIALS trial steps.
+# _TIGHTEN, down to _MIN_TOL.  A polish takes at most _POLISH_TRIALS trial steps.
 _LBFGS_TOLERANCES = {'ftol': 1e-18, 'gtol': 1e-14}
 _HANDOFF_GAP = 1e-4
 _LSMR_TOL = 1e-4
 _STALL, _TIGHTEN, _MIN_TOL = 0.5, 1e-2, 1e-12
-_DOUBLE = 0.125
 _POLISH_TRIALS = 30
 
 
@@ -286,35 +284,65 @@ def _moment_jacobian(layout, unitaries: np.ndarray, weights: np.ndarray, vectors
     the scales.  The column of a step along A_k at element x is w_x (δp p_x† + p_x δp†), δp the
     tangent of p_x along a = vec(i A_k U_x) (:meth:`_SymLayout.tangents`), and its squared norm
     is 2 w_x² (|δp|² |p_x|² + Re (δp† p_x)²); that of weight logit y is w_y (p_y p_y† - M),
-    M = sum_x w_x p_x p_x†, read through the weight mode's tie and scaled by that free norm.  The
-    scaled tangents (n, K, m), K = d² - 1, are built once, so each product is one batched
-    (1 × K)·(K × m) product and one m × n × m GEMM forward, one GEMM and one batched mat-vec
-    back, the tangents read as real arrays."""
+    M = sum_x w_x p_x p_x†, read through the weight mode's tie and scaled by that free norm.  A
+    tie that maps every logit to zero (uniform weights) has no logit columns.
+
+    The scaled tangents (rows, K, m), K = d² - 1, are built in row blocks whose tangents and
+    moved generators fit ``MAX_ENTRIES``; a single block is built once and kept, more blocks are
+    rebuilt in every product, bit for bit, so that no (n, K, m) array is held.  Each product is a
+    batched (1 × K)·(K × m) product and one m × n × m GEMM forward, one GEMM and a batched
+    mat-vec back, the tangents read as real arrays."""
     from scipy.sparse.linalg import LinearOperator
 
     n, d = unitaries.shape[:2]
-    gens = _generators(d)[1:]               # the identity only shifts a phase
+    gens = 1j * _generators(d)[1:]          # the identity only shifts a phase
     k, m = len(gens), len(layout.reps)
     tie = _tie(weight_mode)
-    moved = np.tensordot(unitaries, 1j * gens, axes=([1], [2])).transpose(0, 2, 3, 1)    # i A_k U_x
-    tangents = layout.tangents(unitaries.reshape(n, -1), moved.reshape(n, k, d * d))
+    logits = n if np.any(tie(np.ones(n), d)) else 0
+    flat = unitaries.reshape(n, -1)
     conj = vectors.conj()
     sizes = np.einsum('xa,xa->x', conj, vectors).real
-    cross = (tangents @ conj[:, :, None])[..., 0]
-    reals = tangents.view(float)            # (n, K, 2m): Re and Im of each entry in turn
-    squares = 2 * (weights ** 2)[:, None] * (np.einsum('xki,xki->xk', reals, reals) * sizes[:, None]
-                                             + np.real(cross * cross))
-    scale = 1 / np.sqrt(np.where(squares > 0, squares, 1.0))
-    tangents *= (weights[:, None] * scale)[:, :, None]
-    projected = np.einsum('xa,xa->x', conj, vectors @ moment.T).real
-    squares = weights ** 2 * (sizes * sizes - 2 * projected + np.vdot(moment, moment).real)
-    logit_scale = 1 / np.sqrt(np.where(squares > 0, squares, 1.0))
+    blocks = row_blocks(n, k * (m + d * d))
+    scale = np.empty((n, k))
+
+    def tangents(rows: slice) -> np.ndarray:
+        # i A_k U_x as (rows, K, d, d), so that vec(i A_k U_x) are its rows with no copy
+        return layout.tangents(flat[rows], (gens @ unitaries[rows, None]).reshape(-1, k, d * d))
+
+    def scaled(rows: slice, dp: np.ndarray) -> np.ndarray:
+        dp *= (weights[rows, None] * scale[rows])[:, :, None]
+        return dp.view(float)               # (rows, K, 2m): Re and Im of each entry in turn
+
+    held = []
+    for rows in blocks:
+        dp = tangents(rows)
+        cross = (dp @ conj[rows, :, None])[..., 0]
+        reals = dp.view(float)
+        squares = 2 * (weights[rows] ** 2)[:, None] * (np.einsum('xki,xki->xk', reals, reals) * sizes[rows, None]
+                                                       + np.real(cross * cross))
+        scale[rows] = 1 / np.sqrt(np.where(squares > 0, squares, 1.0))
+        if len(blocks) == 1:
+            held.append(scaled(rows, dp))
+
+    def pieces():
+        return zip(blocks, held) if held else ((rows, scaled(rows, tangents(rows))) for rows in blocks)
+
+    logit_scale = np.empty(0)
+    if logits:
+        projected = np.einsum('xa,xa->x', conj, vectors @ moment.T).real
+        squares = weights ** 2 * (sizes * sizes - 2 * projected + np.vdot(moment, moment).real)
+        logit_scale = 1 / np.sqrt(np.where(squares > 0, squares, 1.0))
 
     def matvec(z):
         z = np.ravel(z)
-        step = (z[:n * k].reshape(n, 1, k) @ reals).reshape(n, -1).view(complex)
-        dl = tie(z[n * k:] * logit_scale, d)
-        step += (0.5 * weights * (dl - weights @ dl))[:, None] * vectors
+        coeffs = z[:n * k].reshape(n, 1, k)
+        step = np.empty((n, 2 * m))
+        for rows, reals in pieces():
+            step[rows] = (coeffs[rows] @ reals).reshape(-1, 2 * m)
+        step = step.view(complex)
+        if logits:
+            dl = tie(z[n * k:] * logit_scale, d)
+            step += (0.5 * weights * (dl - weights @ dl))[:, None] * vectors
         half = step.T @ conj
         return (half + half.conj().T).reshape(-1).view(float)
 
@@ -323,12 +351,17 @@ def _moment_jacobian(layout, unitaries: np.ndarray, weights: np.ndarray, vectors
         # rows w_y (q_y - w·q), q_y = Re(p_y† Z p_y) / 2
         h = np.ascontiguousarray(np.ravel(y), dtype=float).view(complex).reshape(m, m)
         zp = vectors @ (h + h.conj().T).T
-        q = 0.5 * np.einsum('xa,xa->x', conj, zp).real
-        return np.concatenate([(reals @ zp.view(float)[:, :, None]).reshape(-1),
-                               logit_scale * tie(weights * (q - weights @ q), d)])
+        out = np.empty(n * k + logits)
+        moves = out[:n * k].reshape(n, k, 1)
+        for rows, reals in pieces():
+            moves[rows] = reals @ zp[rows].view(float)[:, :, None]
+        if logits:
+            q = 0.5 * np.einsum('xa,xa->x', conj, zp).real
+            out[n * k:] = logit_scale * tie(weights * (q - weights @ q), d)
+        return out
 
-    scale = np.concatenate([scale.reshape(-1), logit_scale])
-    return LinearOperator((2 * m * m, scale.size), matvec=matvec, rmatvec=rmatvec, dtype=float), scale
+    scales = np.concatenate([scale.reshape(-1), logit_scale])
+    return LinearOperator((2 * m * m, scales.size), matvec=matvec, rmatvec=rmatvec, dtype=float), scales
 
 
 def _polish_moment(s: WeightedUnitarySet, t: int, weight_mode: str) -> tuple[WeightedUnitarySet, bool]:
@@ -346,28 +379,31 @@ def _polish_moment(s: WeightedUnitarySet, t: int, weight_mode: str) -> tuple[Wei
     Yamashita-Fukushima parameter |R|², solved by LSMR on the column-scaled Jacobian), which keeps
     converging where the solution set is singular, as for the minimal n = d² sets, where plain
     Gauss-Newton oscillates.  A step that does not shrink |R| is retried with more damping, for at
-    most ``_POLISH_TRIALS`` trial steps.  Two rules keep singular sets from crawling: a step that
-    does not halve |R| tightens LSMR's tolerance, whose test on |J^T r| otherwise ends solves
-    before they resolve the small singular values, and a step that leaves more than an eighth of
-    |R| is also tried doubled.  The floor is an absolute test (before SciPy 1.16, scipy's
-    least_squares offers only relative ones).
-    """
+    most ``_POLISH_TRIALS`` trial steps.  A step that does not halve |R| tightens LSMR's
+    tolerance, whose test on |J^T r| otherwise ends solves before they resolve the small singular
+    values.  The floor is an absolute test (before SciPy 1.16, scipy's least_squares offers only
+    relative ones)."""
     from scipy.sparse.linalg import lsmr
 
     d, n = s.dim, len(s)
     layout = _sym_layout(t, d)
     gens = _generators(d)[1:]
     k = len(gens)
+    tie = _tie(weight_mode)
 
     def residual(u, w):
-        p = layout.vectors(u.reshape(n, -1))
-        r = (p.T * w) @ p.conj()
-        r -= layout.haar
+        # p whole, as the Jacobian reads it; its products and R summed over row blocks as in
+        # :meth:`_SymLayout.moment`
+        flat, p = u.reshape(n, -1), np.empty((n, len(layout.reps)), dtype=complex)
+        r = -layout.haar.astype(complex)
+        for rows in row_blocks(n, 3 * len(layout.reps)):
+            p[rows] = layout.vectors(flat[rows])
+            r += (p[rows].T * w[rows]) @ p[rows].conj()
         return p, r
 
     def stepped(u, w, step):
         trial_u = _unitaries_from_theta(step[:n * k].reshape(n, k), gens)[0] @ u
-        trial_w = _weights_from_logits(np.log(w) + _tie(weight_mode)(step[n * k:], d), 'free', d)
+        trial_w = _weights_from_logits(np.log(w) + tie(step[n * k:], d), 'free', d) if len(step) > n * k else w
         return (trial_u, trial_w) + residual(trial_u, trial_w)
 
     floor = 8 * np.finfo(float).eps * float(d) ** t
@@ -382,13 +418,6 @@ def _polish_moment(s: WeightedUnitarySet, t: int, weight_mode: str) -> tuple[Wei
         del jac                             # and its tangents, before the next step builds its own
         trial_u, trial_w, trial_p, trial_r = stepped(u, w, step)
         trial = np.linalg.norm(trial_r)
-        if trial < norm and trial > norm * _DOUBLE:
-            # at a root where J is singular Gauss-Newton halves the distance and leaves a
-            # quarter of |R|, so the doubled step may land
-            double = stepped(u, w, 2 * step)
-            if np.linalg.norm(double[3]) < trial:
-                trial_u, trial_w, trial_p, trial_r = double
-                trial = np.linalg.norm(trial_r)
         if trial < norm:
             if trial > _STALL * norm:
                 tol = max(tol * _TIGHTEN, _MIN_TOL)
@@ -405,24 +434,33 @@ def _descend(theta0: np.ndarray, config: SearchConfig, history: list[float]) -> 
     again; a set that misses it twice, such as a near-design local minimum whose gap passes
     ``target_gap``, is polished at t = 1, so its POVM normalization defect is at float precision
     however far its t-th residual stays.  The polished set is kept when :func:`certify` passes it
-    at ``target_gap``.  Phase duplicates are merged last, so the polish sees the weight mode's
-    blocks whole."""
+    at ``target_gap``; otherwise, as for a target below the gap's cancellation floor, L-BFGS runs
+    to its own end and the restart returns whichever of the two sets certifies the lower gap.
+    Phase duplicates are merged last, so the polish sees the weight mode's blocks whole."""
+    def polish(theta):
+        return _polish_moment(parametrize(theta, config.dim, config.size, config.weight_mode), config.t,
+                              config.weight_mode)
+
     gap, theta = _minimize_from(theta0, config, history, handoff=True)
-    raw = parametrize(theta, config.dim, config.size, config.weight_mode)
+    stopped = gap <= _HANDOFF_GAP           # handed over short of L-BFGS's own end
+    tried = []
     if gap <= max(_HANDOFF_GAP, config.target_gap):
-        polished, floored = _polish_moment(raw, config.t, config.weight_mode)
-        if not floored and gap <= _HANDOFF_GAP:
-            theta = _minimize_from(theta, config, history, handoff=False)[1]
-            raw = parametrize(theta, config.dim, config.size, config.weight_mode)
-            polished, floored = _polish_moment(raw, config.t, config.weight_mode)
+        polished, floored = polish(theta)
+        if not floored and stopped:
+            theta, stopped = _minimize_from(theta, config, history, handoff=False)[1], False
+            polished, floored = polish(theta)
         if not floored and config.t > 1:    # no t-design in reach: keep its POVM normalization exact
             polished = _polish_moment(polished, 1, config.weight_mode)[0]
         polished = merge_phase_duplicates(polished)
         cert = certify(polished, config.t, config.target_gap)
         if cert.passed:
             return cert, polished
-    s = merge_phase_duplicates(raw)
-    return certify(s, config.t, config.target_gap), s
+        tried.append((cert, polished))
+    if stopped:
+        theta = _minimize_from(theta, config, history, handoff=False)[1]
+    s = merge_phase_duplicates(parametrize(theta, config.dim, config.size, config.weight_mode))
+    tried.append((certify(s, config.t, config.target_gap), s))
+    return min(tried, key=lambda pair: pair[0].gap)
 
 
 def _finish(s: WeightedUnitarySet, cert: DesignCertificate, history: list[float],
@@ -452,7 +490,8 @@ def search(config: SearchConfig) -> SearchTrace:
     iterate to its own end and the polish runs again (:func:`_descend`).
     The polished set is kept when :func:`certify` passes it at
     ``target_gap``, and its 1-design residual is at float precision, so
-    :func:`povm_from_design` accepts every converged result.  The polish
+    :func:`povm_from_design` accepts every converged result; otherwise the
+    restart keeps the better of it and L-BFGS run to its own end.  The polish
     keeps the weight mode's tie: uniform weights stay uniform, per-basis
     weights stay tied.  ``gap_history`` traces the L-BFGS iterations, closed
     by the returned set's certified gap.

@@ -129,7 +129,7 @@ class TestVerify:
         assert not report.exists()
 
     def test_t_7_exits_3_on_the_layout_guard(self, capsys, tmp_path):
-        # t!² = 5040² permutation Gram entries at every d; the gallery stops at t = 5
+        # the layout guard counts t!² = 5040² entries at every d; the gallery stops at t = 5
         design = tmp_path / 'd.json'
         run(capsys, 'design-gallery', '--name', 'pu2_11pt', '--out', str(design))
         assert run(capsys, 'design-verify', '--file', str(design), '--t', '7') == (

@@ -221,6 +221,23 @@ class TestHaarMoment:
                 v = np.array([permutation_operator(tuple(np.add(p, 1)), d).reshape(-1) for p in perms])
                 assert np.array_equal(v @ v.T, gram)
 
+    @pytest.mark.parametrize('d', [2, 3])
+    def test_weingarten_is_the_pseudo_inverse_of_the_permutation_gram(self, d):
+        # W[σ, τ] = Wg(σ⁻¹τ) against G[σ, τ] = d^#cycles(σ⁻¹τ): G W G = G and W G W = W, also
+        # for d < t, where G is singular; at t = 2 the closed forms 1/(d² - 1), -1/(d(d² - 1))
+        for t in range(1, 6):
+            perms = np.array(list(itertools.permutations(range(t))))
+            wg = designs._weingarten(perms, d)
+            index = {tuple(p): i for i, p in enumerate(perms)}
+            products = [[index[tuple(np.argsort(sigma)[tau])] for tau in perms] for sigma in perms]
+            w = wg[products]
+            gram = np.array([[float(d) ** cycle_count(perms[k]) for k in row] for row in products])
+            assert np.abs(gram @ w @ gram - gram).max() <= 1e-12 * np.abs(gram).max()
+            assert np.abs(w @ gram @ w - w).max() <= 1e-12 * np.abs(w).max()
+            if t == 2:
+                assert wg[0] == pytest.approx(1 / (d * d - 1), rel=1e-15)
+                assert wg[1] == pytest.approx(-1 / (d * (d * d - 1)), rel=1e-15)
+
     def test_t_below_one_is_refused(self):
         s = gallery('pu2_11pt')
         for t in (0, -1):
@@ -318,17 +335,16 @@ class TestSymmetricLayout:
 
     @pytest.mark.parametrize('d,t', [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
     def test_residual_and_expansions_match_the_dense_oracles(self, oracle_sets, d, t):
-        # largest differences measured: residual 3.3e-15 on designs, 1.1e-14 on the (2, 60, 5)
-        # search result, whose residual sits at the float floor 8 eps d^t where both routes
-        # read rounding alone, 1.4e-12 at residuals near 8, where the d^4t-term oracle itself
-        # is off by 3e-12 against sqrt(gap); expansions 1.1e-16 (sets) and 1.0e-15 (Haar)
+        # largest differences measured: residual 3.3e-15 on designs and 3.7e-15 on the (2, 60, 5)
+        # search result at the float floor, 1.4e-12 at residuals near 8, where the d^4t-term
+        # oracle itself is off by 3e-12 against sqrt(gap); expansions 1.1e-16 (sets) and 1.0e-15
+        # (Haar)
         haar = reference_haar_moment(t, d)
         assert np.abs(haar_moment(t, d) - haar).max() <= 2e-15
-        floor = max(1e-14, 8 * np.finfo(float).eps * d ** t)
         for name, s in oracle_sets[d].items():
             moment = reference_design_moment(s, t)
             expected = np.linalg.norm(moment - haar)
-            assert abs(certify(s, t).moment_residual - expected) <= floor + 1e-12 * expected, name
+            assert abs(certify(s, t).moment_residual - expected) <= 1e-14 + 1e-12 * expected, name
             assert np.abs(design_moment(s, t) - moment).max() <= 2.5e-16, name
 
     @pytest.mark.parametrize('d,top', [(2, 5), (3, 3)])

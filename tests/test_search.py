@@ -430,7 +430,7 @@ def check_forward_against_central_differences(d, n, weight_mode, rng):
 
         def moved(eps):
             u = np.array([scipy.linalg.expm(1j * eps * g) @ x for g, x in zip(gens, unitaries)])
-            logits = np.log(weights) + eps * _TIES[weight_mode](v[n * k:], d)
+            logits = np.log(weights) + eps * (_TIES[weight_mode](v[n * k:], d) if len(v) > n * k else 0)
             return moment_residual(u, np.exp(logits) / np.exp(logits).sum(), t)[0]
 
         eps = 1e-6
@@ -459,6 +459,14 @@ class TestPolishJacobian:
     @pytest.mark.parametrize('d', [2, 3])
     def test_per_basis_steps_move_the_tied_weights(self, d):
         check_forward_against_central_differences(d, 2 * d * d, 'per-basis', make_rng(16))
+
+    def test_uniform_weights_get_no_logit_columns(self):
+        # the uniform tie maps every logit to zero, so LSMR sees only the n·(d² - 1) element
+        # columns; the other ties keep a column per logit
+        rng = make_rng(17)
+        for mode, logits in (('uniform', 0), ('free', 8), ('per-basis', 8)):
+            jac, scale = moment_jacobian(haar_unitaries(2, 8, rng), np.full(8, 1 / 8), 2, mode)
+            assert jac.shape == (2 * 10 * 10, 8 * 3 + logits) and scale.shape == (jac.shape[1],)
 
     @pytest.mark.parametrize('d', [2, 3])
     def test_closed_form_scales_give_unit_columns(self, d):
@@ -490,6 +498,52 @@ def test_polish_retries_a_rejected_step_with_more_damping(monkeypatch):
     polished, floored = _polish_moment(WeightedUnitarySet(2, moved, s.weights), 2, 'free')
     assert len(damps) > 2 and damps[1] == 10 * damps[0]
     assert floored and np.linalg.norm(moment_residual(polished.unitaries, polished.weights, 2)[0]) <= float_floor(2, 2)
+
+
+def near_design(name, t, scale, seed):
+    """A gallery design with every element moved by exp(i·scale·H), H a random Hermitian."""
+    s = gallery(name)
+    rng = make_rng(seed)
+    noise = rng.standard_normal((len(s), s.dim, s.dim)) + 1j * rng.standard_normal((len(s), s.dim, s.dim))
+    moved = np.array([expm_hermitian(scale * (g + dag(g))) @ u for g, u in zip(noise, s.unitaries)])
+    return WeightedUnitarySet(s.dim, moved, s.weights)
+
+
+def test_polish_tangents_in_row_blocks_match_one_block(monkeypatch):
+    # the tangents of a row hold (d² - 1)(m + d²) = 3·14 entries at (d, t) = (2, 2): a guard of
+    # 400 builds them in two blocks of 9 and 2 rows, rebuilt in every product, while the
+    # residual's 3·m = 30 entries a row and the layout's 3·m² = 300 still fit whole
+    s = near_design('pu2_11pt', 2, 1e-3, 18)
+    whole = _polish_moment(s, 2, 'free')
+    monkeypatch.setattr(linalg, 'MAX_ENTRIES', 400)
+    assert len(linalg.row_blocks(11, 3 * 14)) == 2 and len(linalg.row_blocks(11, 3 * 10)) == 1
+    blocked = _polish_moment(s, 2, 'free')
+    assert whole[1] and blocked[1]
+    assert np.array_equal(blocked[0].unitaries, whole[0].unitaries)
+    assert np.array_equal(blocked[0].weights, whole[0].weights)
+
+
+def test_a_target_below_the_gap_floor_keeps_the_better_of_polish_and_full_lbfgs(monkeypatch):
+    # the gap is computed by cancellation against gamma = 5, so the polished set of this seed
+    # certifies about 9e-15 and fails a target of 1e-15; L-BFGS then resumes to its own end,
+    # and the restart returns no worse than that end, never the handoff iterate near 1e-5
+    module = importlib.import_module('udesign.search')
+    minimize_from, handoffs = module._minimize_from, []
+
+    def spy(theta0, config, history, handoff):
+        handoffs.append(handoff)
+        return minimize_from(theta0, config, history, handoff)
+
+    monkeypatch.setattr(module, '_minimize_from', spy)
+    config = SearchConfig(dim=2, size=24, t=3, seed=6, restarts=1, target_gap=1e-15)
+    trace = search(config)
+    assert handoffs == [True, False]
+    theta0 = module._initial_theta(config, make_rng(6).spawn(1)[0])
+    full = minimize_from(theta0, config, [], handoff=False)[1]
+    lbfgs = certify(designs.merge_phase_duplicates(parametrize(full, 2, 24)), 3, 1e-15)
+    cert = certify(trace.result, 3, 1e-15)
+    assert trace.gap_history[-1] == cert.gap and trace.converged == cert.passed
+    assert cert.gap <= lbfgs.gap and cert.gap <= 1e-13
 
 
 def test_a_polish_that_misses_its_floor_resumes_lbfgs(monkeypatch):

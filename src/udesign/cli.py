@@ -78,7 +78,7 @@ def _cmd_design_search(args) -> int:
     seed = _resolve_seed(args.seed)
     config = SearchConfig(dim=args.dim, size=args.size, t=args.t,
                           max_iterations=args.max_iter, restarts=args.restarts,
-                          seed=seed, target_gap=args.target_gap,
+                          seed=seed, target_residual=args.target_residual,
                           weight_mode=args.weights)
     trace = search(config)
     final_gap = float(trace.gap_history[-1])
@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument('--restarts', type=int, default=SearchConfig.restarts)
     p.add_argument('--max-iter', type=int, default=SearchConfig.max_iterations)
     p.add_argument('--weights', choices=WEIGHT_MODES, default=SearchConfig.weight_mode)
-    p.add_argument('--target-gap', type=float, default=SearchConfig.target_gap)
+    p.add_argument('--target-residual', type=float, default=SearchConfig.target_residual)
     p.add_argument('--out', required=True)
     p.set_defaults(func=_cmd_design_search)
 

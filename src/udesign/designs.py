@@ -3,18 +3,18 @@
 A weighted set (D, w) of projective unitaries is a t-design when its t-th
 moment operator matches the Haar average, or equivalently when the frame
 potential sum_{x,y} w(x)w(y)|tr(U(x)†U(y))|^(2t) meets its lower bound
-gamma(t, d) exactly.  This module certifies sets against both criteria,
-computes gamma(t, d) by enumeration, and holds the known small designs used
-throughout the package.  t-th moments have one working form, the symmetric
-subspace Sym^t(C^(d²)), laid out once per (t, d): one m × m moment gives the
-potential and the residual, and the dense moment operators are expansions of it.
+gamma(t, d) exactly.  This module certifies sets by the distance of their
+moment from the Haar moment, computes gamma(t, d) from a table of Young
+shapes, and holds the known small designs used throughout the package.  t-th
+moments have one working form, the symmetric subspace Sym^t(C^(d²)), laid out
+once per (t, d): one m × m moment gives the potential and the residual, and
+the dense moment operators are expansions of it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -171,43 +171,42 @@ def frame_potential(s: WeightedUnitarySet, t: int) -> float:
     return _sym_layout(t, s.dim).norms(s)[0]
 
 
-def _longest_increasing_run(seq: tuple[int, ...]) -> int:
-    # patience sorting: tails[k] = smallest tail of an increasing subsequence
-    # of length k+1
-    tails: list[int] = []
-    for x in seq:
-        k = bisect_left(tails, x)
-        if k == len(tails):
-            tails.append(x)
-        else:
-            tails[k] = x
-    return len(tails)
+def _partitions(t: int, rows: int, top: int | None = None) -> list[tuple[int, ...]]:
+    """The partitions of t into at most ``rows`` parts, non-increasing and at most ``top``."""
+    top = t if top is None else top
+    if t == 0:
+        return [()]
+    if rows == 0:
+        return []
+    return [(part,) + rest for part in range(min(t, top), 0, -1) for rest in _partitions(t - part, rows - 1, part)]
+
+
+def _shapes(t: int, d: int):
+    """The shape table of S_t at dimension d: each Young shape λ of t with at most d rows, with
+    its hook product H and its content product C = prod over cells (d + content), so that
+    f_λ = t!/H counts its standard tableaux and s_λ(1^d) = C/H is the dimension of its U(d)
+    irrep."""
+    for shape in _partitions(t, d):
+        columns = [sum(part > j for part in shape) for j in range(shape[0])]
+        cells = [(i, j) for i, part in enumerate(shape) for j in range(part)]
+        yield (shape, math.prod(shape[i] - j + columns[j] - i - 1 for i, j in cells),
+               math.prod(d + j - i for i, j in cells))
 
 
 @lru_cache(maxsize=None)
 def gamma(t: int, d: int) -> int:
     """Haar average of |tr U|^(2t) on PU(d), as an exact integer.
 
-    Counts the permutations of S_t whose one-line form has no increasing
-    subsequence longer than d.  Equals t! once d >= t, and the Catalan
-    number (2t)!/(t!(t+1)!) at d = 2.
+    It counts the permutations of S_t with no increasing subsequence longer
+    than d (Rains 1998), which the Robinson-Schensted correspondence sums as
+    f_λ² over the shapes λ of t with at most d rows (:func:`_shapes`).
+    Equals t! once d >= t, and the Catalan number (2t)!/(t!(t+1)!) at d = 2.
     """
     check_t(t)
     check_dim(d)
     if t > MAX_GAMMA_T:
         raise ResourceLimitError(f"gamma enumeration capped at t <= {MAX_GAMMA_T}, got t={t}")
-    if d >= t:
-        return math.factorial(t)
-    return sum(1 for p in itertools.permutations(range(1, t + 1))
-               if _longest_increasing_run(p) <= d)
-
-
-def _partitions(t: int, top: int | None = None) -> list[tuple[int, ...]]:
-    """The partitions of t, parts non-increasing and at most ``top``."""
-    top = t if top is None else top
-    if t == 0:
-        return [()]
-    return [(part,) + rest for part in range(min(t, top), 0, -1) for rest in _partitions(t - part, part)]
+    return sum((math.factorial(t) // hooks) ** 2 for _, hooks, _ in _shapes(t, d))
 
 
 @lru_cache(maxsize=None)
@@ -232,22 +231,13 @@ def _character(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
 def _weingarten(perms: np.ndarray, d: int) -> np.ndarray:
     """The Weingarten function Wg(σ) of U(d) at each permutation of a (t!, t) stack, exact in
     rationals before the one rounding (Collins & Śniady 2006):
-    Wg(σ) = sum over shapes λ of t with at most d rows of f_λ² χ_λ(σ) / (t!² s_λ(1^d)), with
-    f_λ = t!/prod hooks and s_λ(1^d) = prod over cells (d + content)/hook.  For d < t it is the
+    Wg(σ) = sum over the shapes λ of :func:`_shapes` of f_λ² χ_λ(σ) / (t!² s_λ(1^d)).  For d < t it is the
     pseudo-inverse row of the Gram d^#cycles(σ⁻¹τ), which an eigendecomposition gave only to
     about eps times the Gram's condition: 2.2e-14 of Frobenius error in the Haar moment at
     d = 2, t = 5, more than the float floor the search's polish reaches."""
     t = perms.shape[1]
-    weights = {}
-    for shape in _partitions(t):
-        if len(shape) > d:
-            continue
-        columns = [sum(part > j for part in shape) for j in range(shape[0])]
-        cells = [(i, j) for i, part in enumerate(shape) for j in range(part)]
-        hooks = math.prod(shape[i] - j + columns[j] - i - 1 for i, j in cells)
-        contents = math.prod(d + j - i for i, j in cells)
-        # f² / (t!² s(1^d)) = (t!/H)² H / (t!² C) = 1 / (H C)
-        weights[shape] = Fraction(1, hooks * contents)
+    # f² / (t!² s(1^d)) = (t!/H)² H / (t!² C) = 1 / (H C)
+    weights = {shape: Fraction(1, hooks * contents) for shape, hooks, contents in _shapes(t, d)}
     wg = {}
     values = []
     for perm in perms:
@@ -413,7 +403,8 @@ def design_moment(s: WeightedUnitarySet, t: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DesignCertificate:
-    """Outcome of the potential-gap test, with the moment residual in linear units (:func:`certify`)."""
+    """Outcome of :func:`certify`: PASS when the moment residual, in linear units, is at most the
+    tolerance; the potential gap, its square in exact arithmetic, is reported beside it."""
 
     t: int
     potential: float
@@ -429,29 +420,31 @@ class DesignCertificate:
 
 
 def certify(s: WeightedUnitarySet, t: int, atol_cert: float = ATOL_CERT) -> DesignCertificate:
-    """Certify a weighted set as a t-design through the potential gap.
+    """Certify a weighted set as a t-design: PASS means its moment residual r_t <= ``atol_cert``.
 
-    The gap potential - gamma(t, d) is nonnegative and vanishes exactly on
-    designs.  The moment residual, the Frobenius distance of the set's t-th
-    moment from the Haar moment, is its square root in exact arithmetic
-    (Gross, Audenaert & Eisert 2007), but the gap cancels two O(gamma)
-    numbers and bottoms out near 1e-16, so a gap of about 0 can hide a
-    residual of about 1e-8.  PASS means gap <= ``atol_cert``.
+    r_t is the Frobenius distance of the set's t-th moment from the Haar
+    moment; it vanishes exactly on designs.  The potential gap
+    potential - gamma(t, d) is r_t² in exact arithmetic (Gross, Audenaert &
+    Eisert 2007) and is reported too, but it cancels two O(gamma) numbers and
+    rounds near 1e-16·gamma, so a gap at 1e-8 can hide a residual of 1e-4.
+    Since r_s <= r_t for s < t, a PASS at any t bounds r_1, and with it the
+    POVM defect ||sum F - I|| = d·r_1 that :func:`povm_from_design` admits
+    up to d·``ATOL_CERT``.
 
     Both read one m × m moment on Sym^t(C^(d²)), m = C(d² + t - 1, t), with
-    no n × n array (:class:`_SymLayout`).  ``MAX_ENTRIES`` bounds m² and t!²:
-    t = 7-9 is refused at every d (t!²), and d = 4, 5 at t >= 4, d = 6, 7 at
-    t >= 3, d >= 9 at t = 2 (m²), where only FAIL verdicts are lost, as the
-    Haar moment's full rank m means a design has n >= m.  The n·m products
-    are summed in row blocks, so a set of any size is certified wherever its
-    layout fits, such as the 11520-element two-qubit Clifford group at t <= 3.
+    no n × n array (:class:`_SymLayout`).  ``MAX_ENTRIES`` bounds 3·m², which
+    refuses d >= 43 at t = 1, d >= 8 at t = 2, d >= 5 at t = 3, d >= 4 at
+    t = 4 and 5 and d >= 3 at t = 6, then t!², which refuses t >= 7 at every
+    d.  The Haar moment has full rank m, so a design has n >= m.  The n·m
+    products are summed in row blocks, so a set of any size is certified
+    wherever its layout fits, such as the 11520-element two-qubit Clifford
+    group at t <= 3.
     """
     check_cert_threshold(atol_cert, 'atol_cert')
     g = float(gamma(t, s.dim))              # gamma's t guard runs before the layout is counted
     pot, residual = _sym_layout(t, s.dim).norms(s)
-    gap = pot - g
-    return DesignCertificate(t=t, potential=pot, gamma=g, gap=gap,
-                             moment_residual=residual, passed=bool(gap <= atol_cert))
+    return DesignCertificate(t=t, potential=pot, gamma=g, gap=pot - g,
+                             moment_residual=residual, passed=bool(residual <= atol_cert))
 
 
 def quat_to_unitary(r) -> np.ndarray:
@@ -589,7 +582,8 @@ def muub_check(bases: list[WeightedUnitarySet]) -> MuubReport:
     |tr(U†V)|² = 1; both tests read blocks of one Gram matrix of the union
     and pass within ``ATOL_ALG``.  The union with basis weights 1/(m d²) is
     a weighted 2-design exactly when its frame potential (the Welch sum)
-    meets gamma(2, d) = 2; that verdict and the sum are :func:`certify`'s.
+    meets gamma(2, d) = 2; the sum and the verdict, on the moment residual,
+    are :func:`certify`'s.
     """
     if not bases:
         raise InvalidInputError("need at least one basis")

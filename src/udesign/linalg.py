@@ -32,10 +32,9 @@ from .errors import InvalidInputError, ResourceLimitError
 # here, one name per purpose.  Solver settings stay with the solvers in `search`.
 ATOL_ALG = 1e-9            # algebraic identities: unitarity, weight sums, trace preservation, unitality, MUUB overlaps
 EIG_CUTOFF = 1e-10         # relative eigenvalue cutoff for restricted inversion of superoperators
-ATOL_CERT = 1e-8           # frame-potential gap that certifies a t-design
+ATOL_CERT = 1e-8           # moment residual r_t of a t-design, for certify and search; a design's POVM admits
+                           # ||sum F - I|| = d·r_1 up to d·ATOL_CERT, and a tight frame's residual (r_2 on one) up to ATOL_CERT
 DEDUP_TOL = 1e-6           # U, V are phase-equivalent when |tr(U†V)|² >= d² - DEDUP_TOL
-ATOL_POVM = 1e-8           # normalization defect ||sum F - I|| of a design's POVM
-ATOL_TIGHT = 1e-8          # residual of a frame superoperator against the tight form of its class
 CP_FLOOR = 1e-8            # most negative process-matrix eigenvalue still read as completely positive
 PROB_CLAMP = 1e-12         # Born-probability dips down to -PROB_CLAMP are floored at zero
 PROB_SUM_TOL = 1e-9        # Born probabilities summing further from one mean POVM and state disagree
@@ -45,17 +44,17 @@ PURITY_SLACK = 1e-12       # float slack on the purity range [1/d², 1] of an er
 ATOL_FILE_WEIGHTS = 1e-6   # weight-sum defect a design file may carry before renormalization
 Z_GATE = 5.0               # |z| of tomo's mean error against the class prediction above which the run fails
 # Resource guards, each checked before anything is drawn or allocated: Kraus count k of a random
-# channel, t of the exhaustive S_t enumeration in gamma(t, d), and the entries of the largest array
-# a search, operator frame, moment operator, design POVM or tomography run holds; the phase check
-# and the moment sum work in row blocks of at most that many entries (`row_blocks`).
+# channel, t of gamma(t, d), and the entries of the largest array a search, operator frame, moment
+# operator, design POVM or tomography run holds; the phase check and the moment sum work in row
+# blocks of at most that many entries (`row_blocks`).
 MAX_KRAUS = 1_000
 MAX_GAMMA_T = 9
 MAX_ENTRIES = 10_000_000
 
 
 def check_cert_threshold(value: float, name: str) -> None:
-    """Raise unless a certification threshold (the gap at or below which a set
-    passes) is finite and positive; ``name`` is the caller's word for it."""
+    """Raise unless a certification threshold (the moment residual at or below
+    which a set passes) is finite and positive; ``name`` is the caller's word for it."""
     if not (np.isfinite(value) and value > 0):
         raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
 

@@ -30,8 +30,7 @@ from .designs import WeightedUnitarySet
 from .errors import InvalidInputError, NotAPovmError, NotInformationallyCompleteError
 from .linalg import (
     ATOL_ALG,
-    ATOL_POVM,
-    ATOL_TIGHT,
+    ATOL_CERT,
     EIG_CUTOFF,
     PROB_CLAMP,
     PROB_SUM_TOL,
@@ -115,7 +114,10 @@ def povm_from_design(s: WeightedUnitarySet) -> DiscretePovm:
     """Rank-one POVM on C^d ⊗ C^d with P(x) = |U(x)><U(x)| and tau = d² w.
 
     The element sum equals the identity exactly when the set is a weighted
-    1-design; a normalization defect beyond ``ATOL_POVM`` is raised as an error.
+    1-design: ||sum F - I||_F = d·r_1, r_1 the set's first moment residual
+    (:func:`certify`), so the POVM is admitted when r_1 <= ``ATOL_CERT`` and a
+    larger normalization defect is raised as an error.  A set that
+    :func:`certify` passes at any t has r_1 <= r_t and so builds its POVM.
     Each element is tau(x) times a rank-one projector, so positivity follows
     from tau > 0 (checked) and needs no eigenvalue test.  The (n, D, D)
     elements and the D² × D² frame, D = d², must fit in ``MAX_ENTRIES``.
@@ -125,7 +127,7 @@ def povm_from_design(s: WeightedUnitarySet) -> DiscretePovm:
     kets = s.unitaries.reshape(len(s), -1) / np.sqrt(d)    # |U> = vec(U)/sqrt(d)
     tau = d * d * s.weights
     elements = (tau[:, None] * kets)[:, :, None] * kets[:, None, :].conj()
-    return DiscretePovm._admit(elements, ATOL_POVM)
+    return DiscretePovm._admit(elements, d * ATOL_CERT)
 
 
 def frame_superop(povm: DiscretePovm) -> np.ndarray:
@@ -164,13 +166,16 @@ class TightReport:
 
 def tight_check(povm: DiscretePovm, state_class: str) -> TightReport:
     """Residual of F against the tight form for the requested class, tight
-    when it is at most ``ATOL_TIGHT``.
+    when it is at most ``ATOL_CERT``.
 
     The target is a·Pi + ((delta-D)/((delta-1)D))|I>><<I| with
     a = (D-1)/(delta-1), where Pi projects onto the class span and delta is
     its dimension ((d²-1)²+1 for uc, d²(d²-1)+1 for gc, D² for full).
     Computed in Hermitian coordinates, where the Frobenius norm and traces
-    are those of the left-right form.
+    are those of the left-right form.  On the POVM of a weighted set,
+    F = sum_x w(x) vec(U_x)vec(U_x)† ⊗ conj(vec(U_x)vec(U_x)†) is the set's
+    second moment with its entries permuted (a partial transpose), and the uc
+    target is the same sum over Haar, so the uc residual is :func:`certify`'s r_2.
     """
     bigd = povm.dim
     pi, delta = _class_span(state_class, bigd)
@@ -181,7 +186,7 @@ def tight_check(povm: DiscretePovm, state_class: str) -> TightReport:
     residual = float(np.linalg.norm(frame - target))
     return TightReport(
         state_class=state_class,
-        is_tight_rank_one=bool(residual <= ATOL_TIGHT),
+        is_tight_rank_one=bool(residual <= ATOL_CERT),
         residual=residual,
         frame_trace=float(np.trace(frame)),
         frame_trace_sq=float(np.vdot(frame, frame)),     # Tr(F²) of the symmetric F

@@ -15,7 +15,8 @@ is polished in linear units: damped Gauss-Newton steps, taken through the same
 exponential chart, drive its t-th moment residual on Sym^t(C^(d²)), and with
 it every lower one (the POVM normalization defect among them), to its float
 floor.  Where the polish misses the floor, L-BFGS resumes from the handoff
-iterate and runs to its own end before a second polish.
+iterate and runs to its own end before a second polish.  A restart converges
+when :func:`certify` passes its set, on the residual, at ``target_residual``.
 
 Each L-BFGS run evaluates its objective in one :class:`ObjectiveWorkspace`,
 the three n × n buffers it allocates when it starts.  Freed n × n
@@ -71,8 +72,9 @@ class SearchConfig:
     (:func:`check_dim`), t, size, max_iterations and restarts at least 1,
     the d⁴ generator entries and the n² overlaps at most ``MAX_ENTRIES``, the
     closing :func:`certify`'s symmetric layout within :func:`check_layout`,
-    target_gap finite and positive, weight_mode one of ``WEIGHT_MODES``.
-    The CLI reads its defaults and choices here."""
+    target_residual (the t-th moment residual a converged set may keep)
+    finite and positive, weight_mode one of ``WEIGHT_MODES``.  The CLI reads
+    its defaults and choices here."""
 
     dim: int
     size: int
@@ -80,7 +82,7 @@ class SearchConfig:
     max_iterations: int = 2000
     restarts: int = 20
     seed: int = 0
-    target_gap: float = ATOL_CERT
+    target_residual: float = ATOL_CERT
     weight_mode: str = 'free'
 
     def __post_init__(self):
@@ -91,7 +93,7 @@ class SearchConfig:
                 raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
         check_entries(max(int(self.dim) ** 4, int(self.size) ** 2), 'the larger of the d⁴ generators and n² overlaps')
         check_layout(self.t, self.dim)      # counted only: building it can take seconds
-        check_cert_threshold(self.target_gap, 'target_gap')
+        check_cert_threshold(self.target_residual, 'target_residual')
         _tie(self.weight_mode)
         if self.weight_mode == 'per-basis' and self.size % self.dim ** 2 != 0:
             raise InvalidInputError("per-basis mode needs size divisible by d²")
@@ -431,36 +433,25 @@ def _polish_moment(s: WeightedUnitarySet, t: int, weight_mode: str) -> tuple[Wei
 def _descend(theta0: np.ndarray, config: SearchConfig, history: list[float]) -> tuple[DesignCertificate, WeightedUnitarySet]:
     """One restart: L-BFGS to the handoff gap, then the polish.  Where the polish misses its
     floor, L-BFGS resumes from the handoff iterate and runs to its own end, and the polish runs
-    again; a set that misses it twice, such as a near-design local minimum whose gap passes
-    ``target_gap``, is polished at t = 1, so its POVM normalization defect is at float precision
-    however far its t-th residual stays.  The polished set is kept when :func:`certify` passes it
-    at ``target_gap``; otherwise, as for a target below the gap's cancellation floor, L-BFGS runs
-    to its own end and the restart returns whichever of the two sets certifies the lower gap.
+    again.  The polish takes only steps that shrink |R|, and a set at its floor passes any target
+    above the floor, so no set the restart visits does better than the last polished one:
+    :func:`certify` judges that set at ``target_residual``, and a near-design local minimum that
+    misses the floor twice fails however small its gap.  A run that ends short of the handoff gap
+    is certified as it ended.
     Phase duplicates are merged last, so the polish sees the weight mode's blocks whole."""
     def polish(theta):
         return _polish_moment(parametrize(theta, config.dim, config.size, config.weight_mode), config.t,
                               config.weight_mode)
 
     gap, theta = _minimize_from(theta0, config, history, handoff=True)
-    stopped = gap <= _HANDOFF_GAP           # handed over short of L-BFGS's own end
-    tried = []
-    if gap <= max(_HANDOFF_GAP, config.target_gap):
-        polished, floored = polish(theta)
-        if not floored and stopped:
-            theta, stopped = _minimize_from(theta, config, history, handoff=False)[1], False
-            polished, floored = polish(theta)
-        if not floored and config.t > 1:    # no t-design in reach: keep its POVM normalization exact
-            polished = _polish_moment(polished, 1, config.weight_mode)[0]
-        polished = merge_phase_duplicates(polished)
-        cert = certify(polished, config.t, config.target_gap)
-        if cert.passed:
-            return cert, polished
-        tried.append((cert, polished))
-    if stopped:
-        theta = _minimize_from(theta, config, history, handoff=False)[1]
-    s = merge_phase_duplicates(parametrize(theta, config.dim, config.size, config.weight_mode))
-    tried.append((certify(s, config.t, config.target_gap), s))
-    return min(tried, key=lambda pair: pair[0].gap)
+    if gap > _HANDOFF_GAP:                  # L-BFGS ran to its own end short of the handoff
+        s = parametrize(theta, config.dim, config.size, config.weight_mode)
+    else:
+        s, floored = polish(theta)
+        if not floored:
+            s = polish(_minimize_from(theta, config, history, handoff=False)[1])[0]
+    s = merge_phase_duplicates(s)
+    return certify(s, config.t, config.target_residual), s
 
 
 def _finish(s: WeightedUnitarySet, cert: DesignCertificate, history: list[float],
@@ -477,21 +468,21 @@ def _finish(s: WeightedUnitarySet, cert: DesignCertificate, history: list[float]
 
 
 def search(config: SearchConfig) -> SearchTrace:
-    """Multi-restart minimization of the frame-potential gap.
+    """Multi-restart search for a weighted t-design.
 
     Restart initializations derive from independent child generators spawned
     off ``make_rng(config.seed)``, so the result is reproducible; the first
-    restart whose set :func:`certify` passes at ``target_gap`` stops the
-    search.  Non-convergence is reported through the flag, never raised.
+    restart whose set :func:`certify` passes, on its t-th moment residual, at
+    ``target_residual`` stops the search, and otherwise the restart of the
+    smallest residual is returned.  Non-convergence is reported through the
+    flag, never raised.
 
-    Each restart runs L-BFGS until its gap is at most ``_HANDOFF_GAP`` and
-    then polishes the t-residual to its float floor (:func:`_polish_moment`);
-    where the polish misses the floor, L-BFGS resumes from the handoff
-    iterate to its own end and the polish runs again (:func:`_descend`).
-    The polished set is kept when :func:`certify` passes it at
-    ``target_gap``, and its 1-design residual is at float precision, so
-    :func:`povm_from_design` accepts every converged result; otherwise the
-    restart keeps the better of it and L-BFGS run to its own end.  The polish
+    Each restart runs L-BFGS on the frame-potential gap until the gap is at
+    most ``_HANDOFF_GAP`` and then polishes the t-residual to its float floor
+    (:func:`_polish_moment`); where the polish misses the floor, L-BFGS
+    resumes from the handoff iterate to its own end and the polish runs again
+    (:func:`_descend`).  A converged set has r_1 <= r_t <= ``target_residual``,
+    so :func:`povm_from_design` accepts it at the default target.  The polish
     keeps the weight mode's tie: uniform weights stay uniform, per-basis
     weights stay tied.  ``gap_history`` traces the L-BFGS iterations, closed
     by the returned set's certified gap.
@@ -503,7 +494,7 @@ def search(config: SearchConfig) -> SearchTrace:
     best_restart = -1
     for restart, child in enumerate(children):
         cert, s = _descend(_initial_theta(config, child), config, history)
-        if best is None or cert.gap < best[0].gap:
+        if best is None or cert.moment_residual < best[0].moment_residual:
             best, best_restart = (cert, s), restart
         if best[0].passed:
             break
@@ -512,15 +503,15 @@ def search(config: SearchConfig) -> SearchTrace:
 
 def refine(s: WeightedUnitarySet, config: SearchConfig) -> SearchTrace:
     """Local refinement from an existing set, as one restart of :func:`search`
-    from it; never worse than the input, whose gap is :func:`certify`'s.
+    from it; never worse than the input, whose moment residual is :func:`certify`'s.
     """
     if s.dim != config.dim or len(s) != config.size:
         raise InvalidInputError(
             f"set has dim={s.dim}, n={len(s)} but config expects dim={config.dim}, n={config.size}")
     start = time.perf_counter()
-    input_cert = certify(s, config.t, config.target_gap)
+    input_cert = certify(s, config.t, config.target_residual)
     history = [input_cert.gap]
     cert, result = _descend(theta_from_set(s), config, history)
-    if cert.gap > input_cert.gap:           # line search never accepts ascent, but keep the contract explicit
+    if cert.moment_residual > input_cert.moment_residual:
         cert, result = input_cert, s
     return _finish(result, cert, history, start, best_restart=0)

@@ -169,8 +169,8 @@ class TestVerify:
         assert code == 2 and stdout == ''
         assert err.startswith('error: atol_cert must be finite and positive') and err.count('\n') == 1
         code, _, err = run(capsys, 'design-search', '--dim', '2', '--size', '4', '--t', '1',
-                           '--target-gap', tol, '--out', str(tmp_path / 's.json'))
-        assert code == 2 and err.startswith('error: target_gap must be finite and positive')
+                           '--target-residual', tol, '--out', str(tmp_path / 's.json'))
+        assert code == 2 and err.startswith('error: target_residual must be finite and positive')
         assert not (tmp_path / 's.json').exists()
 
 
@@ -527,8 +527,8 @@ def test_search_and_verify_defaults_share_the_certification_tolerance():
     verify = parser.parse_args(['design-verify', '--file', 'f.json', '--t', '2'])
     found = parser.parse_args(['design-search', '--dim', '2', '--size', '4', '--t', '1', '--out', 'f.json'])
     assert verify.tol == ATOL_CERT
-    assert found.target_gap == ATOL_CERT
-    assert SearchConfig(dim=2, size=4, t=1).target_gap == ATOL_CERT
+    assert found.target_residual == ATOL_CERT
+    assert SearchConfig(dim=2, size=4, t=1).target_residual == ATOL_CERT
 
 
 def test_parser_takes_defaults_and_choices_from_the_library(capsys):

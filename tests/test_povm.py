@@ -30,6 +30,7 @@ from udesign.errors import (
     ResourceLimitError,
 )
 from udesign.linalg import (
+    ATOL_CERT,
     class_projector,
     class_projector_coords,
     dag,
@@ -56,7 +57,7 @@ from udesign.povm import (
 )
 from udesign.search import SearchConfig, search
 
-from helpers import vec
+from helpers import expm_hermitian, vec
 
 
 @pytest.fixture(scope='module')
@@ -359,6 +360,28 @@ class TestTightCheck:
                 canonical_dual(povm, require=state_class)
 
 
+NEAR_DESIGNS = {'pu2_11pt': lambda: gallery('pu2_11pt'), 'pu2_clifford24': lambda: gallery('pu2_clifford24'),
+                'qutrit216': qutrit_clifford}
+
+
+def perturbed(s, kind, scale):
+    """A design with its weights times 1 + scale·N(0, 1), renormalised, or with every element
+    moved to exp(i·scale·G) U, G a random Hermitian; seeded by make_rng(1)."""
+    rng = make_rng(1)
+    if kind == 'weights':
+        w = s.weights * (1 + scale * rng.standard_normal(len(s)))
+        return WeightedUnitarySet(s.dim, s.unitaries, w / w.sum())
+    g = rng.standard_normal((len(s), s.dim, s.dim)) + 1j * rng.standard_normal((len(s), s.dim, s.dim))
+    return WeightedUnitarySet(s.dim, expm_hermitian(scale * (g + dag(g))) @ s.unitaries, s.weights)
+
+
+def unadmitted_povm(s):
+    """The elements povm_from_design builds, tau(x)|U(x)><U(x)|, with no normalization check."""
+    kets = s.unitaries.reshape(len(s), -1) / np.sqrt(s.dim)
+    tau = s.dim ** 2 * s.weights
+    return DiscretePovm(s.dim ** 2, tau[:, None, None] * kets[:, :, None] * kets[:, None, :].conj(), tau)
+
+
 class TestCrossStageIdentities:
     """certify's moment residuals read at the POVM stage: at t = 1 the residual times d is the
     POVM defect ||sum F - I||, and at t = 2 it is tight_check's uc residual."""
@@ -370,9 +393,36 @@ class TestCrossStageIdentities:
         s = WeightedUnitarySet(s.dim, s.unitaries, w / w.sum())
         povm = povm_from_design(s)
         defect = np.linalg.norm(povm.elements.sum(axis=0) - np.eye(povm.dim))
-        assert 1e-10 < defect < 1e-8           # above the float floor, inside ATOL_POVM
+        assert 1e-10 < defect < 1e-8           # above the float floor, inside the admission's d·ATOL_CERT
         assert certify(s, 1).moment_residual * s.dim == pytest.approx(defect, rel=1e-5)
         assert certify(s, 2).moment_residual == pytest.approx(tight_check(povm, 'uc').residual, rel=1e-5)
+
+    @pytest.mark.parametrize('scale', [1e-7, 1e-5, 1e-3])
+    @pytest.mark.parametrize('kind', ['weights', 'unitaries'])
+    @pytest.mark.parametrize('name', list(NEAR_DESIGNS))
+    def test_perturbed_designs(self, name, kind, scale):
+        # both ratios measured 1.000000 at every scale; the POVM is built unadmitted, since
+        # most of these sets are no 1-design within the admission's d·ATOL_CERT
+        s = perturbed(NEAR_DESIGNS[name](), kind, scale)
+        povm = unadmitted_povm(s)
+        defect = np.linalg.norm(povm.elements.sum(axis=0) - np.eye(povm.dim))
+        assert defect == pytest.approx(s.dim * certify(s, 1).moment_residual, rel=1e-6)
+        assert tight_check(povm, 'uc').residual == pytest.approx(certify(s, 2).moment_residual, rel=1e-6)
+
+    @pytest.mark.parametrize('kind', ['weights', 'unitaries'])
+    @pytest.mark.parametrize('name', list(NEAR_DESIGNS))
+    def test_a_set_that_certify_passes_at_some_t_builds_its_povm(self, name, kind):
+        # r_1 <= r_t, so a PASS at any t admits the POVM; the smallest scale passes at every t
+        # up to the design's own, the largest at none
+        passes = 0
+        for scale in (1e-10, 1e-9, 1e-7, 1e-5, 1e-3):
+            s = perturbed(NEAR_DESIGNS[name](), kind, scale)
+            passed = [certify(s, t).passed for t in (1, 2, 3)]
+            if any(passed):
+                assert len(povm_from_design(s)) == len(s)
+            passes += sum(passed)
+            assert passed == sorted(passed, reverse=True)   # a PASS at t is a PASS below t
+        assert passes >= 2
 
     def test_one_design_that_is_no_two_design(self):
         s = unitary_operator_frame(9, 3)
@@ -413,7 +463,7 @@ class TestCanonicalDual:
 
     def test_support_deficit_raises(self):
         # a 9-element 1-design spans only 9 of the 10 unital-class dimensions
-        trace = search(SearchConfig(dim=2, size=9, t=1, seed=5, restarts=4, target_gap=1e-12))
+        trace = search(SearchConfig(dim=2, size=9, t=1, seed=5, restarts=4, target_residual=1e-12))
         assert trace.converged
         povm = povm_from_design(trace.result)
         evals = np.linalg.eigvalsh(frame_superop(povm))
@@ -584,15 +634,20 @@ class TestPredictedError:
 class TestGuardBoundaries:
     """Each guard flips at its value in the tolerance table."""
 
-    @pytest.mark.parametrize('defect,accepted', [(0.99e-8, True), (1.01e-8, False)])
-    def test_design_povm_completeness(self, defect, accepted):
-        # utof(4, 2) gives an orthonormal ket basis: moving weight e from one
-        # element to another leaves ||sum F - I|| = 4·sqrt(2)·e
-        e = defect / (4 * np.sqrt(2))
-        s = WeightedUnitarySet(2, unitary_operator_frame(4, 2).unitaries, [0.25 + e, 0.25 - e, 0.25, 0.25])
+    @pytest.mark.parametrize('d', [2, 3])
+    @pytest.mark.parametrize('factor,accepted', [(0.99, True), (1.01, False)])
+    def test_design_povm_completeness(self, d, factor, accepted):
+        # utof(d², d) gives an orthonormal ket basis: moving weight e from one element to
+        # another leaves ||sum F - I|| = d²·sqrt(2)·e = d·r_1, admitted up to d·ATOL_CERT, so
+        # exactly where certify passes the set at t = 1
+        defect = factor * d * ATOL_CERT
+        e = defect / (d * d * np.sqrt(2))
+        weights = np.full(d * d, 1 / d ** 2) + np.concatenate([[e, -e], np.zeros(d * d - 2)])
+        s = WeightedUnitarySet(d, unitary_operator_frame(d * d, d).unitaries, weights)
+        assert certify(s, 1).passed is accepted
         if accepted:
             povm = povm_from_design(s)
-            assert np.linalg.norm(povm.elements.sum(axis=0) - np.eye(4)) == pytest.approx(defect, rel=1e-6)
+            assert np.linalg.norm(povm.elements.sum(axis=0) - np.eye(d * d)) == pytest.approx(defect, rel=1e-6)
         else:
             with pytest.raises(NotAPovmError) as err:
                 povm_from_design(s)

@@ -9,7 +9,7 @@ import pytest
 from udesign import designs, linalg
 from udesign.designs import WeightedUnitarySet, certify, frame_potential, gallery, gamma
 from udesign.errors import InvalidInputError, ResourceLimitError
-from udesign.linalg import dag, haar_unitaries, haar_unitary, herm_basis, make_rng
+from udesign.linalg import ATOL_CERT, dag, haar_unitaries, haar_unitary, herm_basis, make_rng
 from udesign.povm import povm_from_design
 from udesign.search import (
     WEIGHT_MODES,
@@ -233,7 +233,7 @@ class TestObjectiveInvariance:
 
 class TestSearch:
     def test_finds_12_point_two_design(self):
-        trace = search(SearchConfig(dim=2, size=12, t=2, seed=7, target_gap=1e-7))
+        trace = search(SearchConfig(dim=2, size=12, t=2, seed=7, target_residual=1e-7))
         assert trace.converged
         assert trace.gap_history[-1] <= 1e-6
         cert = certify(trace.result, 2)
@@ -304,9 +304,9 @@ class TestSearch:
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             SearchConfig(dim=2, size=0, t=2)
-        for gap in (0.0, -1.0, float('nan'), float('inf')):
-            with pytest.raises(InvalidInputError, match='target_gap must be finite and positive'):
-                SearchConfig(dim=2, size=4, t=2, target_gap=gap)
+        for residual in (0.0, -1.0, float('nan'), float('inf')):
+            with pytest.raises(InvalidInputError, match='target_residual must be finite and positive'):
+                SearchConfig(dim=2, size=4, t=2, target_residual=residual)
         with pytest.raises(InvalidInputError):
             SearchConfig(dim=2, size=6, t=2, weight_mode='per-basis')
         with pytest.raises(InvalidInputError):
@@ -369,9 +369,9 @@ def povm_defect(s):
 
 
 class TestConvergedSetsBuildPovms:
-    # The gap bottoms out near 1e-16 while the 1-design residual, which is the
-    # POVM defect, can still be near 1e-8; converged results are polished so
-    # that povm_from_design accepts them with its 1e-8 guard unchanged.
+    # The gap bottoms out near 1e-16 while the 1-design residual, d times which is the
+    # POVM defect, can still be near 1e-8; converged results are polished to the float
+    # floor, so their POVM defect is far inside povm_from_design's d·ATOL_CERT.
     @pytest.mark.parametrize('dim, size, t, mode', [
         pytest.param(2, 11, 2, 'free', id='2-11-2'), pytest.param(3, 9, 1, 'free', id='3-9-1'),
         pytest.param(2, 12, 2, 'uniform', id='2-12-2-uniform'),
@@ -384,7 +384,7 @@ class TestConvergedSetsBuildPovms:
             assert certify(trace.result, t).passed
 
     def test_nine_point_one_design_defect_at_float_precision(self):
-        trace = search(SearchConfig(dim=2, size=9, t=1, seed=5, restarts=4, target_gap=1e-12))
+        trace = search(SearchConfig(dim=2, size=9, t=1, seed=5, restarts=4, target_residual=1e-12))
         assert trace.converged
         assert povm_defect(trace.result) <= 1e-12
 
@@ -523,10 +523,10 @@ def test_polish_tangents_in_row_blocks_match_one_block(monkeypatch):
     assert np.array_equal(blocked[0].weights, whole[0].weights)
 
 
-def test_a_target_below_the_gap_floor_keeps_the_better_of_polish_and_full_lbfgs(monkeypatch):
-    # the gap is computed by cancellation against gamma = 5, so the polished set of this seed
-    # certifies about 9e-15 and fails a target of 1e-15; L-BFGS then resumes to its own end,
-    # and the restart returns no worse than that end, never the handoff iterate near 1e-5
+def test_a_target_below_the_polish_floor_returns_the_polished_set_unconverged(monkeypatch):
+    # a residual target of 1e-15 lies below the floor 8 eps d^t = 1.4e-14 that the polish stops
+    # at; the polished set of this seed reaches that floor on the first polish, so L-BFGS does not
+    # resume, and the restart returns the polished set, unconverged, with its residual at the floor
     module = importlib.import_module('udesign.search')
     minimize_from, handoffs = module._minimize_from, []
 
@@ -535,15 +535,13 @@ def test_a_target_below_the_gap_floor_keeps_the_better_of_polish_and_full_lbfgs(
         return minimize_from(theta0, config, history, handoff)
 
     monkeypatch.setattr(module, '_minimize_from', spy)
-    config = SearchConfig(dim=2, size=24, t=3, seed=6, restarts=1, target_gap=1e-15)
-    trace = search(config)
-    assert handoffs == [True, False]
-    theta0 = module._initial_theta(config, make_rng(6).spawn(1)[0])
-    full = minimize_from(theta0, config, [], handoff=False)[1]
-    lbfgs = certify(designs.merge_phase_duplicates(parametrize(full, 2, 24)), 3, 1e-15)
-    cert = certify(trace.result, 3, 1e-15)
-    assert trace.gap_history[-1] == cert.gap and trace.converged == cert.passed
-    assert cert.gap <= lbfgs.gap and cert.gap <= 1e-13
+    target = 1e-15
+    assert target < float_floor(2, 3)
+    trace = search(SearchConfig(dim=2, size=24, t=3, seed=6, restarts=1, target_residual=target))
+    cert = certify(trace.result, 3, target)
+    assert handoffs == [True] and not trace.converged and not cert.passed
+    assert target < cert.moment_residual <= float_floor(2, 3)
+    assert trace.gap_history[-1] == cert.gap
 
 
 def test_a_polish_that_misses_its_floor_resumes_lbfgs(monkeypatch):
@@ -570,20 +568,28 @@ def test_a_polish_that_misses_its_floor_resumes_lbfgs(monkeypatch):
     assert trace.converged and certify(trace.result, 2).moment_residual <= float_floor(2, 2)
 
 
-def test_a_set_that_misses_the_floor_twice_is_polished_at_t_1(monkeypatch):
-    # a near-design local minimum passes target_gap but keeps its t-th residual; its 1-design
-    # residual, the POVM defect, is still driven to float precision, so its POVM builds
+def test_a_restart_that_misses_the_floor_twice_fails_and_the_search_moves_on(monkeypatch):
+    # restart 0 stalls in both polishes, so it keeps the set that L-BFGS ran to its own end: a
+    # gap of -1.1e-15 that the gap rule passed, and a residual of 2.7e-8 that the residual rule
+    # fails; restart 1 polishes to the floor and converges
     module = importlib.import_module('udesign.search')
-    polish, orders = module._polish_moment, []
+    polish, runs, certs = module._polish_moment, [], []
 
-    def stall_above_t_1(s, t, weight_mode):
-        orders.append(t)
-        return (s, False) if t > 1 else polish(s, t, weight_mode)
+    def stall_twice(s, t, weight_mode):
+        runs.append(t)
+        return (s, False) if len(runs) <= 2 else polish(s, t, weight_mode)
 
-    monkeypatch.setattr(module, '_polish_moment', stall_above_t_1)
-    trace = search(SearchConfig(dim=2, size=11, t=2, seed=3, restarts=1))
-    assert orders == [2, 2, 1] and trace.converged
-    assert povm_defect(trace.result) <= 1e-12
+    def spy(*args):
+        certs.append(certify(*args))
+        return certs[-1]
+
+    monkeypatch.setattr(module, '_polish_moment', stall_twice)
+    monkeypatch.setattr(module, 'certify', spy)
+    trace = search(SearchConfig(dim=2, size=11, t=2, seed=3, restarts=2))
+    assert runs == [2, 2, 2] and len(certs) == 2
+    assert not certs[0].passed and certs[0].gap <= ATOL_CERT < certs[0].moment_residual
+    assert trace.converged and trace.best_restart == 1
+    assert certify(trace.result, 2).moment_residual <= float_floor(2, 2)
 
 
 class TestSearchResidualsAtTheFloor:
@@ -598,6 +604,13 @@ class TestSearchResidualsAtTheFloor:
         assert trace.converged
         for s in range(1, t + 1):
             assert certify(trace.result, s).moment_residual <= float_floor(dim, t)
+
+    def test_a_near_design_minimum_fails_its_restart_and_the_next_converges(self):
+        # restart 0 of this seed ends in a near-design local minimum that misses the polish floor
+        # twice: its gap, 5.4e-13, passed the gap rule while r_3 read 7.3e-7
+        trace = search(SearchConfig(dim=2, size=24, t=3, seed=7))
+        assert trace.converged and trace.best_restart == 1
+        assert certify(trace.result, 3).moment_residual <= float_floor(2, 3)
 
     def test_gap_history_closes_with_the_certified_gap(self):
         trace = search(SearchConfig(dim=2, size=11, t=2, seed=1))
@@ -617,7 +630,7 @@ class TestRefine:
         rng = make_rng(6)
         theta = theta_from_set(gallery('pu2_11pt'))
         noisy = parametrize(theta + 1e-3 * rng.standard_normal(theta.shape), 2, 11)
-        trace = refine(noisy, SearchConfig(dim=2, size=11, t=2, seed=0, target_gap=1e-6))
+        trace = refine(noisy, SearchConfig(dim=2, size=11, t=2, seed=0, target_residual=1e-6))
         assert trace.converged
         assert trace.gap_history[-1] <= 1e-6
 

@@ -81,12 +81,12 @@ def _cmd_design_search(args) -> int:
                           seed=seed, target_residual=args.target_residual,
                           weight_mode=args.weights)
     trace = search(config)
-    final_gap = float(trace.gap_history[-1])
+    cert = trace.certificate
     certified_t = args.t if trace.converged else None
     save_design(trace.result, args.out, certified_t=certified_t)
     write_search_log(str(args.out) + '.log.jsonl', trace.gap_history)
     status = 'converged' if trace.converged else 'did not converge'
-    print(f"{status}: best gap {final_gap:.3e} "
+    print(f"{status}: moment residual {cert.moment_residual:.3e}, gap {cert.gap:.3e} "
           f"(restart {trace.best_restart}, {trace.wall_time:.1f}s) -> {args.out}")
     return EXIT_PASS if trace.converged else EXIT_FAIL
 

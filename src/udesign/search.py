@@ -9,13 +9,12 @@ of the exponential's derivative keeps it exact for degenerate spectra).
 
 The gap is the square of the moment residual and is computed by cancellation,
 so it bottoms out near 1e-16 while the residual may still be near 1e-8, and the
-last half of a full L-BFGS run is spent there.  So L-BFGS hands each restart
-over at the first iterate whose gap is at most ``_HANDOFF_GAP``, and the set
-is polished in linear units: damped Gauss-Newton steps, taken through the same
-exponential chart, drive its t-th moment residual on Sym^t(C^(d²)), and with
-it every lower one (the POVM normalization defect among them), to its float
-floor.  Where the polish misses the floor, L-BFGS resumes from the handoff
-iterate and runs to its own end before a second polish.  A restart converges
+last half of a full L-BFGS run is spent there.  So each restart is one
+straight path: L-BFGS to the first iterate whose gap is at most
+``_HANDOFF_GAP``, then one polish in linear units, whose damped Gauss-Newton
+steps, taken through the same exponential chart, drive the t-th moment
+residual on Sym^t(C^(d²)), and with it every lower one (the POVM
+normalization defect among them), to its float floor.  A restart converges
 when :func:`certify` passes its set, on the residual, at ``target_residual``.
 
 Each L-BFGS run evaluates its objective in one :class:`ObjectiveWorkspace`,
@@ -56,7 +55,7 @@ _LBFGS_TOLERANCES = {'ftol': 1e-18, 'gtol': 1e-14}
 _HANDOFF_GAP = 1e-4
 _LSMR_TOL = 1e-4
 _STALL, _TIGHTEN, _MIN_TOL = 0.5, 1e-2, 1e-12
-_POLISH_TRIALS = 30
+_POLISH_TRIALS = 60
 
 
 def _tie(mode: str):
@@ -101,13 +100,18 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchTrace:
-    """Best-gap history (non-increasing), final set and convergence flag."""
+    """Best-gap history (non-increasing), final set and its :func:`certify` certificate, which
+    alone says whether the search converged."""
 
     gap_history: np.ndarray
     result: WeightedUnitarySet
-    converged: bool
+    certificate: DesignCertificate
     wall_time: float
     best_restart: int
+
+    @property
+    def converged(self) -> bool:
+        return self.certificate.passed
 
 
 @functools.lru_cache(maxsize=None)
@@ -247,10 +251,9 @@ class _Handoff(Exception):
         self.gap, self.theta = gap, theta
 
 
-def _minimize_from(theta0: np.ndarray, config: SearchConfig, history: list[float],
-                   handoff: bool) -> tuple[float, np.ndarray]:
-    """One L-BFGS run, to its own end or, with ``handoff``, to the first iterate whose gap is at
-    most ``_HANDOFF_GAP``; every iteration appends the best gap so far to ``history``."""
+def _minimize_from(theta0: np.ndarray, config: SearchConfig, history: list[float]) -> tuple[float, np.ndarray]:
+    """One L-BFGS run, to the first iterate whose gap is at most ``_HANDOFF_GAP`` or else to its
+    own end; every iteration appends the best gap so far to ``history``."""
     from scipy.optimize import minimize
 
     best_in_run = [np.inf]
@@ -267,7 +270,7 @@ def _minimize_from(theta0: np.ndarray, config: SearchConfig, history: list[float
     def record(theta):
         previous = history[-1] if history else np.inf
         history.append(min(previous, best_in_run[0]))
-        if handoff and last[0] <= _HANDOFF_GAP and np.array_equal(last[1], theta):
+        if last[0] <= _HANDOFF_GAP and np.array_equal(last[1], theta):
             raise _Handoff(last[0], last[1])
 
     try:
@@ -366,11 +369,11 @@ def _moment_jacobian(layout, unitaries: np.ndarray, weights: np.ndarray, vectors
     return LinearOperator((2 * m * m, scales.size), matvec=matvec, rmatvec=rmatvec, dtype=float), scales
 
 
-def _polish_moment(s: WeightedUnitarySet, t: int, weight_mode: str) -> tuple[WeightedUnitarySet, bool]:
+def _polish_moment(s: WeightedUnitarySet, t: int, weight_mode: str) -> WeightedUnitarySet:
     """Drive the Sym^t residual R = sum_x w_x p_x p_x† - H̃ (:class:`_SymLayout`), whose norm is
-    :func:`certify`'s moment residual r_t, to its float floor 8 eps d^t; returns the set and
-    whether the floor was reached.  Since r_s <= r_t for s < t, every lower residual, the POVM
-    defect r_1 among them, reaches float precision too.
+    :func:`certify`'s moment residual r_t, to its float floor 8 eps d^t, or as near it as
+    ``_POLISH_TRIALS`` trial steps go.  Since r_s <= r_t for s < t, every lower residual, the
+    POVM defect r_1 among them, reaches float precision with it.
 
     Each step starts from the current set.  Element x moves to exp(iG_x) U_x through the
     objective's chart, with G_x a combination of the traceless generators, so it stays unitary;
@@ -427,41 +430,33 @@ def _polish_moment(s: WeightedUnitarySet, t: int, weight_mode: str) -> tuple[Wei
             boost = max(boost / 4, 1.0)
         else:
             boost *= 10
-    return WeightedUnitarySet(d, u, w), bool(norm <= floor)
+    return WeightedUnitarySet(d, u, w)
 
 
 def _descend(theta0: np.ndarray, config: SearchConfig, history: list[float]) -> tuple[DesignCertificate, WeightedUnitarySet]:
-    """One restart: L-BFGS to the handoff gap, then the polish.  Where the polish misses its
-    floor, L-BFGS resumes from the handoff iterate and runs to its own end, and the polish runs
-    again.  The polish takes only steps that shrink |R|, and a set at its floor passes any target
-    above the floor, so no set the restart visits does better than the last polished one:
-    :func:`certify` judges that set at ``target_residual``, and a near-design local minimum that
-    misses the floor twice fails however small its gap.  A run that ends short of the handoff gap
-    is certified as it ended.
+    """One restart: L-BFGS to the handoff gap, then one polish.  The polish takes only steps that
+    shrink |R|, and a set at its floor passes any target above the floor, so no set the restart
+    visits does better than the polished one: :func:`certify` judges it at ``target_residual``,
+    and a near-design local minimum that the polish cannot bring to its floor fails however small
+    its gap.  A run that ends short of the handoff gap is certified as it ended.
     Phase duplicates are merged last, so the polish sees the weight mode's blocks whole."""
-    def polish(theta):
-        return _polish_moment(parametrize(theta, config.dim, config.size, config.weight_mode), config.t,
-                              config.weight_mode)
-
-    gap, theta = _minimize_from(theta0, config, history, handoff=True)
-    if gap > _HANDOFF_GAP:                  # L-BFGS ran to its own end short of the handoff
-        s = parametrize(theta, config.dim, config.size, config.weight_mode)
-    else:
-        s, floored = polish(theta)
-        if not floored:
-            s = polish(_minimize_from(theta, config, history, handoff=False)[1])[0]
+    gap, theta = _minimize_from(theta0, config, history)
+    s = parametrize(theta, config.dim, config.size, config.weight_mode)
+    if gap <= _HANDOFF_GAP:                 # else L-BFGS ran to its own end short of the handoff
+        s = _polish_moment(s, config.t, config.weight_mode)
     s = merge_phase_duplicates(s)
     return certify(s, config.t, config.target_residual), s
 
 
 def _finish(s: WeightedUnitarySet, cert: DesignCertificate, history: list[float],
             start: float, best_restart: int) -> SearchTrace:
-    # the returned set's certified gap closes the log, which stays non-increasing
+    # the log stays non-increasing, so it closes with the smaller of its last record (the best
+    # L-BFGS gap, or refine's input gap) and the returned set's certified gap
     history.append(min(history[-1], cert.gap))
     return SearchTrace(
         gap_history=np.asarray(history),
         result=s,
-        converged=cert.passed,
+        certificate=cert,
         wall_time=time.perf_counter() - start,
         best_restart=best_restart,
     )
@@ -475,17 +470,17 @@ def search(config: SearchConfig) -> SearchTrace:
     restart whose set :func:`certify` passes, on its t-th moment residual, at
     ``target_residual`` stops the search, and otherwise the restart of the
     smallest residual is returned.  Non-convergence is reported through the
-    flag, never raised.
+    certificate, never raised.
 
     Each restart runs L-BFGS on the frame-potential gap until the gap is at
-    most ``_HANDOFF_GAP`` and then polishes the t-residual to its float floor
-    (:func:`_polish_moment`); where the polish misses the floor, L-BFGS
-    resumes from the handoff iterate to its own end and the polish runs again
-    (:func:`_descend`).  A converged set has r_1 <= r_t <= ``target_residual``,
-    so :func:`povm_from_design` accepts it at the default target.  The polish
-    keeps the weight mode's tie: uniform weights stay uniform, per-basis
-    weights stay tied.  ``gap_history`` traces the L-BFGS iterations, closed
-    by the returned set's certified gap.
+    most ``_HANDOFF_GAP`` and then polishes the t-residual once, to its float
+    floor (:func:`_polish_moment`, :func:`_descend`).  A converged set has
+    r_1 <= r_t <= ``target_residual``, so :func:`povm_from_design` accepts it
+    at the default target.  The polish keeps the weight mode's tie: uniform
+    weights stay uniform, per-basis weights stay tied.  ``gap_history``
+    traces the best L-BFGS gap so far, one record per iteration, and closes
+    with the smaller of that best gap and the returned set's certified gap,
+    so it never increases.
     """
     start = time.perf_counter()
     children = make_rng(config.seed).spawn(config.restarts)

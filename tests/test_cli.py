@@ -10,6 +10,7 @@ import pytest
 from udesign.cli import build_parser, main
 from udesign.designs import ATOL_CERT, gallery
 from udesign.io import load_design, save_design
+from udesign.search import SearchConfig, search
 from udesign import linalg
 
 from helpers import broken_design_docs
@@ -237,6 +238,18 @@ class TestSearch:
         assert 'did not converge' in stdout
         _, certified = load_design(out)
         assert certified is None
+
+    def test_status_line_prints_the_residual_that_decided(self, capsys, tmp_path):
+        # the target 1e-15 lies below the polish floor 1.4e-14: the set's gap is 8.9e-15, and its
+        # residual, 3.2e-15, is what fails the target
+        out = tmp_path / 's.json'
+        code, stdout, _ = run(capsys, 'design-search', '--dim', '2', '--size', '24', '--t', '3', '--seed', '6',
+                              '--restarts', '1', '--target-residual', '1e-15', '--out', str(out))
+        cert = search(SearchConfig(dim=2, size=24, t=3, seed=6, restarts=1, target_residual=1e-15)).certificate
+        assert code == 1 and not cert.passed and 1e-15 < cert.moment_residual < 1e-14
+        assert stdout.startswith(f"did not converge: moment residual {cert.moment_residual:.3e}, "
+                                 f"gap {cert.gap:.3e} (restart 0, ")
+        assert stdout.endswith(f"s) -> {out}\n")
 
     def test_deterministic_outputs(self, capsys, tmp_path):
         a, b = tmp_path / 'a.json', tmp_path / 'b.json'

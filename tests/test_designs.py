@@ -246,8 +246,7 @@ class TestHaarMoment:
         for t in range(1, 6):
             perms = np.array(list(itertools.permutations(range(t))))
             wg = designs._weingarten(perms, d)
-            index = {tuple(p): i for i, p in enumerate(perms)}
-            products = [[index[tuple(np.argsort(sigma)[tau])] for tau in perms] for sigma in perms]
+            products = inverse_products(perms)
             w = wg[products]
             gram = np.array([[float(d) ** cycle_count(perms[k]) for k in row] for row in products])
             assert np.abs(gram @ w @ gram - gram).max() <= 1e-12 * np.abs(gram).max()
@@ -292,6 +291,12 @@ def test_design_moment_matches_kron_sum(d, t):
     assert np.linalg.norm(design_moment(s, t) - expected) <= 1e-13
 
 
+def inverse_products(perms):
+    """k[σ, τ], the row of σ⁻¹τ in a (t!, t) stack of every permutation."""
+    index = {tuple(p): i for i, p in enumerate(perms)}
+    return np.array([[index[tuple(np.argsort(sigma)[tau])] for tau in perms] for sigma in perms])
+
+
 def reference_design_moment(s, t):
     """The dense moment as built before the symmetric layout, kept as the oracle: the
     powers U_x^⊗t by an element-by-element kron loop, one (D², n)·(n, D²) matmul of the
@@ -308,14 +313,15 @@ def reference_design_moment(s, t):
 
 
 def reference_haar_moment(t, d):
-    """The Haar moment as built before the symmetric layout, kept as the oracle: the
-    projector Vᵀ G⁺ V onto the span of the flattened permutation operators, G = V Vᵀ
-    inverted on its gamma(t, d) top eigenpairs, then rearranged."""
-    v = np.array([permutation_operator(p, d).reshape(-1) for p in itertools.permutations(range(1, t + 1))])
-    evals, evecs = np.linalg.eigh(v @ v.T)
-    rank = gamma(t, d)
-    top = evecs[:, -rank:]
-    proj = (v.T @ top / evals[-rank:]) @ (top.T @ v)         # rows (a, e), columns (c, b)
+    """The Haar moment as the dense projector Vᵀ W V onto the span of the flattened
+    permutation operators V, rearranged, with W[σ, τ] = Wg(σ⁻¹τ) the pseudo-inverse of
+    their Gram (test_weingarten_is_the_pseudo_inverse_of_the_permutation_gram).  W is
+    rounded once from exact rationals; a Gram inverted by eigendecomposition is off by
+    about eps times its condition, 1.1e-14 at d = 2, t = 5."""
+    perms = np.array(list(itertools.permutations(range(t))))
+    w = designs._weingarten(perms, d)[inverse_products(perms)]
+    v = np.array([permutation_operator(tuple(p + 1), d).reshape(-1) for p in perms])
+    proj = v.T @ w @ v                                      # rows (a, e), columns (c, b)
     return proj.reshape((d ** t,) * 4).transpose(0, 3, 2, 1).reshape(proj.shape)
 
 
@@ -353,10 +359,9 @@ class TestSymmetricLayout:
 
     @pytest.mark.parametrize('d,t', [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
     def test_residual_and_expansions_match_the_dense_oracles(self, oracle_sets, d, t):
-        # largest differences measured: residual 3.3e-15 on designs and 3.7e-15 on the (2, 60, 5)
-        # search result at the float floor, 1.4e-12 at residuals near 8, where the d^4t-term
-        # oracle itself is off by 3e-12 against sqrt(gap); expansions 1.1e-16 (sets) and 1.0e-15
-        # (Haar)
+        # largest differences measured: residual 1.6e-15 on designs and 3.0e-16 on the search
+        # results at the float floor, 6.0e-12 at residuals near 7, where the d^4t-term oracle
+        # itself is off by 3e-12 against sqrt(gap); expansions 1.1e-16 (sets) and 4.4e-16 (Haar)
         haar = reference_haar_moment(t, d)
         assert np.abs(haar_moment(t, d) - haar).max() <= 2e-15
         for name, s in oracle_sets[d].items():

@@ -495,9 +495,9 @@ def test_polish_retries_a_rejected_step_with_more_damping(monkeypatch):
     moved = np.array([expm_hermitian(1e-4 * (g + dag(g))) @ u
                       for g, u in zip(rng.standard_normal((11, 2, 2)) + 1j * rng.standard_normal((11, 2, 2)),
                                       s.unitaries)])
-    polished, floored = _polish_moment(WeightedUnitarySet(2, moved, s.weights), 2, 'free')
+    polished = _polish_moment(WeightedUnitarySet(2, moved, s.weights), 2, 'free')
     assert len(damps) > 2 and damps[1] == 10 * damps[0]
-    assert floored and np.linalg.norm(moment_residual(polished.unitaries, polished.weights, 2)[0]) <= float_floor(2, 2)
+    assert np.linalg.norm(moment_residual(polished.unitaries, polished.weights, 2)[0]) <= float_floor(2, 2)
 
 
 def near_design(name, t, scale, seed):
@@ -518,77 +518,54 @@ def test_polish_tangents_in_row_blocks_match_one_block(monkeypatch):
     monkeypatch.setattr(linalg, 'MAX_ENTRIES', 400)
     assert len(linalg.row_blocks(11, 3 * 14)) == 2 and len(linalg.row_blocks(11, 3 * 10)) == 1
     blocked = _polish_moment(s, 2, 'free')
-    assert whole[1] and blocked[1]
-    assert np.array_equal(blocked[0].unitaries, whole[0].unitaries)
-    assert np.array_equal(blocked[0].weights, whole[0].weights)
+    assert certify(whole, 2).moment_residual <= float_floor(2, 2)
+    assert np.array_equal(blocked.unitaries, whole.unitaries)
+    assert np.array_equal(blocked.weights, whole.weights)
 
 
 def test_a_target_below_the_polish_floor_returns_the_polished_set_unconverged(monkeypatch):
     # a residual target of 1e-15 lies below the floor 8 eps d^t = 1.4e-14 that the polish stops
-    # at; the polished set of this seed reaches that floor on the first polish, so L-BFGS does not
-    # resume, and the restart returns the polished set, unconverged, with its residual at the floor
+    # at; L-BFGS runs once, and the restart returns the polished set, unconverged, with its
+    # residual at the floor
     module = importlib.import_module('udesign.search')
-    minimize_from, handoffs = module._minimize_from, []
+    minimize_from, runs = module._minimize_from, []
 
-    def spy(theta0, config, history, handoff):
-        handoffs.append(handoff)
-        return minimize_from(theta0, config, history, handoff)
+    def spy(*args):
+        runs.append(args)
+        return minimize_from(*args)
 
     monkeypatch.setattr(module, '_minimize_from', spy)
     target = 1e-15
     assert target < float_floor(2, 3)
     trace = search(SearchConfig(dim=2, size=24, t=3, seed=6, restarts=1, target_residual=target))
     cert = certify(trace.result, 3, target)
-    assert handoffs == [True] and not trace.converged and not cert.passed
+    assert len(runs) == 1 and not trace.converged and not cert.passed
+    assert trace.certificate == cert
     assert target < cert.moment_residual <= float_floor(2, 3)
     assert trace.gap_history[-1] == cert.gap
 
 
-def test_a_polish_that_misses_its_floor_resumes_lbfgs(monkeypatch):
-    # a stalled polish (it returns its input, short of the floor) hands the restart back to
-    # L-BFGS, which resumes from the handoff iterate and runs to its own end; the second polish
-    # then starts from a gap-converged set
-    module = importlib.import_module('udesign.search')
-    polish, runs, handoffs = module._polish_moment, [], []
-    minimize_from = module._minimize_from
-
-    def stall_once(s, t, weight_mode):
-        runs.append(certify(s, t).gap)
-        return (s, False) if len(runs) == 1 else polish(s, t, weight_mode)
-
-    def spy(theta0, config, history, handoff):
-        handoffs.append(handoff)
-        return minimize_from(theta0, config, history, handoff)
-
-    monkeypatch.setattr(module, '_polish_moment', stall_once)
-    monkeypatch.setattr(module, '_minimize_from', spy)
-    trace = search(SearchConfig(dim=2, size=11, t=2, seed=3, restarts=1))
-    assert handoffs == [True, False] and len(runs) == 2
-    assert 1e-8 < runs[0] <= module._HANDOFF_GAP and runs[1] <= 1e-12
-    assert trace.converged and certify(trace.result, 2).moment_residual <= float_floor(2, 2)
-
-
-def test_a_restart_that_misses_the_floor_twice_fails_and_the_search_moves_on(monkeypatch):
-    # restart 0 stalls in both polishes, so it keeps the set that L-BFGS ran to its own end: a
-    # gap of -1.1e-15 that the gap rule passed, and a residual of 2.7e-8 that the residual rule
-    # fails; restart 1 polishes to the floor and converges
+def test_a_restart_whose_polish_stalls_fails_and_the_search_moves_on(monkeypatch):
+    # restart 0's polish stalls (it returns its input), so the restart keeps the handoff iterate:
+    # a gap within _HANDOFF_GAP and a residual far above the target, which fails; restart 1
+    # polishes to the floor and converges
     module = importlib.import_module('udesign.search')
     polish, runs, certs = module._polish_moment, [], []
 
-    def stall_twice(s, t, weight_mode):
+    def stall_once(s, t, weight_mode):
         runs.append(t)
-        return (s, False) if len(runs) <= 2 else polish(s, t, weight_mode)
+        return s if len(runs) == 1 else polish(s, t, weight_mode)
 
     def spy(*args):
         certs.append(certify(*args))
         return certs[-1]
 
-    monkeypatch.setattr(module, '_polish_moment', stall_twice)
+    monkeypatch.setattr(module, '_polish_moment', stall_once)
     monkeypatch.setattr(module, 'certify', spy)
     trace = search(SearchConfig(dim=2, size=11, t=2, seed=3, restarts=2))
-    assert runs == [2, 2, 2] and len(certs) == 2
-    assert not certs[0].passed and certs[0].gap <= ATOL_CERT < certs[0].moment_residual
-    assert trace.converged and trace.best_restart == 1
+    assert runs == [2, 2] and len(certs) == 2
+    assert not certs[0].passed and ATOL_CERT < certs[0].gap <= module._HANDOFF_GAP
+    assert trace.converged and trace.best_restart == 1 and trace.certificate is certs[1]
     assert certify(trace.result, 2).moment_residual <= float_floor(2, 2)
 
 
@@ -606,17 +583,42 @@ class TestSearchResidualsAtTheFloor:
             assert certify(trace.result, s).moment_residual <= float_floor(dim, t)
 
     def test_a_near_design_minimum_fails_its_restart_and_the_next_converges(self):
-        # restart 0 of this seed ends in a near-design local minimum that misses the polish floor
-        # twice: its gap, 5.4e-13, passed the gap rule while r_3 read 7.3e-7
+        # restart 0 of this seed ends in a near-design local minimum that the polish cannot bring
+        # to its floor
         trace = search(SearchConfig(dim=2, size=24, t=3, seed=7))
         assert trace.converged and trace.best_restart == 1
         assert certify(trace.result, 3).moment_residual <= float_floor(2, 3)
 
-    def test_gap_history_closes_with_the_certified_gap(self):
-        trace = search(SearchConfig(dim=2, size=11, t=2, seed=1))
-        assert trace.gap_history[-1] == certify(trace.result, 2).gap
-        assert trace.gap_history[-2] <= importlib.import_module('udesign.search')._HANDOFF_GAP
-        assert np.all(np.diff(trace.gap_history) <= 0)
+    @pytest.mark.parametrize('seed', [152, 171])
+    def test_one_polish_brings_restart_zero_to_the_floor(self, monkeypatch, seed):
+        # restart 0 of these seeds misses the floor in 30 polish trial steps; one polish of
+        # _POLISH_TRIALS steps reaches it from the handoff iterate
+        module = importlib.import_module('udesign.search')
+        polish, runs = module._polish_moment, []
+
+        def spy(*args):
+            runs.append(args)
+            return polish(*args)
+
+        monkeypatch.setattr(module, '_polish_moment', spy)
+        trace = search(SearchConfig(dim=3, size=9, t=1, seed=seed))
+        assert trace.converged and trace.best_restart == 0 and len(runs) == 1
+        assert trace.certificate.moment_residual <= float_floor(3, 1)
+
+    def test_gap_history_closes_with_the_smaller_of_its_best_and_the_certified_gap(self):
+        # the log never increases, so its closing record is min(last record, certified gap): for
+        # this search the certified gap, for refine of the 11-point design its best L-BFGS gap
+        # (-1.3e-15), below the certified gap of the polished set (-2.2e-16)
+        config = SearchConfig(dim=2, size=11, t=2, seed=1)
+        search_trace, refine_trace = search(config), refine(gallery('pu2_11pt'), config)
+        for trace in (search_trace, refine_trace):
+            closing, previous = trace.gap_history[-1], trace.gap_history[-2]
+            assert trace.certificate == certify(trace.result, 2)
+            assert closing == min(previous, trace.certificate.gap)
+            assert np.all(np.diff(trace.gap_history) <= 0)
+        assert search_trace.gap_history[-1] == search_trace.certificate.gap
+        assert search_trace.gap_history[-2] <= importlib.import_module('udesign.search')._HANDOFF_GAP
+        assert refine_trace.gap_history[-1] == refine_trace.gap_history[-2] < refine_trace.certificate.gap
 
 
 class TestRefine:

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, NotChannelImageError, ResourceLimitError
-from .linalg import (ATOL_ALG, CP_FLOOR, MAX_KRAUS, assert_unitary, bipartite_dim, check_dim, dag,
+from .linalg import (ATOL_ALG, CP_FLOOR, MAX_KRAUS, assert_unitary, bipartite_dim, check_count, check_dim, dag,
                      haar_unitaries, partial_trace, weyl_operators)
 
 
@@ -141,10 +141,9 @@ def depolarizing_channel(p: float, d: int) -> QuantumChannel:
     return QuantumChannel.from_kraus(coeff[:, None, None] * weyl_operators(d))
 
 
-def _check_kraus_count(k: int, what: str) -> None:
+def _check_kraus_count(k: int) -> None:
     # before any draw, so a refused k leaves the generator untouched
-    if k < 1:
-        raise InvalidInputError(f"need at least one {what}, got k={k}")
+    check_count(k, 'k', 1)
     if k > MAX_KRAUS:
         raise ResourceLimitError(f"Kraus count k = {k} exceeds the guard {MAX_KRAUS}")
 
@@ -152,7 +151,7 @@ def _check_kraus_count(k: int, what: str) -> None:
 def random_unital_mix(k: int, d: int, rng: np.random.Generator) -> QuantumChannel:
     """Probabilistic mixture of k Haar unitaries with flat-Dirichlet weights;
     1 <= k <= ``MAX_KRAUS``."""
-    _check_kraus_count(k, 'unitary')
+    _check_kraus_count(k)
     probs = rng.dirichlet(np.ones(k))
     return QuantumChannel.from_kraus(np.sqrt(probs)[:, None, None] * haar_unitaries(d, k, rng))
 
@@ -160,7 +159,7 @@ def random_unital_mix(k: int, d: int, rng: np.random.Generator) -> QuantumChanne
 def random_general_channel(k: int, d: int, rng: np.random.Generator) -> QuantumChannel:
     """k Gaussian Kraus operators, polar-normalized so sum B†B = I;
     1 <= k <= ``MAX_KRAUS``."""
-    _check_kraus_count(k, 'Kraus operator')
+    _check_kraus_count(k)
     raw = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
     gram = np.einsum('kba,kbc->ac', raw.conj(), raw)
     evals, evecs = np.linalg.eigh(gram)

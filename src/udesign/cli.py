@@ -25,9 +25,9 @@ from .designs import (
     gallery,
     gamma,
 )
-from .errors import InvalidInputError, ResourceLimitError, UDesignError
+from .errors import ResourceLimitError, UDesignError
 from .io import dumps, load_design, save_design, write_report, write_search_log
-from .linalg import STATE_CLASSES, Z_GATE, make_rng
+from .linalg import STATE_CLASSES, Z_GATE, check_count, make_rng
 from .povm import povm_from_design, simulate, tight_check
 from .search import WEIGHT_MODES, SearchConfig, search
 
@@ -38,14 +38,14 @@ EXIT_GUARD = 3
 
 
 def _resolve_seed(value: int | None) -> int:
-    """The --seed value, else UDESIGN_SEED, else 0; the sign is checked by make_rng."""
+    """The --seed value, else UDESIGN_SEED, else 0; make_rng checks the integer's sign."""
     if value is not None:
         return value
     env = os.environ.get('UDESIGN_SEED')
     try:
         return int(env) if env else 0
     except ValueError:
-        raise InvalidInputError(f"UDESIGN_SEED must be a non-negative integer, got {env!r}") from None
+        check_count(env, 'UDESIGN_SEED', 0)     # a string: refused in the integer rule's words
 
 
 def _cmd_design_verify(args) -> int:

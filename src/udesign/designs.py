@@ -31,6 +31,7 @@ from .linalg import (
     PHASE_TIE,
     assert_unitary,
     check_cert_threshold,
+    check_count,
     check_dim,
     check_entries,
     check_t,
@@ -193,7 +194,7 @@ def _shapes(t: int, d: int):
                math.prod(d + j - i for i, j in cells))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)     # typed: a cached gamma(2, d) must not answer gamma(2.0, d)
 def gamma(t: int, d: int) -> int:
     """Haar average of |tr U|^(2t) on PU(d), as an exact integer.
 
@@ -338,18 +339,18 @@ def _pair_classes(t: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def check_layout(t: int, d: int) -> None:
     """Raise unless t >= 1 (:func:`check_t`) and the layout of (t, d) fits ``MAX_ENTRIES``: the
     three m × m arrays its readers hold at once (the Haar moment, a set's moment and the residual
-    or its polish's product), counted first so a large t is refused at once, then t!², which
-    with m² bounds the t!·m class images of the Weingarten sum."""
+    or its polish's product), counted first so a large t is refused at once, then the three t! × m
+    arrays of its build (the Weingarten sum's class images, their flat indices and weights)."""
     check_t(t)
-    m = math.comb(int(d) ** 2 + int(t) - 1, int(t))
+    m = math.comb(int(d) ** 2 + t - 1, t)
     check_entries(3 * m * m, 'the symmetric layout 3·m²')
-    check_entries(math.factorial(int(t)) ** 2, 'the symmetric layout t!²')
+    check_entries(3 * math.factorial(t) * m, 'the symmetric layout 3·t!·m')
 
 
 def _sym_layout(t: int, d: int) -> _SymLayout:
     """The layout of (t, d), once :func:`check_layout` admits it."""
     check_layout(t, d)
-    return _build_sym_layout(int(t), int(d))
+    return _build_sym_layout(int(t), int(d))         # built from Python ints, whatever integers came in
 
 
 @lru_cache(maxsize=None)
@@ -382,7 +383,8 @@ def haar_moment(t: int, d: int) -> np.ndarray:
     layout.  The d^(4t) entries must fit ``MAX_ENTRIES``: t <= 5 at d = 2, 3 at d = 3, 2 at d = 4.
     """
     check_dim(d)
-    check_entries(int(d) ** (4 * t), 'the Haar moment d^4t')
+    check_t(t)
+    check_entries(int(d) ** (4 * int(t)), 'the Haar moment d^4t')
     layout = _sym_layout(t, d)
     return layout.dense(layout.haar)
 
@@ -395,9 +397,10 @@ def design_moment(s: WeightedUnitarySet, t: int) -> np.ndarray:
     moment on Sym^t(C^(d²)) (see :class:`_SymLayout`).  Its guard counts
     max(n, D²)·D² entries against ``MAX_ENTRIES``.
     """
-    n, d = len(s), s.dim
-    check_entries(max(n, int(d) ** (2 * t)) * int(d) ** (2 * t), 'the moment operator max(n, d^2t)·d^2t')
-    layout = _sym_layout(t, d)
+    check_t(t)
+    n, d2t = len(s), int(s.dim) ** (2 * int(t))
+    check_entries(max(n, d2t) * d2t, 'the moment operator max(n, d^2t)·d^2t')
+    layout = _sym_layout(t, s.dim)
     return layout.dense(layout.moment(s))
 
 
@@ -431,14 +434,13 @@ def certify(s: WeightedUnitarySet, t: int, atol_cert: float = ATOL_CERT) -> Desi
     POVM defect ||sum F - I|| = d·r_1 that :func:`povm_from_design` admits
     up to d·``ATOL_CERT``.
 
-    Both read one m × m moment on Sym^t(C^(d²)), m = C(d² + t - 1, t), with
-    no n × n array (:class:`_SymLayout`).  ``MAX_ENTRIES`` bounds 3·m², which
-    refuses d >= 43 at t = 1, d >= 8 at t = 2, d >= 5 at t = 3, d >= 4 at
-    t = 4 and 5 and d >= 3 at t = 6, then t!², which refuses t >= 7 at every
-    d.  The Haar moment has full rank m, so a design has n >= m.  The n·m
-    products are summed in row blocks, so a set of any size is certified
-    wherever its layout fits, such as the 11520-element two-qubit Clifford
-    group at t <= 3.
+    Both read one m × m moment on Sym^t(C^(d²)), m = C(d² + t - 1, t), with no n × n array
+    (:class:`_SymLayout`).  gamma's ``MAX_GAMMA_T`` refuses t >= 10 first; then ``MAX_ENTRIES``
+    bounds 3·m², which refuses d >= 43 at t = 1, d >= 8 at t = 2, d >= 5 at t = 3, d >= 4 at
+    t = 4 and 5 and d >= 3 at t >= 6, and then 3·t!·m, which refuses d = 2 at t = 8 and 9.  The
+    Haar moment has full rank m, so a design has n >= m.  The n·m products are summed in row
+    blocks, so a set of any size is certified wherever its layout fits, such as the
+    11520-element two-qubit Clifford group at t <= 3.
     """
     check_cert_threshold(atol_cert, 'atol_cert')
     g = float(gamma(t, s.dim))              # gamma's t guard runs before the layout is counted
@@ -471,11 +473,12 @@ def group_closure(generators, max_order: int = 10_000) -> WeightedUnitarySet:
     overlaps).  Raises once the closure exceeds ``max_order`` elements; the
     buffer of (max_order + k)·d² entries, k generators, must fit in ``MAX_ENTRIES``.
     """
+    check_count(max_order, 'max_order', 1)
     gens = assert_unitary(np.asarray(generators, dtype=complex))
     if gens.ndim != 3 or not len(gens):
         raise InvalidInputError(f"need a stack of generator matrices, got shape {gens.shape}")
     d, k = gens.shape[-1], len(gens)
-    check_entries((max_order + k) * d * d, 'the closure buffer (max_order + k)·d²')
+    check_entries((int(max_order) + k) * d * d, 'the closure buffer (max_order + k)·d²')
     found = np.empty((max_order + k, d, d), dtype=complex)
     found[0] = canonical_phase(np.eye(d, dtype=complex))
     i, n = 0, 1
@@ -490,12 +493,10 @@ def group_closure(generators, max_order: int = 10_000) -> WeightedUnitarySet:
 
 
 def unitary_operator_frame(n: int, d: int) -> WeightedUnitarySet:
-    """Unweighted 1-design of n >= d² unitaries with matrix elements
-    <j|U_m|k> = exp(2πi jk/d + 2πi (j + kd) m/n)/sqrt(d); d must be an integer >= 2,
-    and n·d² at most ``MAX_ENTRIES``."""
+    """Unweighted 1-design of integers n >= d² and d >= 2 (:func:`check_count`) with matrix elements
+    <j|U_m|k> = exp(2πi jk/d + 2πi (j + kd) m/n)/sqrt(d), its n·d² entries at most ``MAX_ENTRIES``."""
     check_dim(d)
-    if n < d * d:
-        raise InvalidInputError(f"a 1-design needs at least d² = {d * d} elements, got n={n}")
+    check_count(n, 'n', d * d)
     check_entries(int(n) * int(d) ** 2, 'the operator frame n·d²')
     j, k, m = np.arange(d)[:, None], np.arange(d)[None, :], np.arange(n)[:, None, None]
     phase = 2 * np.pi * (j * k / d + (j + k * d) * m / n)
@@ -525,15 +526,9 @@ def pu2_muub_family() -> list[WeightedUnitarySet]:
     return [uniform_set(2, np.linalg.matrix_power(rh, k) @ weyl_operators(2)) for k in range(3)]
 
 
-def _utof(n: int | None, dim: int | None) -> WeightedUnitarySet:
-    if n is None or dim is None:
-        raise InvalidInputError("utof needs both n and dim")
-    return unitary_operator_frame(n, dim)
-
-
 # The gallery, in export order: name -> (builder of (n, dim), certified t).
 _GALLERY = {
-    'utof': (_utof, 1),
+    'utof': (unitary_operator_frame, 1),
     'pu2_11pt': (lambda n, dim: _pu2_11pt(), 2),
     'pu2_clifford12': (lambda n, dim: group_closure([_HADAMARD @ _PHASE, _PHASE @ _PHASE]), 2),
     'pu2_clifford24': (lambda n, dim: group_closure([_HADAMARD, _PHASE]), 3),

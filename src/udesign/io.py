@@ -16,7 +16,7 @@ import numpy as np
 
 from .designs import WeightedUnitarySet, assert_phase_distinct
 from .errors import InvalidInputError
-from .linalg import ATOL_FILE_WEIGHTS, check_dim
+from .linalg import ATOL_ALG, ATOL_FILE_WEIGHTS, check_count, check_dim
 from .povm import TomographyReport
 
 REPORT_FIELDS = ('class', 'd', 'N', 'trials', 'empirical_mean', 'std_err',
@@ -141,14 +141,16 @@ def design_from_json(doc: dict) -> tuple[WeightedUnitarySet, int | None]:
     if not whole:
         raise InvalidInputError("element matrices must form one (n, dim, dim) array of [re, im] pairs")
     weights = np.asarray(weights)
-    if abs(weights.sum() - 1.0) > ATOL_FILE_WEIGHTS:
+    defect = abs(weights.sum() - 1.0)
+    if defect > ATOL_FILE_WEIGHTS:
         raise InvalidInputError(f"weights sum to {weights.sum():.9f}, expected 1 within {ATOL_FILE_WEIGHTS:g}")
-    weights = weights / weights.sum()
+    if defect > ATOL_ALG:                   # a sum the set accepts as it is loads bit for bit
+        weights = weights / weights.sum()
     s = WeightedUnitarySet(dim, unitaries, weights)
     assert_phase_distinct(s)
     certified_t = doc.get('certified_t')
-    if certified_t is not None and (type(certified_t) is not int or certified_t < 1):
-        raise InvalidInputError(f"'certified_t' must be a positive integer, got {certified_t!r}")
+    if certified_t is not None:
+        check_count(certified_t, "'certified_t'", 1)
     return s, certified_t
 
 

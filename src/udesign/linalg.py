@@ -17,6 +17,9 @@ Conventions, fixed once for the whole package:
   their definitions for callers; no computation of the package reads them.
 * Maximally entangled kets |U> live in C^d ⊗ C^d with component (j,k) equal
   to U_(j,k)/sqrt(d), i.e. |U> = vec(U)/sqrt(d).
+* Every integer input meets one rule, :func:`check_count`: an int or numpy integer, not a bool, at
+  least its bound: dim 2; seed 0; t, certified_t, a search's size, max_iterations and restarts, a
+  Kraus count k, max_order and shots 1 (0 in sample_counts); trials 2; an operator frame's n d².
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ PROB_SUM_TOL = 1e-9        # Born probabilities summing further from one mean PO
 PHASE_TIE = 1e-12          # canonical_phase: relative tie on the largest modulus
 PHASE_REAL = 1e-14         # canonical_phase: relative imaginary part of a pivot read as real
 PURITY_SLACK = 1e-12       # float slack on the purity range [1/d², 1] of an error prediction
-ATOL_FILE_WEIGHTS = 1e-6   # weight-sum defect a design file may carry before renormalization
+ATOL_FILE_WEIGHTS = 1e-6   # weight-sum defect a design file may carry; one above ATOL_ALG is renormalized
 Z_GATE = 5.0               # |z| of tomo's mean error against the class prediction above which the run fails
 # Resource guards, each checked before anything is drawn or allocated: Kraus count k of a random
 # channel, t of gamma(t, d), and the entries of the largest array a search, operator frame, moment
@@ -73,18 +76,21 @@ def row_blocks(rows: int, row_entries: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
+def check_count(value, name: str, low: int) -> None:
+    """Raise unless ``value`` is an int or numpy integer, not a bool, of at least ``low``: the
+    package's one integer rule, for every count, order, size and seed; ``name`` is the caller's."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def check_dim(dim) -> None:
-    """Raise unless ``dim`` is an integer >= 2: the package's one dimension
-    rule, for weighted sets, design files, searches, bases and moments."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 2:
-        raise InvalidInputError(f"'dim' must be an integer >= 2, got {dim!r}")
+    """The dimension rule, for weighted sets, design files, searches, bases and moments."""
+    check_count(dim, "'dim'", 2)
 
 
 def check_t(t) -> None:
-    """Raise unless the design order ``t`` is at least 1: the package's one t
-    rule, for potentials, moments, gamma and searches."""
-    if t < 1:
-        raise InvalidInputError(f"t must be >= 1, got {t}")
+    """The design-order rule, for potentials, moments, gamma and searches."""
+    check_count(t, 't', 1)
 
 
 def dag(a: np.ndarray) -> np.ndarray:
@@ -207,8 +213,7 @@ def weyl_operators(d: int) -> np.ndarray:
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator (Philox) from a non-negative integer seed."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
+    check_count(seed, 'seed', 0)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
@@ -256,6 +261,7 @@ def bipartite_dim(bigd: int, what: str) -> int:
 def span_dimension(state_class: str, d: int) -> int:
     """Dimension d⁴ - k(d² - 1) of span(Q) for a channel-output class on C^d ⊗ C^d,
     k its removed families: (d²-1)² + 1 for 'uc', d²(d²-1) + 1 for 'gc', d⁴ for 'full'."""
+    check_dim(d)
     if state_class not in STATE_CLASSES:
         raise InvalidInputError(f"unknown state class {state_class!r}")
     return d ** 4 - _REMOVED_FAMILIES[state_class] * (d * d - 1)
@@ -266,14 +272,14 @@ def _class_complement(state_class: str, d: int) -> np.ndarray:
     a class span: with b_0 = I/sqrt(d) and B over the traceless rest of
     :func:`herm_basis`, the first k of the families b_0⊗B (a trace-preserving
     channel's output has no part there) and B⊗b_0 (nor a unital one's)."""
-    span_dimension(state_class, d)          # the class-name check
+    span_dimension(state_class, d)          # the class-name and dimension checks
     basis = herm_basis(d)
     families = [lambda b: np.kron(basis[0], b), lambda b: np.kron(b, basis[0])]
     removed = [family(b) for family in families[:_REMOVED_FAMILIES[state_class]] for b in basis[1:]]
     return np.array(removed, dtype=complex).reshape(-1, d * d, d * d)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)     # typed: a cached d = 2 must not answer d = 2.0
 def class_projector_coords(state_class: str, d: int) -> np.ndarray:
     """Projector I - sum_r c(r) c(r)ᵀ onto span(Q) for a channel-output class,
     r over :func:`_class_complement`, in the Hermitian coordinates of
@@ -287,7 +293,7 @@ def class_projector_coords(state_class: str, d: int) -> np.ndarray:
     return pi
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)     # typed, as class_projector_coords
 def class_projector(state_class: str, d: int) -> np.ndarray:
     """Left-right form I - sum_r vec(r) vec(r)† of the same projector ('full'
     gives the identity exactly); built once per (class, d), read-only."""

@@ -36,6 +36,7 @@ from .linalg import (
     PROB_SUM_TOL,
     PURITY_SLACK,
     bipartite_dim,
+    check_count,
     check_dim,
     check_entries,
     class_projector_coords,
@@ -266,7 +267,8 @@ def sample_counts(probabilities: np.ndarray, shots: int, rng: np.random.Generato
                   size: int | tuple[int, ...] | None = None) -> np.ndarray:
     """Multinomial counts of ``shots`` outcomes; ``size`` stacks independent
     draws as in ``rng.multinomial``, giving shape ``size + (n,)``.  Every
-    probability must lie in [0, 1]."""
+    probability must lie in [0, 1], and ``shots`` is an integer >= 0."""
+    check_count(shots, 'shots', 0)
     p = np.asarray(probabilities, dtype=float)
     inside = (p >= 0) & (p <= 1)                      # written so that NaN fails too
     if not inside.all():
@@ -292,8 +294,7 @@ def predicted_error(d: int, purity: float, shots: int, state_class: str) -> floa
     outputs.
     """
     check_dim(d)
-    if shots < 1:
-        raise InvalidInputError(f"shot count must be >= 1, got {shots}")
+    check_count(shots, 'shots', 1)
     if not (1.0 / d ** 2 - PURITY_SLACK <= purity <= 1.0 + PURITY_SLACK):
         raise InvalidInputError(f"purity {purity} outside [1/d², 1]")
     bigd = d * d
@@ -335,9 +336,9 @@ def simulate(povm: DiscretePovm, channel: QuantumChannel, shots: int, trials: in
     purity.  The counts and estimates, trials × max(n, D²) entries, must fit
     in ``MAX_ENTRIES``.
     """
-    if shots < 1 or trials < 2:
-        raise InvalidInputError("need shots >= 1 and trials >= 2: the standard error needs two trials")
-    check_entries(trials * max(len(povm), povm.dim ** 2), 'trials × max(outcomes, D²)')
+    check_count(shots, 'shots', 1)
+    check_count(trials, 'trials', 2)                  # the standard error needs two trials
+    check_entries(int(trials) * max(len(povm), povm.dim ** 2), 'trials × max(outcomes, D²)')
     if state_class is None:
         state_class = 'uc' if channel.unital else 'gc'
     if state_class == 'uc' and not channel.unital:

@@ -35,7 +35,7 @@ import numpy as np
 from .designs import (ATOL_CERT, DesignCertificate, WeightedUnitarySet, _sym_layout, certify, check_layout, gamma,
                       merge_phase_duplicates)
 from .errors import InvalidInputError
-from .linalg import (check_cert_threshold, check_dim, check_entries, check_t, dag, haar_unitaries,
+from .linalg import (check_cert_threshold, check_count, check_dim, check_entries, dag, haar_unitaries,
                      herm_basis, log_unitary, make_rng, row_blocks)
 
 # Weight mode -> self-adjoint linear tie T(logits, d) applied before the softmax, so T
@@ -67,13 +67,12 @@ def _tie(mode: str):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search parameters, checked before any work: dim an integer >= 2
-    (:func:`check_dim`), t, size, max_iterations and restarts at least 1,
-    the d⁴ generator entries and the n² overlaps at most ``MAX_ENTRIES``, the
-    closing :func:`certify`'s symmetric layout within :func:`check_layout`,
-    target_residual (the t-th moment residual a converged set may keep)
-    finite and positive, weight_mode one of ``WEIGHT_MODES``.  The CLI reads
-    its defaults and choices here."""
+    """Search parameters, checked before any work: dim an integer >= 2, size, max_iterations and
+    restarts integers >= 1 (:func:`check_count`), the d⁴ generator entries and the n² overlaps at
+    most ``MAX_ENTRIES``, t and the closing :func:`certify`'s symmetric layout by
+    :func:`check_layout`, target_residual (the t-th moment residual a converged set may keep)
+    finite and positive, weight_mode one of ``WEIGHT_MODES``.  The CLI reads its defaults and
+    choices here."""
 
     dim: int
     size: int
@@ -86,10 +85,8 @@ class SearchConfig:
 
     def __post_init__(self):
         check_dim(self.dim)
-        check_t(self.t)
         for name in ('size', 'max_iterations', 'restarts'):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_count(getattr(self, name), name, 1)
         check_entries(max(int(self.dim) ** 4, int(self.size) ** 2), 'the larger of the d⁴ generators and n² overlaps')
         check_layout(self.t, self.dim)      # counted only: building it can take seconds
         check_cert_threshold(self.target_residual, 'target_residual')

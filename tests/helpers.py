@@ -76,7 +76,7 @@ def broken_design_docs() -> dict:
         'bool-weight': (broken(lambda doc: doc['elements'][3].update(weight=True)),
                         "element 3: weight must be a number, got True"),
         'bool-certified-t': (broken(lambda doc: doc.update(certified_t=True)),
-                             "'certified_t' must be a positive integer, got True"),
+                             "'certified_t' must be an integer >= 1, got True"),
         'three-number-entries': (broken(lambda doc: [e.append(0.0) for row in doc['elements'][3]['matrix']
                                                      for e in row]),
                                  "element 3: entries must be [re, im] pairs"),

@@ -129,12 +129,14 @@ class TestVerify:
             3, '', 'guard: the symmetric layout 3·m² = 1200 entries exceeds the guard 1199\n')
         assert not report.exists()
 
-    def test_t_7_exits_3_on_the_layout_guard(self, capsys, tmp_path):
-        # the layout guard counts t!² = 5040² entries at every d; the gallery stops at t = 5
+    def test_t_8_exits_3_on_the_layout_guard(self, capsys, tmp_path):
+        # at d = 2 the layout guard admits t = 7 (3·7!·120 entries) and refuses t = 8 (3·8!·165)
         design = tmp_path / 'd.json'
         run(capsys, 'design-gallery', '--name', 'pu2_11pt', '--out', str(design))
-        assert run(capsys, 'design-verify', '--file', str(design), '--t', '7') == (
-            3, '', 'guard: the symmetric layout t!² = 25401600 entries exceeds the guard 10000000\n')
+        code, stdout, err = run(capsys, 'design-verify', '--file', str(design), '--t', '7')
+        assert (code, err) == (1, '') and 'moment residual: 32.7981\n' in stdout and stdout.endswith('FAIL\n')
+        assert run(capsys, 'design-verify', '--file', str(design), '--t', '8') == (
+            3, '', 'guard: the symmetric layout 3·t!·m = 19958400 entries exceeds the guard 10000000\n')
 
     def test_overlaps_guard_exits_3(self, capsys, tmp_path, monkeypatch):
         # pu2_11pt's 11² = 121 overlaps are read on load in row blocks of at most MAX_ENTRIES,
@@ -196,11 +198,11 @@ class TestSearch:
         out = tmp_path / 's.json'
         code, stdout, err = run(capsys, 'design-search', '--dim', '2', '--size', '4', '--t', '1',
                                 flag, value, '--out', str(out))
-        assert (code, stdout, err) == (2, '', f"error: {field} must be >= 1, got {value}\n")
+        assert (code, stdout, err) == (2, '', f"error: {field} must be an integer >= 1, got {value}\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize('dim,t,message', [
-        ('1', '1', "'dim' must be an integer >= 2, got 1"), ('2', '0', 't must be >= 1, got 0')])
+        ('1', '1', "'dim' must be an integer >= 2, got 1"), ('2', '0', 't must be an integer >= 1, got 0')])
     def test_dimension_and_t_are_checked_before_any_work(self, capsys, tmp_path, dim, t, message):
         code, stdout, err = run(capsys, 'design-search', '--dim', dim, '--size', '4', '--t', t,
                                 '--out', str(tmp_path / 's.json'))
@@ -286,7 +288,7 @@ class TestSeeds:
                       '--out', str(tmp_path / 's.json')]):
             code, _, err = run(capsys, *argv, '--seed', '-1')
             assert code == 2
-            assert err == "error: seed must be a non-negative integer, got -1\n"
+            assert err == "error: seed must be an integer >= 0, got -1\n"
         assert not (tmp_path / 'r.csv').exists() and not (tmp_path / 's.json').exists()
 
     @pytest.mark.parametrize('value', ['abc', '1.5'])
@@ -295,11 +297,11 @@ class TestSeeds:
         code, _, err = run(capsys, 'tomo', '--design', self.design(tmp_path), '--channel', 'identity',
                            '--shots', '100', '--trials', '10', '--csv', str(tmp_path / 'r.csv'))
         assert code == 2
-        assert err == f"error: UDESIGN_SEED must be a non-negative integer, got {value!r}\n"
+        assert err == f"error: UDESIGN_SEED must be an integer >= 0, got {value!r}\n"
         monkeypatch.setenv('UDESIGN_SEED', '-4')
         code, _, err = run(capsys, 'design-search', '--dim', '2', '--size', '4', '--t', '1',
                            '--out', str(tmp_path / 's.json'))
-        assert code == 2 and err == "error: seed must be a non-negative integer, got -4\n"
+        assert code == 2 and err == "error: seed must be an integer >= 0, got -4\n"
 
 
 class TestTomo:
@@ -387,7 +389,7 @@ class TestTomo:
                                     '--channel', 'depolarizing:0.5', '--shots', '100',
                                     '--trials', '1', '--csv', str(csv))
         assert code == 2 and stdout == '' and not caught
-        assert err.startswith('error: need shots >= 1 and trials >= 2') and err.count('\n') == 1
+        assert err == 'error: trials must be an integer >= 2, got 1\n'
         assert not csv.exists()
 
     @pytest.mark.parametrize('spec', ['identity:7', 'random_unitary:3'])

@@ -146,7 +146,7 @@ class TestGamma:
             gamma(linalg.MAX_GAMMA_T + 1, 2)
 
     def test_t_and_dimension_checks(self):
-        with pytest.raises(InvalidInputError, match='^t must be >= 1, got 0$'):
+        with pytest.raises(InvalidInputError, match='^t must be an integer >= 1, got 0$'):
             gamma(0, 2)
         for call in (lambda: gamma(2, 1), lambda: haar_moment(1, 1)):
             with pytest.raises(InvalidInputError, match="^'dim' must be an integer >= 2, got 1$"):
@@ -259,7 +259,7 @@ class TestHaarMoment:
         s = gallery('pu2_11pt')
         for t in (0, -1):
             for call in (lambda: design_moment(s, t), lambda: haar_moment(t, 2)):
-                with pytest.raises(InvalidInputError, match=f'^t must be >= 1, got {t}$'):
+                with pytest.raises(InvalidInputError, match=f'^t must be an integer >= 1, got {t}$'):
                     call()
 
     def test_entries_guard_is_checked_before_anything_is_built(self, monkeypatch):
@@ -399,9 +399,9 @@ class TestSymmetricLayout:
         assert layout.reps.shape == (56, 5) and designs._sym_layout(2, 3).haar.shape == (45, 45)
         for a in (layout.reps, layout.root_counts, layout.haar):
             assert not a.flags.writeable
-        # at t = 6 the t!² = 518400 permutation Gram outgrows the three 84² arrays, and the
-        # 3·m² entries are counted first
-        for count, part in ((518399, 't!² = 518400'), (21167, '3·m² = 21168')):
+        # at t = 6 the three 720 × 84 arrays of the Weingarten sum outgrow the three 84² arrays,
+        # and the 3·m² entries are counted first
+        for count, part in ((181439, '3·t!·m = 181440'), (21167, '3·m² = 21168')):
             monkeypatch.setattr(linalg, 'MAX_ENTRIES', count)
             for call in (lambda: designs._sym_layout(6, 2), lambda: certify(gallery('pu2_11pt'), 6)):
                 with pytest.raises(ResourceLimitError, match=f'^the symmetric layout {part} entries exceeds'):
@@ -464,7 +464,7 @@ class TestCertify:
     @pytest.mark.parametrize('s,t,count', [(gallery('pu2_11pt'), 3, 1200), (unitary_operator_frame(20, 2), 4, 3675)],
                              ids=['pu2_11pt-t3', 'utof20-t4'])
     def test_certify_is_refused_beyond_the_layout_guard(self, monkeypatch, s, t, count):
-        # the layout counts max(t!², 3·m²) entries, m = C(d² + t - 1, t): here 3·20² and
+        # the layout counts 3·m² entries, m = C(d² + t - 1, t), then 3·t!·m: here 3·20² and
         # 3·35², more than the n·m products 220 and 700; below them certify has no other path
         monkeypatch.setattr(linalg, 'MAX_ENTRIES', count)
         assert certify(s, t).moment_residual >= 0.5

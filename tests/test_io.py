@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from udesign.designs import GALLERY_NAMES, WeightedUnitarySet, gallery, group_closure, uniform_set
+from udesign.designs import GALLERY_NAMES, WeightedUnitarySet, certify, gallery, group_closure, uniform_set
 from udesign.errors import InvalidInputError
 from udesign.io import (
     design_from_json,
@@ -18,6 +18,7 @@ from udesign.io import (
 )
 from udesign.linalg import haar_unitaries, make_rng
 from udesign.povm import TomographyReport
+from udesign.search import SearchConfig, search
 
 from helpers import broken_design_docs
 
@@ -93,6 +94,18 @@ class TestDesignRoundTrip:
         loaded, certified = load_design(path)
         assert certified is None
         assert np.array_equal(loaded.unitaries, s.unitaries)
+
+    def test_search_result_loads_with_its_weights_and_certificate(self, tmp_path):
+        # its weights sum to one within ATOL_ALG but not exactly; a load that renormalised them
+        # read r_2 = 3.138e-15 where the search certified 3.186e-15
+        trace = search(SearchConfig(dim=2, size=11, t=2, seed=1, restarts=2))
+        path = tmp_path / 's.json'
+        save_design(trace.result, path, certified_t=2)
+        loaded, _ = load_design(path)
+        assert trace.result.weights.sum() != 1.0
+        assert np.array_equal(loaded.weights, trace.result.weights)
+        assert np.array_equal(loaded.unitaries, trace.result.unitaries)
+        assert certify(loaded, 2) == trace.certificate
 
     def test_byte_identical_rewrites(self, tmp_path):
         s = gallery('pu2_clifford24')

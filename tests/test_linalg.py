@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -273,8 +275,107 @@ class TestMakeRng:
 
     @pytest.mark.parametrize('seed', [-1, 1.5, '3', True, None])
     def test_rejects_other_seeds(self, seed):
-        with pytest.raises(InvalidInputError, match='seed must be a non-negative integer'):
+        with pytest.raises(InvalidInputError, match=f'^seed must be an integer >= 0, got {re.escape(repr(seed))}$'):
             make_rng(seed)
+
+
+def _integer_inputs() -> dict:
+    """Every integer input of the package, named by entry point and parameter: (the parameter's
+    name in the rule's message, a valid value, a call that puts a value there and may draw from a
+    generator)."""
+    from udesign.channels import depolarizing_channel, random_general_channel, random_unital_mix
+    from udesign.designs import (certify, design_moment, frame_potential, gallery, gamma, group_closure,
+                                 haar_moment, unitary_operator_frame)
+    from udesign.io import design_from_json, design_to_json
+    from udesign.povm import povm_from_design, predicted_error, sample_counts, simulate
+    from udesign.search import SearchConfig, search
+
+    s = gallery('pu2_11pt')
+    povm, channel, doc = povm_from_design(s), depolarizing_channel(0.5, 2), design_to_json(s)
+    clifford = np.array([[[1, 1], [1, -1]], [[1, 0], [0, 1j]]]) / np.array([np.sqrt(2), 1])[:, None, None]
+
+    def searched(**fields):
+        return search(SearchConfig(**{'dim': 2, 'size': 4, 't': 1, 'restarts': 1, **fields})).result
+
+    return {
+        'herm_basis-dim': ("'dim'", 3, lambda v, rng: herm_basis(v)),
+        'class_projector-dim': ("'dim'", 2, lambda v, rng: class_projector('gc', v)),
+        'class_projector_coords-dim': ("'dim'", 2, lambda v, rng: class_projector_coords('uc', v)),
+        'make_rng-seed': ('seed', 7, lambda v, rng: make_rng(v).integers(1 << 30, size=4)),
+        'gamma-t': ('t', 3, lambda v, rng: gamma(v, 2)),
+        'gamma-dim': ("'dim'", 3, lambda v, rng: gamma(3, v)),
+        'certify-t': ('t', 2, lambda v, rng: certify(s, v)),
+        'frame_potential-t': ('t', 3, lambda v, rng: frame_potential(s, v)),
+        'haar_moment-t': ('t', 2, lambda v, rng: haar_moment(v, 2)),
+        'haar_moment-dim': ("'dim'", 3, lambda v, rng: haar_moment(1, v)),
+        'design_moment-t': ('t', 2, lambda v, rng: design_moment(s, v)),
+        'group_closure-max_order': ('max_order', 24, lambda v, rng: group_closure(clifford, max_order=v)),
+        'unitary_operator_frame-n': ('n', 5, lambda v, rng: unitary_operator_frame(v, 2)),
+        'unitary_operator_frame-dim': ("'dim'", 2, lambda v, rng: unitary_operator_frame(5, v)),
+        'gallery-utof-n': ('n', 6, lambda v, rng: gallery('utof', n=v, dim=2)),
+        'gallery-utof-dim': ("'dim'", 2, lambda v, rng: gallery('utof', n=6, dim=v)),
+        'design_from_json-certified_t': ("'certified_t'", 2,
+                                         lambda v, rng: design_from_json({**doc, 'certified_t': v})),
+        'SearchConfig-dim': ("'dim'", 2, lambda v, rng: searched(dim=v)),
+        'SearchConfig-t': ('t', 1, lambda v, rng: searched(t=v)),
+        'SearchConfig-size': ('size', 5, lambda v, rng: searched(size=v)),
+        'SearchConfig-max_iterations': ('max_iterations', 30, lambda v, rng: searched(max_iterations=v)),
+        'SearchConfig-restarts': ('restarts', 2, lambda v, rng: searched(restarts=v)),
+        'random_unital_mix-k': ('k', 3, lambda v, rng: random_unital_mix(v, 2, rng)),
+        'random_general_channel-k': ('k', 2, lambda v, rng: random_general_channel(v, 2, rng)),
+        'sample_counts-shots': ('shots', 10, lambda v, rng: sample_counts([0.25, 0.75], v, rng, size=3)),
+        'predicted_error-shots': ('shots', 100, lambda v, rng: predicted_error(2, 0.5, v, 'uc')),
+        'simulate-shots': ('shots', 100, lambda v, rng: simulate(povm, channel, v, 10, rng)),
+        'simulate-trials': ('trials', 10, lambda v, rng: simulate(povm, channel, 100, v, rng)),
+    }
+
+
+INTEGER_INPUTS = _integer_inputs()
+
+
+def _bits(result):
+    """A result as dtypes, shapes, bytes and exact numbers, equal exactly when the bits are."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if dataclasses.is_dataclass(result):
+        return type(result).__name__, tuple(_bits(getattr(result, f.name)) for f in dataclasses.fields(result))
+    if isinstance(result, tuple):
+        return tuple(_bits(r) for r in result)
+    if isinstance(result, (bool, np.bool_)):
+        return bool(result)
+    if isinstance(result, (int, np.integer)):
+        return int(result)
+    if isinstance(result, (float, np.floating)):
+        return float(result).hex()
+    return result
+
+
+class TestIntegerRule:
+    """One rule, :func:`linalg.check_count`, checks every integer input of the package."""
+
+    @pytest.mark.parametrize('value', [2.0, 2.5, True, None])
+    @pytest.mark.parametrize('case', sorted(INTEGER_INPUTS))
+    def test_other_values_are_refused_by_name_before_any_draw(self, case, value):
+        name, valid, call = INTEGER_INPUTS[case]
+        call(valid, make_rng(11))           # a cache filled with the valid value lets no other past
+        rng = make_rng(11)
+        if (case, value) == ('design_from_json-certified_t', None):
+            assert call(value, rng)[1] is None          # JSON null, as a missing field, certifies no t
+            return
+        before = repr(rng.bit_generator.state)
+        with pytest.raises(InvalidInputError, match=rf'^{re.escape(name)} must be an integer >= \d+, '
+                                                    rf'got {re.escape(repr(value))}$'):
+            call(value, rng)
+        assert repr(rng.bit_generator.state) == before
+
+    @pytest.mark.parametrize('case', sorted(INTEGER_INPUTS))
+    def test_numpy_integers_give_the_bits_of_ints(self, case):
+        _, valid, call = INTEGER_INPUTS[case]
+        assert _bits(call(np.int64(valid), make_rng(11))) == _bits(call(valid, make_rng(11)))
+
+    @pytest.mark.parametrize('value,low', [(0, 0), (np.uint8(3), 3), (2 ** 70, 2)])
+    def test_integers_at_or_above_the_bound_pass(self, value, low):
+        linalg.check_count(value, 'x', low)
 
 
 def class_pairs(state_class, d):

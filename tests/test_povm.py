@@ -752,7 +752,7 @@ class TestSimulate:
     def test_simulate_needs_two_trials_for_the_standard_error(self, povm11):
         channel = depolarizing_channel(0.5, 2)
         for trials in (0, 1):
-            with pytest.raises(InvalidInputError, match='standard error needs two trials'):
+            with pytest.raises(InvalidInputError, match=f'^trials must be an integer >= 2, got {trials}$'):
                 simulate(povm11, channel, 100, trials, make_rng(2))
         assert np.isfinite(simulate(povm11, channel, 100, 2, make_rng(2)).std_err)
 

@@ -318,18 +318,18 @@ class TestSearch:
             SearchConfig(dim=dim, size=4, t=1)
 
     def test_t_must_be_positive(self):
-        with pytest.raises(InvalidInputError, match='^t must be >= 1, got 0$'):
+        with pytest.raises(InvalidInputError, match='^t must be an integer >= 1, got 0$'):
             SearchConfig(dim=2, size=4, t=0)
 
     def test_t_beyond_the_layout_guard_is_refused_before_any_draw(self, monkeypatch):
-        # the closing certify needs the symmetric layout: t!² = 5040² entries at t = 7
+        # the closing certify needs the symmetric layout: 3·t!·m = 3·8!·165 entries at t = 8
         def undrawn(*args):
             raise AssertionError('a starting point was drawn')
 
         monkeypatch.setattr(importlib.import_module('udesign.search'), '_initial_theta', undrawn)
-        with pytest.raises(ResourceLimitError, match='^the symmetric layout t!² = 25401600 entries '
+        with pytest.raises(ResourceLimitError, match='^the symmetric layout 3·t!·m = 19958400 entries '
                                                      'exceeds the guard 10000000$'):
-            search(SearchConfig(dim=2, size=4, t=7, restarts=1))
+            search(SearchConfig(dim=2, size=4, t=8, restarts=1))
         with pytest.raises(ResourceLimitError, match='^the symmetric layout 3·m² = 124227675 entries'):
             SearchConfig(dim=3, size=4, t=7)
 
@@ -343,7 +343,7 @@ class TestSearch:
     @pytest.mark.parametrize('field', ['restarts', 'max_iterations'])
     @pytest.mark.parametrize('value', [0, -1, -5])
     def test_restarts_and_iterations_must_be_positive(self, field, value):
-        with pytest.raises(InvalidInputError, match=f'^{field} must be >= 1, got {value}$'):
+        with pytest.raises(InvalidInputError, match=f'^{field} must be an integer >= 1, got {value}$'):
             SearchConfig(dim=2, size=4, t=1, **{field: value})
         assert getattr(SearchConfig(dim=2, size=4, t=1, **{field: 1}), field) == 1
 

@@ -132,6 +132,7 @@ def rotate_channel(channel: QuantumChannel, u_sys: np.ndarray, u_anc: np.ndarray
 
 def depolarizing_channel(p: float, d: int) -> QuantumChannel:
     """A -> p·A + (1-p)·tr(A)·I/d, Kraus form over the Weyl operators."""
+    check_dim(d)
     if p is None:                   # the channel grammar's `depolarizing` without `:p`
         raise InvalidInputError("depolarizing needs a parameter p in [0, 1]")
     if not 0.0 <= p <= 1.0:
@@ -141,9 +142,10 @@ def depolarizing_channel(p: float, d: int) -> QuantumChannel:
     return QuantumChannel.from_kraus(coeff[:, None, None] * weyl_operators(d))
 
 
-def _check_kraus_count(k: int) -> None:
-    # before any draw, so a refused k leaves the generator untouched
+def _check_kraus(k: int, d: int) -> None:
+    # before any draw, so a refused k or d leaves the generator untouched
     check_count(k, 'k', 1)
+    check_dim(d)
     if k > MAX_KRAUS:
         raise ResourceLimitError(f"Kraus count k = {k} exceeds the guard {MAX_KRAUS}")
 
@@ -151,7 +153,7 @@ def _check_kraus_count(k: int) -> None:
 def random_unital_mix(k: int, d: int, rng: np.random.Generator) -> QuantumChannel:
     """Probabilistic mixture of k Haar unitaries with flat-Dirichlet weights;
     1 <= k <= ``MAX_KRAUS``."""
-    _check_kraus_count(k)
+    _check_kraus(k, d)
     probs = rng.dirichlet(np.ones(k))
     return QuantumChannel.from_kraus(np.sqrt(probs)[:, None, None] * haar_unitaries(d, k, rng))
 
@@ -159,7 +161,7 @@ def random_unital_mix(k: int, d: int, rng: np.random.Generator) -> QuantumChanne
 def random_general_channel(k: int, d: int, rng: np.random.Generator) -> QuantumChannel:
     """k Gaussian Kraus operators, polar-normalized so sum B†B = I;
     1 <= k <= ``MAX_KRAUS``."""
-    _check_kraus_count(k)
+    _check_kraus(k, d)
     raw = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
     gram = np.einsum('kba,kbc->ac', raw.conj(), raw)
     evals, evecs = np.linalg.eigh(gram)
@@ -190,6 +192,7 @@ def channel_gallery(name: str, d: int, rng: np.random.Generator | None = None, p
         raise InvalidInputError(f"channel {name!r} takes no parameter, got {param!r}")
     if random and rng is None:
         raise InvalidInputError(f"channel {name!r} is random and needs an rng")
+    check_dim(d)
     return build(default if param is None else parse(param), d, rng)
 
 

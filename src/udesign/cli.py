@@ -25,8 +25,8 @@ from .designs import (
     gallery,
     gamma,
 )
-from .errors import ResourceLimitError, UDesignError
-from .io import dumps, load_design, save_design, write_report, write_search_log
+from .errors import InvalidInputError, ResourceLimitError, UDesignError
+from .io import dumps, load_design, report_mirror, save_design, write_report, write_search_log
 from .linalg import STATE_CLASSES, Z_GATE, check_count, make_rng
 from .povm import povm_from_design, simulate, tight_check
 from .search import WEIGHT_MODES, SearchConfig, search
@@ -92,6 +92,9 @@ def _cmd_design_search(args) -> int:
 
 
 def _cmd_tomo(args) -> int:
+    outputs = [out for out in (args.csv, report_mirror(args.csv)) if os.path.exists(out)]
+    if os.path.exists(args.design) and any(os.path.samefile(args.design, out) for out in outputs):
+        raise InvalidInputError(f"the report {args.csv} or its JSON mirror would overwrite {args.design}")
     seed = _resolve_seed(args.seed)
     s, _ = load_design(args.design)
     povm = povm_from_design(s)

@@ -294,17 +294,19 @@ class _SymLayout:
             out[:, k] = sum(moved[:, k, digits] * rest for digits, rest in zip(self.reps.T, others))
         return out
 
-    def moment(self, s: WeightedUnitarySet) -> np.ndarray:
-        """The set's symmetric coordinates S M̃ S = sum_x w(x) p_x p_x† (:meth:`vectors`),
-        summed over row blocks of x whose three (rows, m) product arrays, held at once, fit
-        ``MAX_ENTRIES`` together."""
-        flat = s.unitaries.reshape(len(s), -1)
+    def moment(self, unitaries: np.ndarray, weights: np.ndarray, vectors: np.ndarray | None = None) -> np.ndarray:
+        """The symmetric coordinates S M̃ S = sum_x w(x) p_x p_x† of ``unitaries`` (n, d, d) and
+        ``weights``, summed over row blocks of x whose three (rows, m) product arrays, held at once,
+        fit ``MAX_ENTRIES`` together; the p_x (:meth:`vectors`) are kept in ``vectors`` if given."""
+        flat = unitaries.reshape(len(unitaries), -1)
 
         def block(rows: slice) -> np.ndarray:
             p = self.vectors(flat[rows])
-            return (p.T * s.weights[rows]) @ p.conj()
+            if vectors is not None:
+                vectors[rows] = p
+            return (p.T * weights[rows]) @ p.conj()
 
-        first, *rest = row_blocks(len(s), 3 * len(self.reps))
+        first, *rest = row_blocks(len(flat), 3 * len(self.reps))
         coords = block(first)
         for rows in rest:
             coords += block(rows)
@@ -313,7 +315,7 @@ class _SymLayout:
     def norms(self, s: WeightedUnitarySet) -> tuple[float, float]:
         """‖S M̃ S‖² and ‖S M̃ S - S H̃ S‖, the Haar moment subtracted in place; squares are summed
         by rows, then pairwise, as one dot product over all m² drifts by 150 ulps at m = 165."""
-        coords = self.moment(s)
+        coords = self.moment(s.unitaries, s.weights)
         parts = coords.view(float)
         squared = np.einsum('ij,ij->i', parts, parts).sum()
         coords -= self.haar
@@ -401,7 +403,7 @@ def design_moment(s: WeightedUnitarySet, t: int) -> np.ndarray:
     n, d2t = len(s), int(s.dim) ** (2 * int(t))
     check_entries(max(n, d2t) * d2t, 'the moment operator max(n, d^2t)·d^2t')
     layout = _sym_layout(t, s.dim)
-    return layout.dense(layout.moment(s))
+    return layout.dense(layout.moment(s.unitaries, s.weights))
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,7 @@ def matrix_from_json(rows, context: str = 'matrix') -> np.ndarray:
 def design_to_json(s: WeightedUnitarySet, certified_t: int | None = None) -> dict:
     doc: dict = {'dim': int(s.dim)}
     if certified_t is not None:
+        check_count(certified_t, "'certified_t'", 1)     # the reader's rule
         doc['certified_t'] = int(certified_t)
     doc['elements'] = [
         {'weight': w, 'matrix': m}
@@ -197,14 +198,18 @@ def _csv_cell(v) -> str:
     return _fmt_float(v) if isinstance(v, float) else str(v)
 
 
-def write_report(csv_path, reports: list[TomographyReport]) -> Path:
-    """Write the CSV report plus its JSON mirror; returns the mirror path."""
+def report_mirror(csv_path) -> Path:
+    """The JSON mirror of a CSV report: ``r.csv`` -> ``r.json``, any other name gains ``.json``."""
     csv_path = Path(csv_path)
+    return csv_path.with_suffix('.json') if csv_path.suffix == '.csv' else csv_path.with_name(csv_path.name + '.json')
+
+
+def write_report(csv_path, reports: list[TomographyReport]) -> Path:
+    """Write the CSV report plus its JSON mirror (:func:`report_mirror`); returns the mirror path."""
     rows = [report_row(r) for r in reports]
     lines = [','.join(REPORT_FIELDS)]
     lines += [','.join(_csv_cell(row[f]) for f in REPORT_FIELDS) for row in rows]
-    csv_path.write_text('\n'.join(lines) + '\n')
-    mirror = csv_path.with_suffix('.json') if csv_path.suffix == '.csv' \
-        else csv_path.with_name(csv_path.name + '.json')
+    Path(csv_path).write_text('\n'.join(lines) + '\n')
+    mirror = report_mirror(csv_path)
     mirror.write_text(dumps(rows) + '\n')
     return mirror

@@ -284,10 +284,14 @@ def _moment_jacobian(layout, unitaries: np.ndarray, weights: np.ndarray, vectors
     """Jacobian of the Sym^t residual R = sum_x w_x p_x p_x† - H̃ (as floats) in the steps
     :func:`_polish_moment` takes, with its columns scaled to unit norm; returns the operator and
     the scales.  The column of a step along A_k at element x is w_x (δp p_x† + p_x δp†), δp the
-    tangent of p_x along a = vec(i A_k U_x) (:meth:`_SymLayout.tangents`), and its squared norm
-    is 2 w_x² (|δp|² |p_x|² + Re (δp† p_x)²); that of weight logit y is w_y (p_y p_y† - M),
-    M = sum_x w_x p_x p_x†, read through the weight mode's tie and scaled by that free norm.  A
-    tie that maps every logit to zero (uniform weights) has no logit columns.
+    tangent of p_x along a = vec(i A_k U_x) (:meth:`_SymLayout.tangents`).  By the product rule
+    <δ(f^⊗t), δ'(f^⊗t)> = t <a, a'> |f|^(2t-2) + t(t-1) <a, f> <f, a'> |f|^(2t-4), and f = vec U_x
+    has |f|² = d, <a_j, a_k> = tr(A_j A_k) = d δ_jk and <f, a_k> = i tr A_k = 0: so |p_x|² = d^t,
+    δp ⊥ p_x and each element's columns are orthogonal of norm w_x d^t sqrt(2t), and the held
+    tangents carry one factor c = 1/(d^t sqrt(2t)), put on the directions a.  The column of
+    weight logit y is w_y (p_y p_y† - M), M the set's ``moment``, read through the weight mode's
+    tie and scaled by that free norm, with |p_y|⁴ = d^(2t).  A tie that maps every logit to zero
+    (uniform weights) has no logit columns.
 
     The scaled tangents (rows, K, m), K = d² - 1, are built in row blocks whose tangents and
     moved generators fit ``MAX_ENTRIES``; a single block is built once and kept, more blocks are
@@ -297,42 +301,30 @@ def _moment_jacobian(layout, unitaries: np.ndarray, weights: np.ndarray, vectors
     from scipy.sparse.linalg import LinearOperator
 
     n, d = unitaries.shape[:2]
-    gens = 1j * _generators(d)[1:]          # the identity only shifts a phase
-    k, m = len(gens), len(layout.reps)
+    k, (m, t) = d * d - 1, layout.reps.shape
+    size = float(d) ** t                    # |p_x|²
+    c = 1 / (size * np.sqrt(2 * t))
+    gens = 1j * c * _generators(d)[1:]      # the identity only shifts a phase
     tie = _tie(weight_mode)
     logits = n if np.any(tie(np.ones(n), d)) else 0
     flat = unitaries.reshape(n, -1)
     conj = vectors.conj()
-    sizes = np.einsum('xa,xa->x', conj, vectors).real
     blocks = row_blocks(n, k * (m + d * d))
-    scale = np.empty((n, k))
 
     def tangents(rows: slice) -> np.ndarray:
-        # i A_k U_x as (rows, K, d, d), so that vec(i A_k U_x) are its rows with no copy
-        return layout.tangents(flat[rows], (gens @ unitaries[rows, None]).reshape(-1, k, d * d))
+        # the directions c vec(i A_k U_x) are the rows of (rows, K, d, d), with no copy, so c δp as
+        # (rows, K, 2m) reals: Re and Im of each entry in turn
+        return layout.tangents(flat[rows], (gens @ unitaries[rows, None]).reshape(-1, k, d * d)).view(float)
 
-    def scaled(rows: slice, dp: np.ndarray) -> np.ndarray:
-        dp *= (weights[rows, None] * scale[rows])[:, :, None]
-        return dp.view(float)               # (rows, K, 2m): Re and Im of each entry in turn
-
-    held = []
-    for rows in blocks:
-        dp = tangents(rows)
-        cross = (dp @ conj[rows, :, None])[..., 0]
-        reals = dp.view(float)
-        squares = 2 * (weights[rows] ** 2)[:, None] * (np.einsum('xki,xki->xk', reals, reals) * sizes[rows, None]
-                                                       + np.real(cross * cross))
-        scale[rows] = 1 / np.sqrt(np.where(squares > 0, squares, 1.0))
-        if len(blocks) == 1:
-            held.append(scaled(rows, dp))
+    held = [tangents(blocks[0])] if len(blocks) == 1 else []
 
     def pieces():
-        return zip(blocks, held) if held else ((rows, scaled(rows, tangents(rows))) for rows in blocks)
+        return zip(blocks, held) if held else ((rows, tangents(rows)) for rows in blocks)
 
     logit_scale = np.empty(0)
     if logits:
         projected = np.einsum('xa,xa->x', conj, vectors @ moment.T).real
-        squares = weights ** 2 * (sizes * sizes - 2 * projected + np.vdot(moment, moment).real)
+        squares = weights ** 2 * (size * size - 2 * projected + np.vdot(moment, moment).real)
         logit_scale = 1 / np.sqrt(np.where(squares > 0, squares, 1.0))
 
     def matvec(z):
@@ -362,7 +354,7 @@ def _moment_jacobian(layout, unitaries: np.ndarray, weights: np.ndarray, vectors
             out[n * k:] = logit_scale * tie(weights * (q - weights @ q), d)
         return out
 
-    scales = np.concatenate([scale.reshape(-1), logit_scale])
+    scales = np.concatenate([np.repeat(c / weights, k), logit_scale])
     return LinearOperator((2 * m * m, scales.size), matvec=matvec, rmatvec=rmatvec, dtype=float), scales
 
 
@@ -393,37 +385,31 @@ def _polish_moment(s: WeightedUnitarySet, t: int, weight_mode: str) -> WeightedU
     k = len(gens)
     tie = _tie(weight_mode)
 
-    def residual(u, w):
-        # p whole, as the Jacobian reads it; its products and R summed over row blocks as in
-        # :meth:`_SymLayout.moment`
-        flat, p = u.reshape(n, -1), np.empty((n, len(layout.reps)), dtype=complex)
-        r = -layout.haar.astype(complex)
-        for rows in row_blocks(n, 3 * len(layout.reps)):
-            p[rows] = layout.vectors(flat[rows])
-            r += (p[rows].T * w[rows]) @ p[rows].conj()
-        return p, r
+    def measured(u, w):
+        # the set, its p whole (as the Jacobian reads them), its moment M and R = M - H̃
+        p = np.empty((n, len(layout.reps)), dtype=complex)
+        moment = layout.moment(u, w, p)
+        return u, w, p, moment, moment - layout.haar
 
     def stepped(u, w, step):
-        trial_u = _unitaries_from_theta(step[:n * k].reshape(n, k), gens)[0] @ u
         trial_w = _weights_from_logits(np.log(w) + tie(step[n * k:], d), 'free', d) if len(step) > n * k else w
-        return (trial_u, trial_w) + residual(trial_u, trial_w)
+        return measured(_unitaries_from_theta(step[:n * k].reshape(n, k), gens)[0] @ u, trial_w)
 
     floor = 8 * np.finfo(float).eps * float(d) ** t
-    u, w = s.unitaries, s.weights
-    p, r = residual(u, w)
+    u, w, p, moment, r = measured(s.unitaries, s.weights)
     norm, boost, tol = np.linalg.norm(r), 1.0, _LSMR_TOL
     for _ in range(_POLISH_TRIALS):
         if norm <= floor:
             break
-        jac, scale = _moment_jacobian(layout, u, w, p, r + layout.haar, weight_mode)
+        jac, scale = _moment_jacobian(layout, u, w, p, moment, weight_mode)
         step = scale * lsmr(jac, -r.reshape(-1).view(float), damp=boost * norm, atol=tol, btol=tol)[0]
         del jac                             # and its tangents, before the next step builds its own
-        trial_u, trial_w, trial_p, trial_r = stepped(u, w, step)
+        trial_u, trial_w, trial_p, trial_moment, trial_r = stepped(u, w, step)
         trial = np.linalg.norm(trial_r)
         if trial < norm:
             if trial > _STALL * norm:
                 tol = max(tol * _TIGHTEN, _MIN_TOL)
-            u, w, p, r, norm = trial_u, trial_w, trial_p, trial_r, trial
+            u, w, p, moment, r, norm = trial_u, trial_w, trial_p, trial_moment, trial_r, trial
             boost = max(boost / 4, 1.0)
         else:
             boost *= 10

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -248,6 +249,20 @@ class TestGallery:
             name, _, letter = form.partition(':')
             param = {'k': 2, 'p': 0.5}.get(letter)
             assert channel_gallery(name, 2, rng=make_rng(0), param=param).dim == 2
+
+    @pytest.mark.parametrize('build', [
+        lambda d, rng: depolarizing_channel(0.5, d),
+        lambda d, rng: random_unital_mix(3, d, rng),
+        lambda d, rng: random_general_channel(2, d, rng),
+        lambda d, rng: channel_gallery('identity', d, rng),
+    ])
+    @pytest.mark.parametrize('d', [2.0, 1, None, True])
+    def test_dimension_is_checked_before_any_draw(self, build, d):
+        rng = make_rng(9)
+        state = pickle.dumps(rng.bit_generator.state)
+        with pytest.raises(InvalidInputError, match="^'dim' must be an integer >= 2, got "):
+            build(d, rng)
+        assert pickle.dumps(rng.bit_generator.state) == state
 
     def test_unknown_name_is_named_before_the_missing_rng(self):
         with pytest.raises(InvalidInputError, match="^unknown channel name 'nope'$"):

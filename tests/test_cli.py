@@ -335,6 +335,17 @@ class TestTomo:
         assert row['predicted'] == pytest.approx((7 - 7 / 16) / 10000)
         assert row['purity'] == pytest.approx(7 / 16, abs=1e-9)
 
+    @pytest.mark.parametrize('csv_name', ['d11.csv', 'd11.json'])
+    def test_a_report_over_the_design_file_exits_2_before_any_work(self, capsys, tmp_path, design_file, csv_name):
+        # the mirror of d11.csv is d11.json, the design itself; --csv d11.json is the design
+        before = design_file.read_bytes()
+        code, stdout, err = run(capsys, 'tomo', '--design', str(design_file), '--channel', 'identity',
+                                '--shots', '1000', '--trials', '10', '--seed', '1', '--csv', str(tmp_path / csv_name))
+        assert code == 2 and not stdout
+        assert err.startswith('error: ') and err.rstrip().endswith(f'would overwrite {design_file}')
+        assert design_file.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ['d11.json']
+
     def test_general_channel_with_uc_design_exits_2(self, capsys, tmp_path, design_file):
         code, _, err = run(capsys, 'tomo', '--design', str(design_file),
                            '--channel', 'random_general:3', '--shots', '1000',

@@ -74,6 +74,17 @@ class TestDumps:
         assert len(parsed['elements']) == 11
 
 
+    @pytest.mark.parametrize('certified_t', [2.5, True, 0])
+    def test_writer_refuses_an_order_the_reader_refuses(self, tmp_path, certified_t):
+        path = tmp_path / 'd.json'
+        with pytest.raises(InvalidInputError, match="^'certified_t' must be an integer >= 1, got "):
+            save_design(gallery('pu2_11pt'), path, certified_t=certified_t)
+        assert not path.exists()
+
+    def test_numpy_integer_order_is_written_as_an_int(self):
+        assert dumps(design_to_json(gallery('pu2_11pt'), certified_t=np.int64(2))).startswith(
+            '{\n  "dim": 2,\n  "certified_t": 2,\n')
+
 class TestDesignRoundTrip:
     def test_save_load_exact(self, tmp_path):
         path = tmp_path / 'design.json'
@@ -96,16 +107,21 @@ class TestDesignRoundTrip:
         assert np.array_equal(loaded.unitaries, s.unitaries)
 
     def test_search_result_loads_with_its_weights_and_certificate(self, tmp_path):
-        # its weights sum to one within ATOL_ALG but not exactly; a load that renormalised them
-        # read r_2 = 3.138e-15 where the search certified 3.186e-15
-        trace = search(SearchConfig(dim=2, size=11, t=2, seed=1, restarts=2))
+        # weights that sum to one within ATOL_ALG but not exactly load as written: one weight of a
+        # search result is stepped down an ulp at a time until the sum is not 1 (a load that
+        # renormalised them read another residual than the set that was saved)
+        result = search(SearchConfig(dim=2, size=11, t=2, seed=1, restarts=2)).result
+        weights = result.weights.copy()
+        while weights.sum() == 1.0:
+            weights[0] = np.nextafter(weights[0], 0.0)
+        s = WeightedUnitarySet(2, result.unitaries, weights)
         path = tmp_path / 's.json'
-        save_design(trace.result, path, certified_t=2)
+        save_design(s, path, certified_t=2)
         loaded, _ = load_design(path)
-        assert trace.result.weights.sum() != 1.0
-        assert np.array_equal(loaded.weights, trace.result.weights)
-        assert np.array_equal(loaded.unitaries, trace.result.unitaries)
-        assert certify(loaded, 2) == trace.certificate
+        assert s.weights.sum() != 1.0
+        assert np.array_equal(loaded.weights, s.weights)
+        assert np.array_equal(loaded.unitaries, s.unitaries)
+        assert certify(loaded, 2) == certify(s, 2)
 
     def test_byte_identical_rewrites(self, tmp_path):
         s = gallery('pu2_clifford24')

@@ -468,13 +468,26 @@ class TestPolishJacobian:
             jac, scale = moment_jacobian(haar_unitaries(2, 8, rng), np.full(8, 1 / 8), 2, mode)
             assert jac.shape == (2 * 10 * 10, 8 * 3 + logits) and scale.shape == (jac.shape[1],)
 
-    @pytest.mark.parametrize('d', [2, 3])
-    def test_closed_form_scales_give_unit_columns(self, d):
+    @pytest.mark.parametrize('weight_mode', WEIGHT_MODES)
+    @pytest.mark.parametrize('d, ts', [(2, (1, 2, 3, 4, 5)), (3, (1, 2, 3))])
+    def test_closed_form_scales_give_unit_columns(self, d, ts, weight_mode):
+        # |p_x|² = d^t, <δp_j, δp_k> = t d^t δ_jk and δp ⊥ p_x: each element's columns, scaled by
+        # 1/(w_x d^t sqrt(2t)), are orthonormal, and the free logit columns have unit norm too
+        # (a dense check at d = 3, t = 5 would hold 2.6 GB)
         rng = make_rng(15)
-        for t in (1, 2, 3):
-            jac = moment_jacobian(*random_set(d, d * d + 2, rng), t, 'free')[0]
+        n, k = 2 * d * d, d * d - 1
+        for t in ts:
+            unitaries, weights = random_set(d, n, rng)
+            weights = {'free': weights, 'uniform': np.full(n, 1 / n),
+                       'per-basis': np.repeat(weights.reshape(-1, d * d).mean(axis=1), d * d)}[weight_mode]
+            jac, scale = moment_jacobian(unitaries, weights, t, weight_mode)
+            assert np.allclose(scale[:n * k], np.repeat(1 / (weights * d ** t * np.sqrt(2 * t)), k),
+                               rtol=1e-14, atol=0)
             columns = jac @ np.eye(jac.shape[1])
-            assert np.allclose(np.linalg.norm(columns, axis=0), 1.0, rtol=1e-12)
+            blocks = columns[:, :n * k].reshape(-1, n, k).transpose(1, 0, 2)
+            assert np.allclose(np.swapaxes(blocks, 1, 2) @ blocks, np.eye(k), rtol=0, atol=1e-12)
+            if weight_mode == 'free':
+                assert np.allclose(np.linalg.norm(columns[:, n * k:], axis=0), 1.0, rtol=1e-12)
 
 
 def test_polish_retries_a_rejected_step_with_more_damping(monkeypatch):

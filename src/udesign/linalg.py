@@ -19,7 +19,8 @@ Conventions, fixed once for the whole package:
   to U_(j,k)/sqrt(d), i.e. |U> = vec(U)/sqrt(d).
 * Every integer input meets one rule, :func:`check_count`: an int or numpy integer, not a bool, at
   least its bound: dim 2; seed 0; t, certified_t, a search's size, max_iterations and restarts, a
-  Kraus count k, max_order and shots 1 (0 in sample_counts); trials 2; an operator frame's n d².
+  Kraus count k, a Haar stack's n, max_order and shots 1 (0 in sample_counts); trials 2; an
+  operator frame's n d².
 """
 
 from __future__ import annotations
@@ -205,6 +206,7 @@ def weyl_operators(d: int) -> np.ndarray:
     """The d² Weyl operators X^a Z^b at index a·d + b, shape (d², d, d), with
     the shift X|j> = |j + 1> and the clock Z = diag(exp(2πij/d));
     tr(W†W') = d δ.  One stacked product of the shift and clock powers."""
+    check_dim(d)
     shift = np.roll(np.eye(d), 1, axis=0).astype(complex)
     clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
     xs, zs = (np.array([np.linalg.matrix_power(m, k) for k in range(d)]) for m in (shift, clock))
@@ -225,6 +227,8 @@ def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     element in turn, so the stack equals ``n`` successive
     :func:`haar_unitary` calls on the same generator.
     """
+    check_dim(d)
+    check_count(n, 'n', 1)
     z = rng.standard_normal((n, 2, d, d))
     q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
@@ -237,12 +241,21 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def log_unitary(u: np.ndarray) -> np.ndarray:
-    """Hermitian G with U = exp(iG), eigenphases on the principal branch."""
-    import scipy.linalg
+    """Hermitian G with U = exp(iG), eigenphases on the principal branch, for one matrix or a
+    (..., d, d) stack: one workspace query, then LAPACK's complex Schur form (zgees, the routine
+    of ``scipy.linalg.schur``) per matrix and one batched product, bit for bit the per-matrix logs."""
+    from scipy.linalg import lapack
 
-    t, q = scipy.linalg.schur(np.asarray(u, dtype=complex), output='complex')
-    phases = np.angle(np.diagonal(t))
-    return (q * phases) @ dag(q)
+    u = np.asarray_chkfinite(u, dtype=complex)
+    stack = np.swapaxes(u.reshape(-1, *u.shape[-2:]), 1, 2).copy()   # each .T a column-major matrix
+    unsorted = lambda x: None               # the eigenvalue-ordering callback, unused unless sorting
+    lwork = int(lapack.zgees(unsorted, stack[0].T, lwork=-1)[-2][0].real)
+    forms = [lapack.zgees(unsorted, a.T, lwork=lwork) for a in stack]
+    if any(form[-1] for form in forms):
+        raise np.linalg.LinAlgError("the Schur form of a unitary was not found")
+    schur, q = (np.array([form[part] for form in forms]) for part in (0, 3))
+    phases = np.angle(np.diagonal(schur, axis1=1, axis2=2))
+    return ((q * phases[:, None, :]) @ dag(q)).reshape(u.shape)
 
 
 # outputs of unital channels, of all channels, all states -> removed families (_class_complement)

@@ -4,8 +4,8 @@ A candidate set is parametrized totally: each unitary is the exponential of
 a Hermitian combination of the scaled basis generators, and weights are the
 softmax of logits tied by the weight mode's self-adjoint map.  The objective
 is the frame-potential gap, which vanishes exactly on designs, minimized by
-multi-restart L-BFGS with an analytic gradient (the eigendecomposition form
-of the exponential's derivative keeps it exact for degenerate spectra).
+multi-restart L-BFGS with an analytic gradient, whose chart is in closed form
+at d = 2 and goes through the eigendecomposition at d >= 3 (:func:`_chart`).
 
 The gap is the square of the moment residual and is computed by cancellation,
 so it bottoms out near 1e-16 while the residual may still be near 1e-8, and the
@@ -14,8 +14,10 @@ straight path: L-BFGS to the first iterate whose gap is at most
 ``_HANDOFF_GAP``, then one polish in linear units, whose damped Gauss-Newton
 steps, taken through the same exponential chart, drive the t-th moment
 residual on Sym^t(C^(d²)), and with it every lower one (the POVM
-normalization defect among them), to its float floor.  A restart converges
-when :func:`certify` passes its set, on the residual, at ``target_residual``.
+normalization defect among them), to its float floor.  A polish that stalls
+above ``target_residual`` gives up, since its restart fails anyway.  A restart
+converges when :func:`certify` passes its set, on the residual, at
+``target_residual``.
 
 Each L-BFGS run evaluates its objective in one :class:`ObjectiveWorkspace`,
 the three n × n buffers it allocates when it starts.  Freed n × n
@@ -50,7 +52,8 @@ WEIGHT_MODES = tuple(_TIES)
 # Solver settings.  L-BFGS stops at these tolerances, or hands a restart to the polish at the
 # first iterate whose gap is at most _HANDOFF_GAP.  Each polish step solves its damped system by
 # LSMR to _LSMR_TOL; a step that leaves more than _STALL of |R| tightens that tolerance by
-# _TIGHTEN, down to _MIN_TOL.  A polish takes at most _POLISH_TRIALS trial steps.
+# _TIGHTEN, down to _MIN_TOL, and at _MIN_TOL ends the polish if |R| is above the target.  A
+# polish takes at most _POLISH_TRIALS trial steps.
 _LBFGS_TOLERANCES = {'ftol': 1e-18, 'gtol': 1e-14}
 _HANDOFF_GAP = 1e-4
 _LSMR_TOL = 1e-4
@@ -125,17 +128,63 @@ def _weights_from_logits(logits: np.ndarray, mode: str, d: int) -> np.ndarray:
     return shifted / shifted.sum()
 
 
-def _unitaries_from_theta(theta_u: np.ndarray, gens: np.ndarray):
-    # U = V e^{iλ} V† from the eigendecomposition of sum_k theta_k A_k
-    n, d = len(theta_u), gens.shape[-1]
-    evals, v = np.linalg.eigh((theta_u @ gens.reshape(len(gens), d * d)).reshape(n, d, d))
+def _chart(coeffs: np.ndarray, d: int):
+    """The chart U_x = exp(i sum_k θ_xk A_k) over the last ``coeffs.shape[1]`` generators (all d², or
+    the d² - 1 traceless ones) as (unitaries, pullback), pullback(K) the gradient Re tr(K_x† ∂U_x/∂θ_xk):
+    in closed form at d = 2 (:func:`_qubit_chart`), by eigendecomposition at d >= 3 (:func:`_eigh_chart`)."""
+    return _qubit_chart(coeffs) if d == 2 else _eigh_chart(coeffs, _generators(d)[-coeffs.shape[1]:])
+
+
+def _eigh_chart(coeffs: np.ndarray, gens: np.ndarray):
+    # U = V e^{iλ} V† from the eigendecomposition of sum_k θ_k A_k; the pullback reads the divided
+    # differences of exp(i·), so it stays exact on degenerate spectra
+    n, d = len(coeffs), gens.shape[-1]
+    evals, v = np.linalg.eigh((coeffs @ gens.reshape(len(gens), d * d)).reshape(n, d, d))
     phases = np.exp(1j * evals)
-    return (v * phases[:, None, :]) @ dag(v), evals, phases, v
+
+    def pullback(k_ops: np.ndarray) -> np.ndarray:
+        diff = evals[:, :, None] - evals[:, None, :]
+        near = np.abs(diff) < 1e-12
+        e_col, e_row = phases[:, :, None], phases[:, None, :]
+        # (e^{iλp} - e^{iλq})/(λp - λq), i·e^{iλ} on ties
+        dd = np.where(near, 1j * e_col, (e_col - e_row) / np.where(near, 1.0, diff))
+        middle = (dag(v) @ k_ops @ v).conj() * dd
+        back_t = v.conj() @ middle @ np.swapaxes(v, 1, 2)     # (V Mᵀ V†)ᵀ
+        return np.real(back_t.reshape(n, d * d) @ gens.reshape(len(gens), d * d).T)
+
+    return (v * phases[:, None, :]) @ dag(v), pullback
+
+
+def _qubit_chart(coeffs: np.ndarray):
+    """The chart at d = 2, whose generators are I, X, Y, Z, in closed form.  With θ_x = (φ, a)
+    (φ = 0 over the traceless three), r = |a| and s = sin r / r: U = e^{iφ}(cos r I + i s a·σ).
+    With c_0 = tr K† and c_j = tr(K† σ_j), tr(K†U) = e^{iφ}(cos r c_0 + i s a·c), so the pullback
+    is Re(i tr(K†U)) along φ and Re(e^{iφ}[-s a_j c_0 + i(f a_j a·c + s c_j)]) along a_j, with
+    f = (cos r - s)/r², read as its series -1/3 + r²/30 below r = 1e-3, where the quotient cancels
+    (f multiplies a_j a·c = O(r²), so the switch moves the gradient only at rounding level)."""
+    n, whole = len(coeffs), coeffs.shape[1] == 4
+    a = coeffs[:, -3:]
+    r = np.sqrt(np.einsum('xk,xk->x', a, a))
+    cos, s = np.cos(r), np.sinc(r / np.pi)
+    phase = np.exp(1j * coeffs[:, 0]) if whole else np.ones(n)
+    paulis = _generators(2).reshape(4, 4)
+    unitaries = ((phase[:, None] * np.column_stack([cos, 1j * s[:, None] * a])) @ paulis).reshape(n, 2, 2)
+
+    def pullback(k_ops: np.ndarray) -> np.ndarray:
+        c = k_ops.conj().reshape(n, 4) @ paulis.T
+        ac = np.einsum('xk,xk->x', a, c[:, 1:])
+        small = r < 1e-3
+        f = np.where(small, r * r / 30 - 1 / 3, (cos - s) / np.where(small, 1.0, r * r))
+        grad_a = np.real(phase[:, None] * (1j * (s[:, None] * c[:, 1:] + (f * ac)[:, None] * a)
+                                           - (s * c[:, 0])[:, None] * a))
+        return np.column_stack([-np.imag(phase * (cos * c[:, 0] + 1j * s * ac)), grad_a]) if whole else grad_a
+
+    return unitaries, pullback
 
 
 def _log_coefficients(unitaries: np.ndarray, d: int) -> np.ndarray:
     # generator coefficients tr(A_k G)/d of the principal logs G (Hermitian, so tr(A_k G) = <G, A_k>)
-    logs = np.array([log_unitary(u) for u in unitaries]).reshape(len(unitaries), -1)
+    logs = log_unitary(unitaries).reshape(len(unitaries), -1)
     return np.real(logs.conj() @ _generators(d).reshape(d * d, d * d).T) / d
 
 
@@ -153,8 +202,7 @@ def parametrize(theta: np.ndarray, dim: int, size: int,
     if theta.shape != (size * d2 + size,):
         raise InvalidInputError(
             f"theta must have length n·d² + n = {size * d2 + size}, got {theta.shape}")
-    gens = _generators(dim)
-    unitaries = _unitaries_from_theta(theta[:size * d2].reshape(size, d2), gens)[0]
+    unitaries = _chart(theta[:size * d2].reshape(size, d2), dim)[0]
     weights = _weights_from_logits(theta[size * d2:], weight_mode, dim)
     return WeightedUnitarySet(dim, unitaries, weights)
 
@@ -190,13 +238,12 @@ def objective_and_gradient(theta: np.ndarray, dim: int, size: int, t: int,
     minimization that passes one workspace to every evaluation allocates
     nothing of size n² after the first; the returned gradient is a new array.
     """
-    gens = _generators(dim)
     d2 = dim * dim
     theta = np.asarray(theta, dtype=float)
     theta_u = theta[:size * d2].reshape(size, d2)
     logits = theta[size * d2:]
     w = _weights_from_logits(logits, weight_mode, dim)
-    unitaries, evals, phases, v = _unitaries_from_theta(theta_u, gens)
+    unitaries, pullback = _chart(theta_u, dim)
     ws = ObjectiveWorkspace.empty(size) if workspace is None else workspace
     if ws.abs2.shape != (size, size):
         raise InvalidInputError(f"workspace is for n = {len(ws.abs2)}, not n = {size}")
@@ -219,16 +266,7 @@ def objective_and_gradient(theta: np.ndarray, dim: int, size: int, t: int,
     outer *= t
     outer *= lower
     pair = np.multiply(outer, overlaps, out=overlaps)
-    k_ops = 4.0 * (pair.T @ flat).reshape(size, dim, dim)
-    diff = evals[:, :, None] - evals[:, None, :]
-    near = np.abs(diff) < 1e-12
-    e_col, e_row = phases[:, :, None], phases[:, None, :]
-    # divided differences of exp(i·): (e^{iλp} - e^{iλq})/(λp - λq), i·e^{iλ} on ties
-    dd = np.where(near, 1j * e_col, (e_col - e_row) / np.where(near, 1.0, diff))
-    middle = (dag(v) @ k_ops @ v).conj() * dd
-    back_t = v.conj() @ middle @ np.swapaxes(v, 1, 2)     # (V Mᵀ V†)ᵀ
-    grad_u = np.real(back_t.reshape(size, d2) @ gens.reshape(d2, d2).T)
-
+    grad_u = pullback(4.0 * (pair.T @ flat).reshape(size, dim, dim))
     grad_w = _tie(weight_mode)(w * (dpot_dw - np.dot(w, dpot_dw)), dim)    # a self-adjoint tie is its chain rule
     return gap, np.concatenate([grad_u.reshape(-1), grad_w])
 
@@ -358,11 +396,11 @@ def _moment_jacobian(layout, unitaries: np.ndarray, weights: np.ndarray, vectors
     return LinearOperator((2 * m * m, scales.size), matvec=matvec, rmatvec=rmatvec, dtype=float), scales
 
 
-def _polish_moment(s: WeightedUnitarySet, t: int, weight_mode: str) -> WeightedUnitarySet:
+def _polish_moment(s: WeightedUnitarySet, t: int, weight_mode: str, target: float) -> WeightedUnitarySet:
     """Drive the Sym^t residual R = sum_x w_x p_x p_x† - H̃ (:class:`_SymLayout`), whose norm is
     :func:`certify`'s moment residual r_t, to its float floor 8 eps d^t, or as near it as
-    ``_POLISH_TRIALS`` trial steps go.  Since r_s <= r_t for s < t, every lower residual, the
-    POVM defect r_1 among them, reaches float precision with it.
+    ``_POLISH_TRIALS`` trial steps go, unless it stalls above ``target``.  Since r_s <= r_t for
+    s < t, every lower residual, the POVM defect r_1 among them, reaches float precision with it.
 
     Each step starts from the current set.  Element x moves to exp(iG_x) U_x through the
     objective's chart, with G_x a combination of the traceless generators, so it stays unitary;
@@ -375,14 +413,15 @@ def _polish_moment(s: WeightedUnitarySet, t: int, weight_mode: str) -> WeightedU
     Gauss-Newton oscillates.  A step that does not shrink |R| is retried with more damping, for at
     most ``_POLISH_TRIALS`` trial steps.  A step that does not halve |R| tightens LSMR's
     tolerance, whose test on |J^T r| otherwise ends solves before they resolve the small singular
-    values.  The floor is an absolute test (before SciPy 1.16, scipy's least_squares offers only
-    relative ones)."""
+    values.  Such a step taken at ``_MIN_TOL`` with |R| above ``target`` ends the polish: the set
+    is near a local minimum (r_t of 1e-5 to 1e-3), and its restart fails.  Below ``target`` no
+    step ends it early, so a restart that passes still polishes to its floor.  The floor is an
+    absolute test (before SciPy 1.16, scipy's least_squares offers only relative ones)."""
     from scipy.sparse.linalg import lsmr
 
     d, n = s.dim, len(s)
     layout = _sym_layout(t, d)
-    gens = _generators(d)[1:]
-    k = len(gens)
+    k = d * d - 1
     tie = _tie(weight_mode)
 
     def measured(u, w):
@@ -393,7 +432,7 @@ def _polish_moment(s: WeightedUnitarySet, t: int, weight_mode: str) -> WeightedU
 
     def stepped(u, w, step):
         trial_w = _weights_from_logits(np.log(w) + tie(step[n * k:], d), 'free', d) if len(step) > n * k else w
-        return measured(_unitaries_from_theta(step[:n * k].reshape(n, k), gens)[0] @ u, trial_w)
+        return measured(_chart(step[:n * k].reshape(n, k), d)[0] @ u, trial_w)
 
     floor = 8 * np.finfo(float).eps * float(d) ** t
     u, w, p, moment, r = measured(s.unitaries, s.weights)
@@ -407,9 +446,11 @@ def _polish_moment(s: WeightedUnitarySet, t: int, weight_mode: str) -> WeightedU
         trial_u, trial_w, trial_p, trial_moment, trial_r = stepped(u, w, step)
         trial = np.linalg.norm(trial_r)
         if trial < norm:
-            if trial > _STALL * norm:
-                tol = max(tol * _TIGHTEN, _MIN_TOL)
+            stalled = trial > _STALL * norm
             u, w, p, moment, r, norm = trial_u, trial_w, trial_p, trial_moment, trial_r, trial
+            if stalled and tol == _MIN_TOL and norm > target:
+                break
+            tol = max(tol * _TIGHTEN, _MIN_TOL) if stalled else tol
             boost = max(boost / 4, 1.0)
         else:
             boost *= 10
@@ -421,12 +462,13 @@ def _descend(theta0: np.ndarray, config: SearchConfig, history: list[float]) -> 
     shrink |R|, and a set at its floor passes any target above the floor, so no set the restart
     visits does better than the polished one: :func:`certify` judges it at ``target_residual``,
     and a near-design local minimum that the polish cannot bring to its floor fails however small
-    its gap.  A run that ends short of the handoff gap is certified as it ended.
-    Phase duplicates are merged last, so the polish sees the weight mode's blocks whole."""
+    its gap (its polish gives up once it stalls above the target).  A run that ends short of the
+    handoff gap is certified as it ended.  Phase duplicates are merged last, so the polish sees
+    the weight mode's blocks whole."""
     gap, theta = _minimize_from(theta0, config, history)
     s = parametrize(theta, config.dim, config.size, config.weight_mode)
     if gap <= _HANDOFF_GAP:                 # else L-BFGS ran to its own end short of the handoff
-        s = _polish_moment(s, config.t, config.weight_mode)
+        s = _polish_moment(s, config.t, config.weight_mode, config.target_residual)
     s = merge_phase_duplicates(s)
     return certify(s, config.t, config.target_residual), s
 
@@ -457,7 +499,7 @@ def search(config: SearchConfig) -> SearchTrace:
 
     Each restart runs L-BFGS on the frame-potential gap until the gap is at
     most ``_HANDOFF_GAP`` and then polishes the t-residual once, to its float
-    floor (:func:`_polish_moment`, :func:`_descend`).  A converged set has
+    floor unless it stalls above the target (:func:`_polish_moment`).  A converged set has
     r_1 <= r_t <= ``target_residual``, so :func:`povm_from_design` accepts it
     at the default target.  The polish keeps the weight mode's tie: uniform
     weights stay uniform, per-basis weights stay tied.  ``gap_history``

@@ -17,6 +17,7 @@ from udesign.linalg import (
     herm_basis,
     herm_coords,
     herm_from_coords,
+    log_unitary,
     make_rng,
     partial_trace,
     span_dimension,
@@ -268,6 +269,51 @@ class TestHaarUnitary:
         assert abs(plain.mean() - rotated.mean()) <= 5 * pooled
 
 
+class TestRandomAndWeylRefusals:
+    # below the bound; fractional, bool and None values run through INTEGER_INPUTS
+    @pytest.mark.parametrize('call, message', [
+        (lambda rng: haar_unitary(1, rng), "'dim' must be an integer >= 2, got 1"),
+        (lambda rng: haar_unitaries(2, 0, rng), 'n must be an integer >= 1, got 0'),
+        (lambda rng: weyl_operators(1), "'dim' must be an integer >= 2, got 1"),
+    ])
+    def test_refused_by_the_integer_rule_before_any_draw(self, call, message):
+        rng = make_rng(1)
+        before = repr(rng.bit_generator.state)
+        with pytest.raises(InvalidInputError, match=f'^{re.escape(message)}$'):
+            call(rng)
+        assert repr(rng.bit_generator.state) == before
+
+
+def schur_log(u):
+    """Oracle: the principal log of one unitary from its complex Schur form."""
+    import scipy.linalg
+
+    t, q = scipy.linalg.schur(u, output='complex')
+    return (q * np.angle(np.diagonal(t))) @ dag(q)
+
+
+class TestLogUnitary:
+    @pytest.mark.parametrize('d', [2, 3, 4])
+    def test_a_stack_gives_the_bits_of_the_per_matrix_schur_logs(self, d):
+        stack = haar_unitaries(d, 40, make_rng(30 + d))
+        logs = log_unitary(stack)
+        assert logs.tobytes() == np.array([schur_log(u) for u in stack]).tobytes()
+        assert log_unitary(stack[3]).tobytes() == logs[3].tobytes()
+        assert log_unitary(stack.reshape(5, 8, d, d)).tobytes() == logs.tobytes()
+        assert np.abs(logs - dag(logs)).max() <= 1e-14
+
+    @pytest.mark.parametrize('name', ['pu2_11pt', 'pu2_clifford12', 'pu2_600cell'])
+    def test_gallery_designs_with_degenerate_spectra(self, name):
+        from udesign.designs import gallery
+
+        stack = gallery(name).unitaries        # the identity and the Paulis among them
+        assert log_unitary(stack).tobytes() == np.array([schur_log(u) for u in stack]).tobytes()
+
+    def test_non_finite_entries_are_refused(self):
+        with pytest.raises(ValueError):
+            log_unitary(np.array([np.eye(2), [[np.nan, 0], [0, 1]]]))
+
+
 class TestMakeRng:
     def test_accepts_non_negative_integers(self):
         for seed in (0, 7, np.int64(7), 2 ** 40 + 3):
@@ -299,6 +345,10 @@ def _integer_inputs() -> dict:
 
     return {
         'herm_basis-dim': ("'dim'", 3, lambda v, rng: herm_basis(v)),
+        'weyl_operators-dim': ("'dim'", 3, lambda v, rng: weyl_operators(v)),
+        'haar_unitary-dim': ("'dim'", 3, lambda v, rng: haar_unitary(v, rng)),
+        'haar_unitaries-dim': ("'dim'", 3, lambda v, rng: haar_unitaries(v, 4, rng)),
+        'haar_unitaries-n': ('n', 4, lambda v, rng: haar_unitaries(3, v, rng)),
         'class_projector-dim': ("'dim'", 2, lambda v, rng: class_projector('gc', v)),
         'class_projector_coords-dim': ("'dim'", 2, lambda v, rng: class_projector_coords('uc', v)),
         'make_rng-seed': ('seed', 7, lambda v, rng: make_rng(v).integers(1 << 30, size=4)),

@@ -16,11 +16,12 @@ from udesign.search import (
     ObjectiveWorkspace,
     SearchConfig,
     _TIES,
+    _chart,
+    _eigh_chart,
     _generators,
     _moment_jacobian,
     _polish_moment,
     _tie,
-    _unitaries_from_theta,
     _weights_from_logits,
     objective_and_gradient,
     parametrize,
@@ -147,14 +148,14 @@ class TestGradient:
 
 
 def reference_objective_and_gradient(theta, dim, size, t, weight_mode='free'):
-    """The objective as first written, one fresh array per step: the bit-level oracle."""
-    gens = _generators(dim)
+    """The objective as first written, one fresh array per step, through the same chart and
+    pullback: the bit-level oracle of the workspace."""
     d2 = dim * dim
     theta = np.asarray(theta, dtype=float)
     theta_u = theta[:size * d2].reshape(size, d2)
     logits = theta[size * d2:]
     w = _weights_from_logits(logits, weight_mode, dim)
-    unitaries, evals, phases, v = _unitaries_from_theta(theta_u, gens)
+    unitaries, pullback = _chart(theta_u, dim)
 
     flat = unitaries.reshape(size, -1)
     overlaps = flat.conj() @ flat.T
@@ -165,18 +166,47 @@ def reference_objective_and_gradient(theta, dim, size, t, weight_mode='free'):
     gap = potential - float(gamma(t, dim))
 
     pair = np.outer(w, w) * t * lower * overlaps
-    k_ops = 4.0 * (pair.T @ flat).reshape(size, dim, dim)
-    diff = evals[:, :, None] - evals[:, None, :]
-    near = np.abs(diff) < 1e-12
-    e_col, e_row = phases[:, :, None], phases[:, None, :]
-    dd = np.where(near, 1j * e_col, (e_col - e_row) / np.where(near, 1.0, diff))
-    middle = (dag(v) @ k_ops @ v).conj() * dd
-    back_t = v.conj() @ middle @ np.swapaxes(v, 1, 2)
-    grad_u = np.real(back_t.reshape(size, d2) @ gens.reshape(d2, d2).T)
+    grad_u = pullback(4.0 * (pair.T @ flat).reshape(size, dim, dim))
 
     dpot_dw = 2.0 * abs2_t @ w
     grad_w = _tie(weight_mode)(w * (dpot_dw - np.dot(w, dpot_dw)), dim)
     return gap, np.concatenate([grad_u.reshape(-1), grad_w])
+
+
+class TestQubitChart:
+    # the closed-form chart at d = 2 against the eigendecomposition chart of d >= 3, kept here as
+    # the oracle, over all four generators (I, X, Y, Z) and over the traceless three the polish
+    # steps through.  At the listed radii r = |a| the phase φ is 0: the oracle's divided
+    # differences at eigenvalues φ ± r cancel to about eps/r relative when φ is not small (3.6e-7
+    # at r = 1e-9), so random θ covers the phase
+    @pytest.mark.parametrize('radius', [None, 0.0, 1e-9, 0.999e-3, 1.001e-3, np.pi / 2, np.pi, 5.0])
+    @pytest.mark.parametrize('width', [4, 3])
+    def test_matches_the_eigh_chart(self, width, radius):
+        rng = make_rng(19)
+        coeffs = rng.standard_normal((40, width))
+        k_ops = rng.standard_normal((40, 2, 2)) + 1j * rng.standard_normal((40, 2, 2))
+        if radius is not None:
+            a = coeffs[:, -3:]
+            a *= radius / np.linalg.norm(a, axis=1, keepdims=True)
+            coeffs[:, :width - 3] = 0.0
+        unitaries, pullback = _chart(coeffs, 2)
+        expected, oracle = _eigh_chart(coeffs, _generators(2)[-width:])
+        assert np.linalg.norm(unitaries - expected) <= 1e-14 * np.linalg.norm(expected)
+        grad, want = pullback(k_ops), oracle(k_ops)
+        assert grad.shape == want.shape == (40, width)
+        assert np.linalg.norm(grad - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize('d', [2, 3])
+    def test_theta_from_set_round_trips_through_parametrize(self, d):
+        # theta holds the principal logs' coefficients, the phase included, so parametrize gives
+        # the unitaries back, not only their rays, and the weights
+        rng = make_rng(22)
+        sets = [WeightedUnitarySet(d, *random_set(d, 30, rng))]
+        sets += [gallery(name) for name in ('pu2_11pt', 'pu2_clifford12', 'pu2_600cell')] if d == 2 else []
+        for s in sets:
+            back = parametrize(theta_from_set(s), d, len(s))
+            assert np.abs(back.unitaries - s.unitaries).max() <= 1e-13
+            assert np.allclose(back.weights, s.weights, rtol=1e-13, atol=0)
 
 
 class TestObjectiveWorkspace:
@@ -508,7 +538,7 @@ def test_polish_retries_a_rejected_step_with_more_damping(monkeypatch):
     moved = np.array([expm_hermitian(1e-4 * (g + dag(g))) @ u
                       for g, u in zip(rng.standard_normal((11, 2, 2)) + 1j * rng.standard_normal((11, 2, 2)),
                                       s.unitaries)])
-    polished = _polish_moment(WeightedUnitarySet(2, moved, s.weights), 2, 'free')
+    polished = _polish_moment(WeightedUnitarySet(2, moved, s.weights), 2, 'free', ATOL_CERT)
     assert len(damps) > 2 and damps[1] == 10 * damps[0]
     assert np.linalg.norm(moment_residual(polished.unitaries, polished.weights, 2)[0]) <= float_floor(2, 2)
 
@@ -527,10 +557,10 @@ def test_polish_tangents_in_row_blocks_match_one_block(monkeypatch):
     # 400 builds them in two blocks of 9 and 2 rows, rebuilt in every product, while the
     # residual's 3·m = 30 entries a row and the layout's 3·m² = 300 still fit whole
     s = near_design('pu2_11pt', 2, 1e-3, 18)
-    whole = _polish_moment(s, 2, 'free')
+    whole = _polish_moment(s, 2, 'free', ATOL_CERT)
     monkeypatch.setattr(linalg, 'MAX_ENTRIES', 400)
     assert len(linalg.row_blocks(11, 3 * 14)) == 2 and len(linalg.row_blocks(11, 3 * 10)) == 1
-    blocked = _polish_moment(s, 2, 'free')
+    blocked = _polish_moment(s, 2, 'free', ATOL_CERT)
     assert certify(whole, 2).moment_residual <= float_floor(2, 2)
     assert np.array_equal(blocked.unitaries, whole.unitaries)
     assert np.array_equal(blocked.weights, whole.weights)
@@ -565,9 +595,9 @@ def test_a_restart_whose_polish_stalls_fails_and_the_search_moves_on(monkeypatch
     module = importlib.import_module('udesign.search')
     polish, runs, certs = module._polish_moment, [], []
 
-    def stall_once(s, t, weight_mode):
+    def stall_once(s, t, weight_mode, target):
         runs.append(t)
-        return s if len(runs) == 1 else polish(s, t, weight_mode)
+        return s if len(runs) == 1 else polish(s, t, weight_mode, target)
 
     def spy(*args):
         certs.append(certify(*args))
@@ -602,6 +632,48 @@ class TestSearchResidualsAtTheFloor:
         assert trace.converged and trace.best_restart == 1
         assert certify(trace.result, 3).moment_residual <= float_floor(2, 3)
 
+    def test_a_polish_that_stalls_above_its_target_gives_up(self, monkeypatch):
+        # restart 0's polish stops halving |R| near 2e-3, far above the target, and gives up once
+        # LSMR's tolerance is at its tightest, after 12 trial solves (it took all 60 without the
+        # stop); restart 1 converges at the floor
+        import scipy.sparse.linalg
+
+        module = importlib.import_module('udesign.search')
+        lsmr, polish, solves, polished = scipy.sparse.linalg.lsmr, module._polish_moment, [], []
+
+        def counted(*args, **kwargs):
+            solves[-1] += 1
+            return lsmr(*args, **kwargs)
+
+        def spy(*args):
+            solves.append(0)
+            polished.append(polish(*args))
+            return polished[-1]
+
+        monkeypatch.setattr(scipy.sparse.linalg, 'lsmr', counted)
+        monkeypatch.setattr(module, '_polish_moment', spy)
+        trace = search(SearchConfig(dim=2, size=24, t=3, seed=7))
+        assert trace.converged and trace.best_restart == 1 and len(solves) == 2
+        assert solves[0] <= 12 and certify(polished[0], 3).moment_residual > 1e-5
+        assert certify(trace.result, 3).moment_residual <= float_floor(2, 3)
+
+    def test_a_polish_below_its_target_is_never_cut(self, monkeypatch):
+        # restart 0 of this seed hands over a set whose polish stalls at LSMR's tightest tolerance
+        # near |R| = 3e-9, after 18 trial steps: a target at the floor cuts it there, while the
+        # default target, which |R| is already below, lets it go on to the floor
+        module = importlib.import_module('udesign.search')
+        polish, handoffs = module._polish_moment, []
+
+        def spy(*args):
+            handoffs.append(args[0])
+            return polish(*args)
+
+        monkeypatch.setattr(module, '_polish_moment', spy)
+        assert search(SearchConfig(dim=2, size=24, t=3, seed=500, restarts=1)).converged
+        cut = _polish_moment(handoffs[0], 3, 'free', float_floor(2, 3))
+        kept = _polish_moment(handoffs[0], 3, 'free', ATOL_CERT)
+        assert certify(kept, 3).moment_residual <= float_floor(2, 3) < 1e-9 < certify(cut, 3).moment_residual < ATOL_CERT
+
     @pytest.mark.parametrize('seed', [152, 171])
     def test_one_polish_brings_restart_zero_to_the_floor(self, monkeypatch, seed):
         # restart 0 of these seeds misses the floor in 30 polish trial steps; one polish of
@@ -621,7 +693,7 @@ class TestSearchResidualsAtTheFloor:
     def test_gap_history_closes_with_the_smaller_of_its_best_and_the_certified_gap(self):
         # the log never increases, so its closing record is min(last record, certified gap): for
         # this search the certified gap, for refine of the 11-point design its best L-BFGS gap
-        # (-1.3e-15), below the certified gap of the polished set (-2.2e-16)
+        # (-2.2e-16), below the certified gap of the polished set (0)
         config = SearchConfig(dim=2, size=11, t=2, seed=1)
         search_trace, refine_trace = search(config), refine(gallery('pu2_11pt'), config)
         for trace in (search_trace, refine_trace):
